@@ -10,6 +10,9 @@ on the dgemm and stream models:
   engine (``engine="vector"``) on a large int64-safe grid, against the
   per-point scalar closures on the same model, with a sampled bit-exactness
   check against both the closures and the interpreted tree-walk,
+* **end-to-end sweep throughput** — points/second through sweep →
+  ``SweepResult.to_dict`` (the columnar wire document) → ``json.dumps``
+  on the same grid, the in-process path behind every served sweep,
 * **model-construction time** — the full pipeline with expression
   hash-consing on vs off (``interning_disabled``),
 * **sweep economy** — a Fig. 7-style 5-point sweep must run the pipeline's
@@ -115,6 +118,12 @@ def _vector_block(doc: dict, name: str, model, function: str, axis: str,
     vec_pps = _throughput(
         lambda: model.sweep(function, {axis: values},
                             engine="vector").fp_series()) * n
+    # The path a caller of the wire format runs: sweep, encode, serialize.
+    e2e_pps = _throughput(
+        lambda: json.dumps(model.sweep(function, {axis: values},
+                                       engine="vector").to_dict(),
+                           separators=(",", ":"))) * n
+    doc.setdefault("end_to_end_points_per_sec", {})[name] = e2e_pps
     scal_pps = _throughput(
         lambda: model.sweep(function, {axis: scalar_values},
                             engine="scalar").fp_series()
@@ -219,6 +228,8 @@ def test_eval_sweep_bench(benchmark):
         ["stream sweep points/s", f"{doc['sweep_points_per_sec']['stream']:,.0f}"],
         ["dgemm vector points/s", f"{doc['vector_points_per_sec']['dgemm']:,.0f}"],
         ["stream vector points/s", f"{doc['vector_points_per_sec']['stream']:,.0f}"],
+        ["dgemm sweep+to_dict+json points/s", f"{doc['end_to_end_points_per_sec']['dgemm']:,.0f}"],
+        ["stream sweep+to_dict+json points/s", f"{doc['end_to_end_points_per_sec']['stream']:,.0f}"],
         ["dgemm vector vs scalar", f"{doc['vector_speedup_vs_scalar']['dgemm']:.1f}x"],
         ["stream vector vs scalar", f"{doc['vector_speedup_vs_scalar']['stream']:.1f}x"],
         ["sweep compiles (dgemm/stream)",

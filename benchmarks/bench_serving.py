@@ -1,4 +1,4 @@
-"""Model-serving load benchmark: cold vs warm submissions, concurrency.
+"""Model-serving load benchmark: submissions, concurrency, served sweeps.
 
 The serving subsystem's pitch is the paper's economics over HTTP: the
 first submission of a source pays the full analysis pipeline, every
@@ -7,13 +7,15 @@ boots an in-process :class:`MiraServer` on an ephemeral port, measures
 
 * **cold** throughput — distinct sources, each a full pipeline run,
 * **warm** throughput — repeat submissions of an already-registered
-  source (the registry hit path; zero compiler invocations), and
+  source (the registry hit path; zero compiler invocations),
 * **concurrent** warm throughput — several keep-alive clients on
-  threads, exercising the threaded server + registry locking,
+  threads, exercising the threaded server + registry locking, and
+* **served sweep** points/s end to end, per reply layout (v1 ``rows``,
+  ``columns``, and ``MiraClient.sweep``),
 
-and emits ``benchmarks/out/BENCH_serving.json``.  The acceptance floor:
+and emits ``benchmarks/out/BENCH_serving.json``.  The acceptance floors:
 warm req/s must be at least 5x cold req/s (in practice it is orders of
-magnitude).
+magnitude), and columnar sweeps at least 3x rows.
 """
 
 import json
@@ -27,6 +29,7 @@ from _common import OUT_DIR, rows_to_text, save_table
 from repro.core import AnalysisConfig
 from repro.core.pipeline import STAGE_RUN_COUNTS, reset_stage_counters
 from repro.serve import MiraClient, MiraServer
+from repro.workloads import get_source
 
 SRC = """\
 double kernel(int n) {
@@ -40,6 +43,51 @@ N_COLD = 6          # distinct sources (each a full pipeline run)
 N_WARM = 200        # repeat submissions of one registered source
 N_THREADS = 4       # concurrent keep-alive clients
 N_PER_THREAD = 50
+SWEEP_POINTS = 20_000   # dgemm_kernel grid of one served sweep
+SWEEP_REPEATS = 5
+
+
+def _served_sweeps(client) -> dict:
+    """End-to-end served sweep points/s, per reply layout.
+
+    Each figure covers the whole exchange: request, grid evaluation,
+    encoding, HTTP and client decoding.  ``rows`` is a bare POST read as
+    the v1 ``points`` rows; ``columns`` asks for ``layout=columns`` and
+    reads the columns; ``client`` is ``MiraClient.sweep``, which requests
+    columns and expands the rows client-side.
+    """
+    handle = client.submit(get_source("dgemm"), filename="dgemm.c")
+    path = f"/v1/analyses/{handle['id']}/sweep"
+    values = list(range(1, SWEEP_POINTS + 1))
+    request = {"function": "dgemm_kernel", "grid": {"n": values}}
+    expected = [2 * n ** 3 + n ** 2 for n in values]
+
+    def rows():
+        doc = client.request("POST", path, request).raise_for_status().json()
+        return [p["fp_ins"] for p in doc["points"]]
+
+    def columns():
+        doc = client.request("POST", path, {**request, "layout": "columns"}
+                             ).raise_for_status().json()
+        return doc["columns"]["fp_ins"]
+
+    def typed_client():
+        doc = client.sweep(handle["id"], "dgemm_kernel", request["grid"])
+        return [p["fp_ins"] for p in doc["points"]]
+
+    out = {}
+    for name, fn in (("rows", rows), ("columns", columns),
+                     ("client", typed_client)):
+        assert fn() == expected, name     # also the warm-up
+        t0 = time.perf_counter()
+        for _ in range(SWEEP_REPEATS):
+            fn()
+        elapsed = time.perf_counter() - t0
+        out[f"sweep_{name}_points_per_s"] = \
+            SWEEP_REPEATS * SWEEP_POINTS / elapsed
+    out["sweep_columns_vs_rows"] = (out["sweep_columns_points_per_s"]
+                                    / out["sweep_rows_points_per_s"])
+    return out
 
 
 def run_load():
@@ -87,6 +135,7 @@ def run_load():
             assert not errors, errors
 
             health = client.health()
+            out.update(_served_sweeps(client))
             client.close()
 
     out["cold_rps"] = N_COLD / cold_s
@@ -107,14 +156,25 @@ def test_serving_load(benchmark):
             ["cold req/s", f"{s['cold_rps']:.1f}"],
             ["warm req/s", f"{s['warm_rps']:.1f}"],
             ["concurrent warm req/s", f"{s['concurrent_rps']:.1f}"],
-            ["warm / cold", f"{s['warm_vs_cold']:.1f}x"]]
+            ["warm / cold", f"{s['warm_vs_cold']:.1f}x"],
+            [f"served sweep pts/s, rows ({SWEEP_POINTS} pts)",
+             f"{s['sweep_rows_points_per_s']:,.0f}"],
+            ["served sweep pts/s, columns",
+             f"{s['sweep_columns_points_per_s']:,.0f}"],
+            ["served sweep pts/s, MiraClient.sweep",
+             f"{s['sweep_client_points_per_s']:,.0f}"],
+            ["sweep columns / rows", f"{s['sweep_columns_vs_rows']:.1f}x"]]
     save_table("serving", rows_to_text(
-        "Model serving — cold vs warm submission throughput",
+        "Model serving — submissions and served sweeps",
         ["metric", "value"], rows,
         note="Cold = full pipeline per request; warm = registry hit "
              "(fingerprint lookup, zero compiles, counter-asserted). "
              "Concurrent = keep-alive clients on threads against the "
-             "threaded server."))
+             "threaded server.  Served sweeps are end to end (request, "
+             "evaluation, encoding, HTTP, decoding): rows = a bare POST "
+             "read as v1 points, columns = layout=columns read as "
+             "columns, MiraClient.sweep = columns expanded to rows "
+             "client-side."))
 
     os.makedirs(OUT_DIR, exist_ok=True)
     with open(os.path.join(OUT_DIR, "BENCH_serving.json"), "w",
@@ -129,12 +189,23 @@ def test_serving_load(benchmark):
                    "concurrent_rps": round(s["concurrent_rps"], 2),
                    "warm_vs_cold": round(s["warm_vs_cold"], 2),
                    "registry_hits": s["registry_hits"],
-                   "analyses": s["analyses"]}, fh, indent=2)
+                   "analyses": s["analyses"],
+                   "sweep_points": SWEEP_POINTS,
+                   "sweep_rows_points_per_s":
+                       round(s["sweep_rows_points_per_s"], 1),
+                   "sweep_columns_points_per_s":
+                       round(s["sweep_columns_points_per_s"], 1),
+                   "sweep_client_points_per_s":
+                       round(s["sweep_client_points_per_s"], 1),
+                   "sweep_columns_vs_rows":
+                       round(s["sweep_columns_vs_rows"], 2)}, fh, indent=2)
         fh.write("\n")
 
-    # The acceptance floor; real ratios are in the hundreds.
+    # The acceptance floors; real warm/cold ratios are in the hundreds.
     assert s["warm_vs_cold"] >= 5.0, (
         f"warm throughput only {s['warm_vs_cold']:.1f}x cold")
+    assert s["sweep_columns_vs_rows"] >= 3.0, (
+        f"columnar sweeps only {s['sweep_columns_vs_rows']:.1f}x rows")
 
 
 if __name__ == "__main__":

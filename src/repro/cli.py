@@ -259,17 +259,18 @@ def cmd_sweep(args) -> int:
     result = sweep_source(_read(args.file), grid, function=args.function,
                           config=_config_from_args(args),
                           filename=args.file, engine=args.engine)
+    doc = result.to_dict()
     if args.json:
-        return _emit_json(result.to_dict())
+        return _emit_json(doc)
     print(f"# sweep of {result.function} over "
           f"{', '.join(result.param_names)} "
           f"({result.mode}, {result.engine} engine, "
           f"{result.analyses} analysis run(s))")
     header = [*result.param_names, "TOTAL", "FP_INS"]
-    rows = [[str(p.env[n]) for n in result.param_names]
-            + [str(p.metrics.total()),
-               str(p.metrics.fp_instructions(result.fp_categories))]
-            for p in result.points]
+    cols = doc["columns"]
+    rows = [[str(v) for v in row]
+            for row in zip(*(cols["params"][n] for n in result.param_names),
+                           cols["total"], cols["fp_ins"])]
     widths = [max(len(h), max(len(r[i]) for r in rows))
               for i, h in enumerate(header)]
     print("  ".join(h.rjust(w) for h, w in zip(header, widths)))

@@ -214,7 +214,18 @@ _NO_SYM = 0xFFFF
 
 
 def encode_instruction(ins: Instruction, symidx: dict[str, int]) -> bytes:
-    """Encode one instruction; symbols are indexed through ``symidx``."""
+    """Encode one instruction; symbols are indexed through ``symidx``.
+
+    An operand outside its field's range (an immediate beyond int64, a
+    displacement beyond int32) raises :class:`CompileError`.
+    """
+    try:
+        return _encode(ins, symidx)
+    except struct.error as exc:
+        raise CompileError(f"cannot encode {ins}: {exc}") from None
+
+
+def _encode(ins: Instruction, symidx: dict[str, int]) -> bytes:
     out = bytearray()
     out += struct.pack("<HBB", MNEMONIC_IDS[ins.mnemonic], len(ins.operands), 0)
     for op in ins.operands:

@@ -246,6 +246,34 @@ class BatchReport:
 # the on-disk model cache
 # ---------------------------------------------------------------------------
 
+def _atomic_write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` as JSON to ``path`` by atomic write-rename.
+
+    The document is serialized first (``json.dumps`` takes the C encoder,
+    ``json.dump`` never does), so a non-JSON-able payload raises before any
+    file exists.  The text then goes to a uniquely named temp file in the
+    destination directory, which is ``os.replace``'d over ``path``: readers
+    only ever observe a complete document (old or new, never torn), and
+    any number of concurrent writers of the same key — server threads,
+    batch worker processes — safely race to an identical result.  A failed
+    write removes its temp file.
+    """
+    text = json.dumps(doc)
+    directory = os.path.dirname(path)
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ModelCache:
     """Content-addressed JSON store of analysis payloads.
 
@@ -297,28 +325,13 @@ class ModelCache:
             return None
 
     def _write(self, path: str, payload: dict) -> None:
-        # Atomic write-rename: the payload is serialized into a uniquely
-        # named temp file in the destination directory, then os.replace'd
-        # over the final path.  Readers therefore only ever observe a
-        # complete payload (old or new, never torn), and any number of
-        # concurrent writers of the same key — server threads, batch
-        # worker processes — safely race to an identical result.
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path),
-                                   suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, path)
+            _atomic_write_json(path, payload)
             self.stores += 1
         except (OSError, TypeError, ValueError):
             # Unwritable directory or a non-JSON-able payload: the cache is
-            # an accelerator, so a failed store degrades to a future miss —
-            # but the temp file must never be left behind as garbage.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            # an accelerator, so a failed store degrades to a future miss.
+            pass
 
     def get(self, key: str) -> dict | None:
         return self._read(self._path(key))
@@ -388,13 +401,9 @@ class ModelCache:
             delta = getattr(self, k) - self._persisted_mark[k]
             totals[k] = totals.get(k, 0) + delta
             self._persisted_mark[k] = getattr(self, k)
-        path = os.path.join(self.cache_dir, self.STATS_FILE)
         try:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(totals, fh)
-            os.replace(tmp, path)
+            _atomic_write_json(os.path.join(self.cache_dir, self.STATS_FILE),
+                               totals)
         except OSError:
             pass
         return totals

@@ -313,7 +313,7 @@ class AnalysisResult:
                           for q, m in self.models.items()},
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
+    def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent)
 
     @staticmethod

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 
 from ..errors import MiraError, ModelError, SchemaError, VectorizeError
 from .config import AnalysisConfig
@@ -56,7 +56,7 @@ from .pipeline import Pipeline
 from .result import RESULT_SCHEMA_VERSION, AnalysisResult
 
 __all__ = ["SweepPoint", "SweepResult", "expand_grid", "run_model_sweep",
-           "sweep_source", "DEFAULT_SWEEP_CHUNK"]
+           "sweep_rows", "sweep_source", "DEFAULT_SWEEP_CHUNK"]
 
 #: Vector-engine chunk size (points per evaluation batch).  Chunking keeps
 #: peak memory bounded and lets the int64-vs-object decision adapt to each
@@ -281,6 +281,72 @@ class _ColumnarPoints:
             yield self._point(i)
 
 
+def _jsonable(v):
+    """A swept value on the wire: ints stay ints, Fractions become str."""
+    return v if isinstance(v, int) else str(v)
+
+
+def _rounded(v) -> int:
+    """A count cell rounded exactly as ``Metrics.as_dict`` rounds it."""
+    v = _exact_value(v)
+    return v if type(v) is int else int(round(v))
+
+
+def _is_int64(col) -> bool:
+    return not isinstance(col, list) and col.dtype != object
+
+
+def _sum_columns(cols: list, n: int) -> list[int]:
+    """Per-point sums of rounded count columns (int64 arrays or int lists).
+
+    All-int64 columns are summed in numpy when their ranges leave headroom
+    for the cross-category accumulation; anything else sums in exact
+    Python ints."""
+    if not cols:
+        return [0] * n
+    if all(_is_int64(c) for c in cols):
+        limit = (2 ** 63 - 1) // len(cols)
+        if all(-limit <= int(c.min()) and int(c.max()) <= limit
+               for c in cols):
+            acc = cols[0].copy()
+            for c in cols[1:]:
+                acc += c
+            return acc.tolist()
+    lists = [c if isinstance(c, list) else c.tolist() for c in cols]
+    return [sum(t) for t in zip(*lists)]
+
+
+def sweep_rows(doc: dict) -> list[dict]:
+    """Expand a columnar ``SweepResult`` document into per-point rows.
+
+    Each row is ``{"params", "counts", "total", "fp_ins"}``, one entry of
+    the ``rows`` layout's ``points``.  Zero-count categories are dropped
+    per row (as ``Metrics.as_dict`` drops them), and so is a parameter a
+    point leaves unbound (``None`` in its column).  Stdlib only, so an HTTP
+    client can expand a reply; in process, ``SweepResult.points`` is the
+    lazy view.
+    """
+    cols = doc["columns"]
+    n = len(cols["total"])
+    names, cats = list(cols["params"]), list(cols["counts"])
+    param_rows = zip(*cols["params"].values()) if names else repeat((), n)
+    count_rows = zip(*cols["counts"].values()) if cats else repeat((), n)
+    rows = []
+    for pv, cv, total, fp_ins in zip(param_rows, count_rows, cols["total"],
+                                     cols["fp_ins"]):
+        # Filtering only the rows that need it keeps the common case (no
+        # zero count, every name bound) at one C-level dict(zip(...)).
+        params = dict(zip(names, pv))
+        if None in pv:
+            params = {k: v for k, v in params.items() if v is not None}
+        counts = dict(zip(cats, cv))
+        if 0 in cv:
+            counts = {c: v for c, v in counts.items() if v}
+        rows.append({"params": params, "counts": counts, "total": total,
+                     "fp_ins": fp_ins})
+    return rows
+
+
 @dataclass
 class SweepResult:
     """The product of a sweep: per-point metrics plus provenance.
@@ -312,70 +378,64 @@ class SweepResult:
     def __iter__(self):
         return iter(self.points)
 
-    def _column_series(self, cats) -> list[int] | None:
-        """Rounded per-point sums over ``cats`` straight from the columns."""
-        if self._columns is None:
-            return None
-        cols = [self._columns[c] for c in cats if c in self._columns]
-        n = len(self.points)
-        if not cols:
-            return [0] * n
-        int_cols = [c for c in cols
-                    if getattr(c, "dtype", None) is not None
-                    and c.dtype != object]
-        if len(int_cols) == len(cols):
-            # all-int64: safe to sum in int64 when the column ranges leave
-            # headroom for the cross-category accumulation
-            limit = (2 ** 63 - 1) // len(cols)
-            if all(-limit <= int(c.min()) and int(c.max()) <= limit
-                   for c in cols):
-                acc = cols[0].copy()
-                for c in cols[1:]:
-                    acc += c
-                return acc.tolist()
-        out = []
-        for i in range(n):
-            s = 0
-            for c in cols:
-                v = _exact_value(c[i])
-                s += v if type(v) is int else int(round(v))
-            out.append(s)
-        return out
+    def _count_columns(self) -> dict:
+        """Category -> rounded per-point counts; vector sweeps read their
+        columns directly (int64 columns stay ndarrays)."""
+        if self._columns is not None:
+            return {cat: col if _is_int64(col) else [_rounded(v) for v in col]
+                    for cat, col in self._columns.items()}
+        rows = [p.metrics.as_dict() for p in self.points]
+        cats = dict.fromkeys(c for r in rows for c in r)
+        return {cat: [r.get(cat, 0) for r in rows] for cat in cats}
+
+    def _param_columns(self) -> dict:
+        """Swept name -> per-point wire values (``None`` where an explicit
+        point list leaves the name unbound)."""
+        if self._columns is not None:
+            return {name: col.tolist() if _is_int64(col)
+                    else [_jsonable(_exact_value(v)) for v in col]
+                    for name, col in self.points.param_cols.items()}
+        return {name: [_jsonable(p.env[name]) if name in p.env else None
+                       for p in self.points]
+                for name in self.param_names}
+
+    def _fp_column(self, counts: dict) -> list[int]:
+        return _sum_columns([counts[c] for c in self.fp_categories
+                             if c in counts], len(self))
 
     def fp_series(self) -> list[int]:
         """FP instruction count at every grid point, in grid order."""
-        fast = self._column_series(self.fp_categories)
-        if fast is not None:
-            return fast
-        return [p.metrics.fp_instructions(self.fp_categories)
-                for p in self.points]
+        return self._fp_column(self._count_columns())
 
     def totals(self) -> list[int]:
-        fast = (self._column_series(tuple(self._columns))
-                if self._columns is not None else None)
-        if fast is not None:
-            return fast
-        return [p.metrics.total() for p in self.points]
+        return _sum_columns(list(self._count_columns().values()), len(self))
 
     def to_dict(self) -> dict:
-        def jsonable(v):
-            return v if isinstance(v, int) else str(v)
+        """The columnar wire document (``"layout": "columns"``).
 
+        ``columns`` holds one list per swept parameter, one per count
+        category (rounded as ``Metrics.as_dict`` rounds, zeros kept), and
+        ``total`` and ``fp_ins``.  A vector sweep is encoded straight from
+        its count columns, with no per-point object; :func:`sweep_rows`
+        expands the document into per-point rows.
+        """
+        counts = self._count_columns()
         return {
             "schema_version": RESULT_SCHEMA_VERSION,
             "kind": "SweepResult",
+            "layout": "columns",
             "function": self.function,
             "mode": self.mode,
             "engine": self.engine,
             "analyses": self.analyses,
             "params": list(self.param_names),
-            "points": [
-                {"params": {k: jsonable(v) for k, v in p.env.items()},
-                 "counts": p.metrics.as_dict(),
-                 "total": p.metrics.total(),
-                 "fp_ins": p.metrics.fp_instructions(self.fp_categories)}
-                for p in self.points
-            ],
+            "columns": {
+                "params": self._param_columns(),
+                "counts": {cat: col if isinstance(col, list) else col.tolist()
+                           for cat, col in counts.items()},
+                "total": _sum_columns(list(counts.values()), len(self)),
+                "fp_ins": self._fp_column(counts),
+            },
         }
 
 

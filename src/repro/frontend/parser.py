@@ -163,6 +163,16 @@ class Parser:
 
     # -- translation unit -------------------------------------------------------
     def parse_translation_unit(self) -> A.TranslationUnit:
+        try:
+            return self._parse_translation_unit()
+        except RecursionError:
+            # Recursive descent spends Python stack on every nesting level;
+            # input nested deeper than the interpreter allows is rejected
+            # as a typed error, not a raw RecursionError.
+            raise ParseError("nesting too deep to parse", self.cur.line,
+                             self.cur.col) from None
+
+    def _parse_translation_unit(self) -> A.TranslationUnit:
         tu = A.TranslationUnit(self.filename)
         pending_annotations: list = []
         while self.cur.kind != "eof":

@@ -16,7 +16,7 @@ Route map (all JSON, all stamped with ``schema_version`` + ``version``)::
     GET    /v1/analyses/{id}               the AnalysisResult wire format
     DELETE /v1/analyses/{id}               evict from the warm registry
     POST   /v1/analyses/{id}/evaluate      one-point compiled evaluation
-    POST   /v1/analyses/{id}/sweep         grid eval (auto|vector|scalar)
+    POST   /v1/analyses/{id}/sweep         grid eval (layout rows|columns)
     POST   /v1/analyses/{id}/diff          symbolic diff vs another model
     GET    /v1/corpora                     bundled workload catalog
     POST   /v1/corpora                     batch submission (BatchAnalyzer)

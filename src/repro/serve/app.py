@@ -190,7 +190,7 @@ def _make_handler(ctx: ServerContext):
             doc = dict(response.doc)
             doc.setdefault("schema_version", RESULT_SCHEMA_VERSION)
             doc.setdefault("version", __version__)
-            body = json.dumps(doc, indent=2).encode("utf-8")
+            body = json.dumps(doc, separators=(",", ":")).encode("utf-8")
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()

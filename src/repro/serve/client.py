@@ -26,6 +26,7 @@ import json
 from dataclasses import dataclass, field
 from urllib.parse import urlsplit
 
+from ..core.sweep import sweep_rows
 from ..errors import ServeError
 
 __all__ = ["ClientConnectionError", "HTTPStatusError", "MiraClient",
@@ -201,10 +202,16 @@ class MiraClient:
 
     def sweep(self, analysis_id: str, function: str, grid, *,
               base: dict | None = None, engine: str = "auto") -> dict:
-        doc = {"function": function, "grid": grid, "engine": engine}
+        """Grid evaluation: the columnar ``SweepResult`` document, with
+        its per-point rows expanded into ``points`` (:func:`sweep_rows`).
+        """
+        doc = {"function": function, "grid": grid, "engine": engine,
+               "layout": "columns"}
         if base:
             doc["base"] = base
-        return self._json("POST", f"/v1/analyses/{analysis_id}/sweep", doc)
+        out = self._json("POST", f"/v1/analyses/{analysis_id}/sweep", doc)
+        out["points"] = sweep_rows(out)
+        return out
 
     def diff(self, analysis_id: str, other_id: str) -> dict:
         return self._json("POST", f"/v1/analyses/{analysis_id}/diff",

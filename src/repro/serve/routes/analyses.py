@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from ...compiler.arch import default_arch
 from ...core.config import AnalysisConfig
+from ...core.sweep import sweep_rows
 from ..app import HTTPError, Request, Response, ServerContext
 from ..registry import RegistryEntry
 
@@ -25,6 +26,8 @@ _CONFIG_FIELDS = ("arch", "opt_level", "default_branch_ratio", "predefined",
                   "symbolic_params")
 
 _ENGINES = ("auto", "vector", "scalar")
+
+_LAYOUTS = ("rows", "columns")
 
 
 def request_config(ctx: ServerContext, doc) -> AnalysisConfig:
@@ -182,9 +185,24 @@ def evaluate_analysis(ctx: ServerContext, req: Request) -> Response:
     })
 
 
+def _layout(req: Request) -> str:
+    layout = req.get("layout", "rows")
+    if layout not in _LAYOUTS:
+        raise HTTPError(400, f"unknown sweep layout {layout!r} "
+                             f"(rows | columns)", "UnsupportedLayout")
+    return layout
+
+
 def sweep_analysis(ctx: ServerContext, req: Request) -> Response:
-    """Grid evaluation of a stored model (``engine=auto|vector|scalar``)."""
+    """Grid evaluation of a stored model (``engine=auto|vector|scalar``).
+
+    ``layout=columns`` replies with the columnar ``SweepResult`` document
+    itself.  The default, ``rows``, is the v1 document whose ``points``
+    list carries one row per grid point, for consumers that read
+    ``points[i]`` straight from the body.
+    """
     entry = _entry(ctx, req)
+    layout = _layout(req)
     function = req.require("function")
     grid = req.require("grid")
     if isinstance(grid, dict):
@@ -201,6 +219,10 @@ def sweep_analysis(ctx: ServerContext, req: Request) -> Response:
     sweep = entry.result.sweep(function, grid, base=base or None,
                                engine=_engine(req))
     doc = sweep.to_dict()           # kind: SweepResult, schema-versioned
+    if layout == "rows":
+        rows = sweep_rows(doc)
+        doc = {k: v for k, v in doc.items() if k not in ("layout", "columns")}
+        doc["points"] = rows
     doc["id"] = entry.key
     return Response(200, doc)
 

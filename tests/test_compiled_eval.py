@@ -339,7 +339,8 @@ class TestSweep:
         doc = result.sweep("scale", {"n": [2, 4]}).to_dict()
         assert doc["kind"] == "SweepResult"
         assert doc["schema_version"] == 1
-        assert [p["params"]["n"] for p in doc["points"]] == [2, 4]
+        assert doc["layout"] == "columns"
+        assert doc["columns"]["params"]["n"] == [2, 4]
         json.dumps(doc)  # JSON-able
 
 
@@ -350,7 +351,7 @@ class TestSweepCLI:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["kind"] == "SweepResult"
-        assert [p["fp_ins"] for p in doc["points"]] == \
+        assert doc["columns"]["fp_ins"] == \
             [2 * 16 ** 3 + 16 ** 2, 2 * 32 ** 3 + 32 ** 2]
 
     def test_cli_sweep_range_table(self, capsys):

@@ -73,6 +73,18 @@ class TestISA:
         with pytest.raises(DisasmError):
             decode_instruction(struct.pack("<HBB", 9999, 0, 0), 0, [])
 
+    def test_out_of_range_operands_are_compile_errors(self):
+        for op in (Imm(2 ** 63), Imm(-(2 ** 63) - 1), Mem(disp=2 ** 31)):
+            with pytest.raises(CompileError, match="cannot encode"):
+                encode_instruction(Instruction("mov", (Reg("rax"), op)), {})
+
+    def test_loop_bound_beyond_int64_is_a_compile_error(self):
+        tu = parse_source("double a[10]; void f() { "
+                          "for (long i = 0; i < 99999999999999999999; i++) "
+                          "a[0] += 1.0; }")
+        with pytest.raises(CompileError, match="cannot encode"):
+            compile_tu(tu)
+
     def test_decode_truncated(self):
         with pytest.raises(DisasmError):
             decode_instruction(b"\x01", 0, [])

@@ -110,6 +110,13 @@ class TestExpressions:
         assert parse_expr("true").value == 1
         assert parse_expr("false").value == 0
 
+    def test_too_deep_nesting_is_a_parse_error(self):
+        deep = "(" * 3000 + "x" + ")" * 3000
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse_source(f"int f(int x) {{ return {deep}; }}")
+        # the parser is still usable afterwards
+        assert isinstance(parse_expr("((x))"), A.Ident)
+
 
 class TestStatements:
     def test_decl_with_init(self):

@@ -14,11 +14,18 @@ exercises the warm registry's statefulness across requests:
 - [x] GET with the current ETag is 304
 - [x] served evaluate == direct in-process evaluation (scalar and vector)
 - [x] served sweep (auto|vector|scalar) == direct result.sweep
+- [x] a bare sweep POST still returns the v1 document with per-point rows
+- [x] sweep ``layout=columns`` == the direct columnar ``to_dict()``
+- [x] an unknown sweep layout is 400 with error.type UnsupportedLayout
+- [x] ``client.sweep(...)["points"]`` == the rows reply
+- [x] bodies are compact JSON (no indentation, no separator spaces)
 - [x] served diff of two stored models == direct result.diff
 - [x] POST /v1/corpora batch-analyzes and registers every model warm
 - [x] DELETE evicts the warm tier; the disk tier re-serves (by design)
 - [x] unknown ids are 404, unknown routes 404, wrong methods 405,
       malformed JSON 400, unparsable C 400 with error.type ParseError
+- [x] 3000-deep parentheses are 400 ParseError; a loop bound beyond
+      int64 is 400 CompileError (never a 500)
 - [x] `mira serve` + `mira client` drive the same API from the shell
 """
 
@@ -33,6 +40,7 @@ from repro._version import __version__
 from repro.core import AnalysisConfig, Pipeline
 from repro.core.pipeline import STAGE_RUN_COUNTS, reset_stage_counters
 from repro.core.result import AnalysisResult
+from repro.core.sweep import sweep_rows
 from repro.serve import HTTPStatusError, MiraClient, MiraServer
 
 SRC_A = """\
@@ -44,6 +52,13 @@ double kernel(int n) {
 """
 
 SRC_B = SRC_A.replace("i * 2.0", "i * i * 3.0")
+
+HUGE_BOUND_SRC = """\
+double a[10];
+void f() {
+    for (long i = 0; i < 99999999999999999999; i++) a[0] += 1.0;
+}
+"""
 
 
 @pytest.fixture(scope="module")
@@ -187,8 +202,59 @@ def test_served_sweep_matches_direct(client, handle):
         expected = direct.sweep("kernel", grid, engine=engine).to_dict()
         for key in ("id", "version"):
             doc.pop(key, None)
-        expected.setdefault("schema_version", doc.get("schema_version"))
+        assert doc.pop("points") == sweep_rows(expected)
         assert doc == expected
+
+
+SWEEP_GRID = {"n": [0, 1, 10, 4096]}
+
+
+def _sweep_post(client, handle, **extra):
+    return client.request("POST", f"/v1/analyses/{handle['id']}/sweep",
+                          {"function": "kernel", "grid": SWEEP_GRID, **extra})
+
+
+def test_bare_sweep_post_returns_v1_rows(client, handle):
+    resp = _sweep_post(client, handle)
+    resp.raise_for_status()
+    doc = resp.json()
+    assert "layout" not in doc and "columns" not in doc
+    assert doc["kind"] == "SweepResult"
+    assert doc["params"] == ["n"]
+    direct = _direct(client)
+    swept = direct.sweep("kernel", SWEEP_GRID)
+    assert doc["points"] == [
+        {"params": p.env, "counts": p.metrics.as_dict(),
+         "total": p.metrics.total(),
+         "fp_ins": p.metrics.fp_instructions(swept.fp_categories)}
+        for p in swept.points]
+
+
+def test_columns_layout_matches_direct_to_dict(client, handle):
+    resp = _sweep_post(client, handle, layout="columns")
+    resp.raise_for_status()
+    doc = resp.json()
+    assert doc.pop("id") == handle["id"]
+    assert doc.pop("version") == __version__
+    assert doc == _direct(client).sweep("kernel", SWEEP_GRID).to_dict()
+
+
+def test_bad_sweep_layout_is_400(client, handle):
+    resp = _sweep_post(client, handle, layout="diagonal")
+    assert resp.status == 400
+    assert resp.json()["error"]["type"] == "UnsupportedLayout"
+
+
+def test_client_sweep_points_equal_the_rows_reply(client, handle):
+    rows = _sweep_post(client, handle).json()["points"]
+    doc = client.sweep(handle["id"], "kernel", SWEEP_GRID)
+    assert doc["layout"] == "columns"
+    assert doc["points"] == rows
+
+
+def test_bodies_are_compact_json(client, handle):
+    body = _sweep_post(client, handle, layout="columns").body
+    assert b"\n" not in body and b", " not in body and b'": ' not in body
 
 
 def test_served_diff_matches_direct(client, handle):
@@ -286,6 +352,21 @@ def test_unparsable_source_is_400_parse_error(client):
         client.submit("int main( {")
     assert exc.value.status == 400
     assert exc.value.error_type == "ParseError"
+
+
+def test_too_deep_nesting_is_400_parse_error(client):
+    src = "int f(int x) { return " + "(" * 3000 + "x" + ")" * 3000 + "; }"
+    with pytest.raises(HTTPStatusError) as exc:
+        client.submit(src)
+    assert exc.value.status == 400
+    assert exc.value.error_type == "ParseError"
+
+
+def test_loop_bound_beyond_int64_is_400_compile_error(client):
+    with pytest.raises(HTTPStatusError) as exc:
+        client.submit(HUGE_BOUND_SRC)
+    assert exc.value.status == 400
+    assert exc.value.error_type == "CompileError"
 
 
 def test_missing_field_is_400(client):

@@ -365,8 +365,8 @@ class TestColumnarPoints:
         doc = swept.to_dict()
         assert doc["kind"] == "SweepResult"
         assert doc["engine"] == "vector"
-        assert [p["params"]["n"] for p in doc["points"]] == [4, 8, 16, 32]
-        json.dumps(doc)
+        assert doc["columns"]["params"]["n"] == [4, 8, 16, 32]
+        assert json.loads(json.dumps(doc)) == doc
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +454,7 @@ class TestSweepCLI:
         assert rc == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["engine"] == "vector"
-        assert [p["fp_ins"] for p in doc["points"]] == \
+        assert doc["columns"]["fp_ins"] == \
             [2 * 16 ** 3 + 16 ** 2, 2 * 32 ** 3 + 32 ** 2]
 
     def test_cli_engine_shown_in_table_header(self, capsys):
