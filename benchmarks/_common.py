@@ -19,15 +19,17 @@ if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
 from repro.core import (AnalysisConfig, AnalysisResult, BatchAnalyzer,
-                        BatchReport, Pipeline, SweepResult, sweep_source)
+                        BatchReport, ModelEntry, ModelStore, Pipeline,
+                        SweepResult, sweep_source)
 from repro.dynamic import TauProfiler, TauReport
 from repro.workloads import get_source, source_path
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
-# Process-wide model memo keyed by the config's content-addressed
-# fingerprint: benches sharing a workload/defines/opt-level build it once.
-_MODEL_MEMO: dict[str, AnalysisResult] = {}
+# Benches sharing a workload/defines/opt-level build it once.  The store
+# adopts live results: profiling needs their ``processed`` compiler state,
+# which a restored payload does not carry.
+_STORE = ModelStore()
 
 
 def save_table(name: str, text: str) -> None:
@@ -45,11 +47,9 @@ def analyze_workload(name: str, defines: dict[str, int] | None = None,
     config = AnalysisConfig(opt_level=opt_level, predefined=defs)
     source = get_source(name)
     key = config.fingerprint(source, filename=name)
-    model = _MODEL_MEMO.get(key)
-    if model is None:
-        model = Pipeline(config).run(source, filename=name)
-        _MODEL_MEMO[key] = model
-    return model
+    entry = _STORE.lookup(key) or _STORE.adopt(
+        ModelEntry(key, Pipeline(config).run(source, filename=name)))
+    return entry.result
 
 
 def sweep_workload(name: str, grid: dict, *, function: str = "main",

@@ -11,7 +11,7 @@ polyhedral counting dominates the pipeline) plus one trivial leaf and
 * **warm incremental re-analysis** — ``IncrementalAnalyzer`` after editing
   the trivial leaf: re-runs compile → model for that function and its sole
   caller (``main``), serving the 10 heavy functions from the analyzer's
-  in-process model memo over the per-function cache (the watch-loop
+  in-memory function tier over the per-function cache (the watch-loop
   steady state),
 * **bit-identity** — the incremental result must equal the cold result on
   everything but ``stage_timings``,
@@ -159,7 +159,7 @@ def test_incremental_bench(benchmark):
         f"{doc['functions']}",
         ["metric", "value"], rows,
         note="Incremental = per-function fingerprints over the shared "
-             "model cache with an in-process model memo; the edit "
+             "model cache with an in-memory function tier; the edit "
              "invalidates exactly the edited function plus its callers, "
              "and the assembled result is bit-identical to a cold run."))
     os.makedirs(OUT_DIR, exist_ok=True)

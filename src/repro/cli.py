@@ -563,7 +563,7 @@ def _watch_diff(analyzer, args) -> int:
 
 
 def cmd_cache(args) -> int:
-    from .core.batch import ModelCache
+    from .core.store import ModelCache
 
     cache = ModelCache(args.cache_dir)
     if args.action == "clear":

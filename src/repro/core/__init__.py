@@ -12,7 +12,7 @@ the batch corpus engine.
 from .analysis import (RooflineEstimate, arithmetic_intensity,
                        instruction_distribution, roofline_estimate)
 from .batch import (BatchAnalyzer, BatchItem, BatchReport, BatchResult,
-                    FunctionSummary, ModelCache, payload_from_result)
+                    FunctionSummary)
 from .config import CONFIG_SCHEMA_VERSION, AnalysisConfig
 from .coverage import CoverageReport, loop_coverage, loop_coverage_source
 from .incremental import IncrementalAnalyzer
@@ -30,6 +30,7 @@ from .pipeline import (FUNC_STAGE_RUN_COUNTS, STAGE_RUN_COUNTS, STAGES,
 from .result import (RESULT_SCHEMA_VERSION, AnalysisResult,
                      assemble_result, function_payload,
                      restore_function_model)
+from .store import ModelCache, ModelEntry, ModelStore, payload_from_result
 from .sweep import SweepPoint, SweepResult, run_model_sweep, sweep_source
 from .units import FunctionUnit, build_units
 
@@ -39,7 +40,8 @@ __all__ = [
     "CoverageReport", "FUNC_STAGE_RUN_COUNTS", "FunctionModel",
     "FunctionSummary", "FunctionUnit", "GeneratorOptions",
     "IncrementalAnalyzer", "InputProcessor", "Metrics", "MetricGenerator",
-    "MetricTerm", "Mira", "MiraModel", "ModelCache", "Pipeline",
+    "MetricTerm", "Mira", "MiraModel", "ModelCache", "ModelEntry",
+    "ModelStore", "Pipeline",
     "PipelineState", "ProcessedInput", "RESULT_SCHEMA_VERSION",
     "RooflineEstimate", "STAGES", "STAGE_RUN_COUNTS", "StageEvent",
     "SweepPoint", "SweepResult", "arithmetic_intensity",

@@ -11,18 +11,14 @@ first-class:
   strings, or the whole bundled corpus — across a ``ProcessPoolExecutor``;
   all analysis knobs come from one :class:`~repro.core.config.AnalysisConfig`
   (serialized to worker processes as JSON),
-* a content-addressed on-disk :class:`ModelCache` keyed on
-  :meth:`AnalysisConfig.fingerprint` makes repeat analyses near-free; the
-  cached payload carries the full serialized
-  :class:`~repro.core.result.AnalysisResult`, so warm hits reconstruct an
-  evaluable result **without invoking the compiler**,
+* lookups and stores go through the analyzer's own
+  :class:`~repro.core.store.ModelStore`, so repeat analyses are served
+  from memory or the content-addressed disk cache **without invoking the
+  compiler**; only the misses reach the workers,
 * one bad file never aborts the batch: per-file failures become
   :class:`BatchResult` entries carrying a :class:`~repro.errors.BatchError`,
 * :class:`BatchReport` aggregates per-function metrics, corpus-wide loop
   coverage, and cache-hit statistics.
-
-Cache layout: ``<cache_dir>/<key[:2]>/<key>.json`` — one JSON payload per
-analysis, where ``key`` is the config's fingerprint of the analysis.
 
 Typical use::
 
@@ -36,18 +32,18 @@ Typical use::
 
 from __future__ import annotations
 
+import copy
 import json
 import os
-import tempfile
 import time
 from dataclasses import dataclass, field
 
 from ..compiler.arch import ArchDescription
 from ..errors import BatchError, MiraError
 from .config import AnalysisConfig
-from .coverage import loop_coverage
 from .pipeline import Pipeline
 from .result import RESULT_SCHEMA_VERSION, AnalysisResult
+from .store import ModelCache, ModelEntry, ModelStore, payload_from_result
 
 __all__ = [
     "BatchAnalyzer", "BatchItem", "BatchReport", "BatchResult",
@@ -243,251 +239,8 @@ class BatchReport:
 
 
 # ---------------------------------------------------------------------------
-# the on-disk model cache
-# ---------------------------------------------------------------------------
-
-def _atomic_write_json(path: str, doc: dict) -> None:
-    """Write ``doc`` as JSON to ``path`` by atomic write-rename.
-
-    The document is serialized first (``json.dumps`` takes the C encoder,
-    ``json.dump`` never does), so a non-JSON-able payload raises before any
-    file exists.  The text then goes to a uniquely named temp file in the
-    destination directory, which is ``os.replace``'d over ``path``: readers
-    only ever observe a complete document (old or new, never torn), and
-    any number of concurrent writers of the same key — server threads,
-    batch worker processes — safely race to an identical result.  A failed
-    write removes its temp file.
-    """
-    text = json.dumps(doc)
-    directory = os.path.dirname(path)
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-class ModelCache:
-    """Content-addressed JSON store of analysis payloads.
-
-    Two entry families share one directory: whole-file payloads at
-    ``<cache_dir>/<key[:2]>/<key>.json`` (``key`` =
-    :meth:`AnalysisConfig.fingerprint`) and per-function
-    :class:`~repro.core.metric_generator.FunctionModel` payloads at
-    ``<cache_dir>/fn/<key[:2]>/<key>.json`` (``key`` = the function-unit
-    fingerprint from :mod:`repro.core.units`).  A key names its payload
-    forever, so entries are immutable and eviction is just file deletion.
-    Writes are atomic (``os.replace`` of a temp file), which makes the
-    cache safe under concurrent runs sharing a directory.
-
-    Hit/miss/store counters accumulate in-process and can be folded into a
-    persistent ``stats.json`` in the cache directory via
-    :meth:`persist_stats`, so ``mira cache info`` reports lifetime usage
-    across processes.
-    """
-
-    STATS_FILE = "stats.json"
-
-    def __init__(self, cache_dir: str | None = None) -> None:
-        self.cache_dir = cache_dir or self.default_dir()
-        self.hits = 0
-        self.misses = 0
-        self.stores = 0
-        self._persisted_mark = {"hits": 0, "misses": 0, "stores": 0}
-
-    @staticmethod
-    def default_dir() -> str:
-        base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-            os.path.expanduser("~"), ".cache")
-        return os.path.join(base, "mira", "models")
-
-    def _path(self, key: str) -> str:
-        return os.path.join(self.cache_dir, key[:2], f"{key}.json")
-
-    def _fn_path(self, key: str) -> str:
-        return os.path.join(self.cache_dir, "fn", key[:2], f"{key}.json")
-
-    def _read(self, path: str) -> dict | None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            self.hits += 1
-            return payload
-        except (OSError, ValueError):
-            self.misses += 1
-            return None
-
-    def _write(self, path: str, payload: dict) -> None:
-        try:
-            _atomic_write_json(path, payload)
-            self.stores += 1
-        except (OSError, TypeError, ValueError):
-            # Unwritable directory or a non-JSON-able payload: the cache is
-            # an accelerator, so a failed store degrades to a future miss.
-            pass
-
-    def get(self, key: str) -> dict | None:
-        return self._read(self._path(key))
-
-    def put(self, key: str, payload: dict) -> None:
-        self._write(self._path(key), payload)
-
-    def get_function(self, key: str) -> dict | None:
-        """A per-function payload (see ``repro.core.result
-        .function_payload``), or None on a miss."""
-        return self._read(self._fn_path(key))
-
-    def put_function(self, key: str, payload: dict) -> None:
-        self._write(self._fn_path(key), payload)
-
-    def clear(self) -> int:
-        """Delete every cached payload (file and function entries) and the
-        persisted stats; returns the number of payloads removed."""
-        removed = 0
-        stats_path = os.path.join(self.cache_dir, self.STATS_FILE)
-        for dirpath, _dirnames, filenames in os.walk(self.cache_dir):
-            for fn in filenames:
-                path = os.path.join(dirpath, fn)
-                if path == stats_path or not fn.endswith(".json"):
-                    continue
-                try:
-                    os.unlink(path)
-                    removed += 1
-                except OSError:
-                    pass
-        try:
-            os.unlink(stats_path)
-        except OSError:
-            pass
-        return removed
-
-    def stats(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "dir": self.cache_dir}
-
-    def entry_stats(self) -> dict:
-        """On-disk census: entry counts and total bytes per family."""
-        files = functions = total_bytes = 0
-        stats_path = os.path.join(self.cache_dir, self.STATS_FILE)
-        fn_root = os.path.join(self.cache_dir, "fn")
-        for dirpath, _dirnames, filenames in os.walk(self.cache_dir):
-            for fn in filenames:
-                path = os.path.join(dirpath, fn)
-                if path == stats_path or not fn.endswith(".json"):
-                    continue
-                try:
-                    total_bytes += os.path.getsize(path)
-                except OSError:
-                    continue
-                if os.path.commonpath([fn_root, path]) == fn_root:
-                    functions += 1
-                else:
-                    files += 1
-        return {"file_entries": files, "function_entries": functions,
-                "entries": files + functions, "bytes": total_bytes}
-
-    def persist_stats(self) -> dict:
-        """Fold this object's counter deltas into ``stats.json`` (atomic
-        read-modify-replace) and return the updated lifetime totals."""
-        totals = self.persisted_stats()
-        for k in ("hits", "misses", "stores"):
-            delta = getattr(self, k) - self._persisted_mark[k]
-            totals[k] = totals.get(k, 0) + delta
-            self._persisted_mark[k] = getattr(self, k)
-        try:
-            _atomic_write_json(os.path.join(self.cache_dir, self.STATS_FILE),
-                               totals)
-        except OSError:
-            pass
-        return totals
-
-    def persisted_stats(self) -> dict:
-        """Lifetime hit/miss/store counters from ``stats.json`` (zeros when
-        absent or unreadable)."""
-        path = os.path.join(self.cache_dir, self.STATS_FILE)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-            return {k: int(doc.get(k, 0))
-                    for k in ("hits", "misses", "stores")}
-        except (OSError, ValueError, TypeError):
-            return {"hits": 0, "misses": 0, "stores": 0}
-
-
-# ---------------------------------------------------------------------------
 # the worker (runs in child processes; must stay module-level picklable)
 # ---------------------------------------------------------------------------
-
-def payload_from_result(config: AnalysisConfig, result: AnalysisResult,
-                        name: str, elapsed: float) -> dict:
-    """The JSON-able success payload the :class:`ModelCache` stores.
-
-    Shared by the batch workers and the sweep engine's per-point fallback
-    (:mod:`repro.core.sweep`), so both populate — and can serve — the same
-    content-addressed cache entries.
-    """
-    functions = {}
-    for qname, fm in result.function_models().items():
-        params = result.parameters(qname)
-        counts = total = fp = None
-        if not params:
-            try:
-                metrics = result.evaluate(qname)
-                counts = metrics.as_dict()
-                total = metrics.total()
-                fp = metrics.fp_instructions(
-                    config.arch.fp_arith_categories)
-            except (MiraError, RecursionError):
-                pass  # stays parametric-only in the summary
-        functions[qname] = {
-            "model_name": fm.model_name,
-            "params": list(params),
-            "warnings": list(fm.warnings),
-            "counts": counts,
-            "total": total,
-            "fp_ins": fp,
-        }
-    cov = loop_coverage(result.processed.tu, name)
-    return {
-        "ok": True,
-        "functions": functions,
-        "coverage": {
-            "loops": cov.loops,
-            "statements": cov.statements,
-            "in_loop_statements": cov.in_loop_statements,
-            "percentage": round(cov.percentage, 2),
-        },
-        "model_source": result.python_source(),
-        "result": result.to_dict(),
-        "compiled": _compiled_artifacts(result),
-        "elapsed": elapsed,
-    }
-
-
-def _compiled_artifacts(result: AnalysisResult) -> dict | None:
-    """Codegen artifacts for the cache payload: generated evaluator source
-    plus metadata for both engines, so a warm hit execs the stored source
-    instead of re-deriving it from the symbolic models (``vector`` is None
-    when the models have no vector form)."""
-    from ..errors import VectorizeError
-
-    try:
-        doc = {"scalar": result.compiled().to_artifact()}
-    except (MiraError, RecursionError):
-        return None
-    try:
-        doc["vector"] = result.compiled(engine="vector").to_artifact()
-    except (VectorizeError, RecursionError):
-        doc["vector"] = None
-    return doc
-
 
 def _analyze_one(spec: dict) -> dict:
     """Analyze one source; returns the JSON-able payload that is cached.
@@ -511,44 +264,26 @@ def _analyze_one(spec: dict) -> dict:
                 "elapsed": time.perf_counter() - t0}
 
 
-def _result_from_payload(item: BatchItem, key: str, payload: dict,
-                         from_cache: bool) -> BatchResult:
-    # A cache hit's payload carries the *original* analysis time; the hit
-    # itself cost ~nothing, and that is what the result must report.
-    elapsed = 0.0 if from_cache else payload.get("elapsed", 0.0)
-    if not payload.get("ok"):
-        err = BatchError(payload.get("error", "unknown failure"),
-                         error_type=payload.get("error_type", "MiraError"))
-        return BatchResult(name=item.name, filename=item.filename, ok=False,
-                           cache_key=key, from_cache=from_cache,
-                           elapsed=elapsed, error=err)
-    functions = {
-        q: FunctionSummary(
-            qualified_name=q,
-            model_name=f["model_name"],
-            params=list(f["params"]),
-            warnings=list(f["warnings"]),
-            counts=(dict(f["counts"]) if f["counts"] is not None else None),
-            total=f["total"],
-            fp_ins=f["fp_ins"],
-        )
-        for q, f in payload["functions"].items()
-    }
-    # The payload's "result" key is the versioned AnalysisResult wire
-    # format: cache hits reconstruct the evaluable model from it directly —
-    # the compiler never runs on the warm path.  Persisted codegen
-    # artifacts ride along so evaluation skips closure compilation too.
-    analysis = (AnalysisResult.from_dict(payload["result"])
-                if payload.get("result") is not None else None)
-    if analysis is not None:
-        analysis.attach_compiled_artifacts(payload.get("compiled"))
-    return BatchResult(name=item.name, filename=item.filename, ok=True,
-                       cache_key=key, from_cache=from_cache,
-                       elapsed=elapsed,
-                       functions=functions,
-                       coverage=dict(payload["coverage"]),
-                       model_source=payload["model_source"],
-                       analysis=analysis)
+def _failure(item: BatchItem, key: str, payload: dict) -> BatchResult:
+    err = BatchError(payload.get("error", "unknown failure"),
+                     error_type=payload.get("error_type", "MiraError"))
+    return BatchResult(name=item.name, filename=item.filename, ok=False,
+                       cache_key=key, elapsed=payload.get("elapsed", 0.0),
+                       error=err)
+
+
+def _success(item: BatchItem, entry: ModelEntry, analysis: AnalysisResult,
+             from_cache: bool) -> BatchResult:
+    # A hit costs ~nothing here, whatever the original analysis took.
+    return BatchResult(
+        name=item.name, filename=item.filename, ok=True,
+        cache_key=entry.key, from_cache=from_cache,
+        elapsed=0.0 if from_cache else entry.analysis_elapsed,
+        functions={q: FunctionSummary(qualified_name=q, **f)
+                   for q, f in entry.functions.items()},
+        coverage=dict(entry.coverage),
+        model_source=entry.model_source,
+        analysis=analysis)
 
 
 class _child_importable:
@@ -624,6 +359,7 @@ class BatchAnalyzer:
         self.config = config
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.cache = ModelCache(config.cache_dir) if config.use_cache else None
+        self.store = ModelStore(self.cache)
 
     # -- back-compat attribute surface -------------------------------------------
     @property
@@ -695,24 +431,16 @@ class BatchAnalyzer:
             key = run_config.fingerprint(item.source, filename=item.filename)
             if self.cache is not None and key not in specs:
                 t_hit = time.perf_counter()
-                payload = self.cache.get(key)
-                if payload is not None:
-                    try:
-                        hit = _result_from_payload(
-                            item, key, payload, from_cache=True)
-                        if hit.analysis is not None:
-                            # The restored wire doc replays the *cold* run's
-                            # stage times; what actually happened here is a
-                            # cache restore — report that instead.
-                            hit.analysis.stage_timings = {
-                                "cache-hit": time.perf_counter() - t_hit}
-                        results[i] = hit
-                        continue
-                    except MiraError:
-                        # Undecodable stale/corrupt payload: fall through and
-                        # re-analyze as a miss.
-                        self.cache.hits -= 1
-                        self.cache.misses += 1
+                entry = self.store.lookup(key)
+                if entry is not None:
+                    # The hit's own copy reports what happened here, a
+                    # lookup, instead of the cold run's stage times.
+                    analysis = copy.copy(entry.result)
+                    analysis.stage_timings = {
+                        "cache-hit": time.perf_counter() - t_hit}
+                    results[i] = _success(item, entry, analysis,
+                                          from_cache=True)
+                    continue
             pending.append((i, item, key))
             if key not in specs:
                 specs[key] = {
@@ -724,20 +452,22 @@ class BatchAnalyzer:
 
         jobs = max(1, min(self.jobs, len(specs) or 1))
         payloads = dict(zip(specs, self._run(jobs, list(specs.values()))))
-        if self.cache is not None:
-            for key, payload in payloads.items():
-                if payload.get("ok"):
-                    self.cache.put(key, payload)
+        entries = {key: self.store.put(key, payload)
+                   for key, payload in payloads.items() if payload.get("ok")}
         for i, item, key in pending:
-            results[i] = _result_from_payload(item, key, payloads[key],
-                                              from_cache=False)
+            entry = entries.get(key)
+            results[i] = (_success(item, entry, entry.result, from_cache=False)
+                          if entry is not None
+                          else _failure(item, key, payloads[key]))
 
         cache_stats = {}
         if self.cache is not None:
-            # per-run deltas: the cache object outlives individual batches
+            # per-run deltas (the cache outlives batches); a hit from
+            # either store tier is a hit
             s1 = self.cache.stats()
             cache_stats = {k: s1[k] - stats0[k]
                            for k in ("hits", "misses", "stores")}
+            cache_stats["hits"] = sum(r.from_cache for r in results.values())
             cache_stats["dir"] = s1["dir"]
             self.cache.persist_stats()
         return BatchReport(

@@ -1,4 +1,4 @@
-"""Per-function incremental analysis over the on-disk :class:`ModelCache`.
+"""Per-function incremental analysis over a :class:`ModelStore`.
 
 The :class:`~repro.core.pipeline.Pipeline` is file-granular: any edit
 re-runs every post-parse stage on every function.  The
@@ -10,7 +10,8 @@ on the *stale subset* only:
    (:func:`repro.core.units.build_units`) — each unit's fingerprint folds
    in its source slice, the TU context, its callees' fingerprints, and the
    config identity,
-2. look every unit up in the per-function cache; hits restore
+2. look every unit up in the store's function tier (memory, then the
+   disk cache's per-function entries); hits restore
    :class:`~repro.core.metric_generator.FunctionModel` payloads without
    touching the compiler,
 3. subset-compile the misses (``compile_tu(..., only=...)`` — full symbol
@@ -37,14 +38,13 @@ from ..bridge import build_bridge
 from ..compiler import compile_tu
 from ..errors import ModelError
 from ..frontend import parse_source
-from .batch import ModelCache
 from .config import AnalysisConfig
 from .input_processor import ProcessedInput
 from .metric_generator import MetricGenerator
 from .pipeline import (STAGE_RUN_COUNTS, STAGES, Pipeline, StageEvent,
                        count_function_stage, inject_symbolic_params)
-from .result import (AnalysisResult, assemble_result, function_payload,
-                     restore_function_model)
+from .result import AnalysisResult, assemble_result
+from .store import ModelCache, ModelStore
 from .units import build_units
 
 __all__ = ["IncrementalAnalyzer"]
@@ -67,14 +67,10 @@ class IncrementalAnalyzer:
         if cache is None and self.config.use_cache:
             cache = ModelCache(self.config.cache_dir)
         self.cache = cache
-        # In-process memo over the on-disk entries: fingerprint ->
-        # FunctionModel.  A watch loop re-analyzes on every save; without
-        # this, each save would re-parse every unchanged function's JSON
-        # payload (expr reconstruction dominates warm runs).  Models are
-        # immutable after generation, so sharing them across results is
-        # safe; fingerprints are content-addressed, so entries never go
-        # stale.
-        self._model_memo: dict = {}
+        # A watch loop re-analyzes on every save; the function tier keeps
+        # unchanged functions' (immutable) models in memory.
+        self.store = ModelStore(cache)
+        self._model_memo = self.store.function_models
 
     def add_observer(self, observer) -> "IncrementalAnalyzer":
         self._observers.append(observer)
@@ -104,19 +100,13 @@ class IncrementalAnalyzer:
             return Pipeline(self.config, self._observers).run(
                 source, filename=filename, predefined=predefined)
 
-        # -- per-function cache lookups ------------------------------------------
+        # -- per-function store lookups ------------------------------------------
         cached: dict = {}
         restored_elapsed = 0.0
         if self.cache is not None:
             for qname, unit in units.items():
                 t0 = time.perf_counter()
-                model = self._model_memo.get(unit.fingerprint)
-                if model is None:
-                    payload = self.cache.get_function(unit.fingerprint)
-                    model = restore_function_model(qname, payload) \
-                        if payload is not None else None
-                    if model is not None:
-                        self._model_memo[unit.fingerprint] = model
+                model = self.store.lookup_function(unit.fingerprint, qname)
                 dt = time.perf_counter() - t0
                 if model is None:
                     continue
@@ -155,15 +145,12 @@ class IncrementalAnalyzer:
                     arch=self.config.arch, opt_level=self.config.opt_level)
             if self.cache is not None:
                 for qname in stale:
-                    self.cache.put_function(units[qname].fingerprint,
-                                            function_payload(models[qname]))
-                    self._model_memo[units[qname].fingerprint] = \
-                        models[qname]
-                self.cache.persist_stats()
+                    self.store.put_function(units[qname].fingerprint,
+                                            models[qname])
         else:
             models = cached
-            if self.cache is not None:
-                self.cache.persist_stats()
+        if self.cache is not None:
+            self.cache.persist_stats()
 
         # Cold model order is TU declaration order; match it so a mixed
         # result serializes byte-identically to a cold one.

@@ -221,7 +221,7 @@ class AnalysisResult:
 
     def attach_compiled_artifacts(self, artifacts: dict | None) -> None:
         """Attach persisted codegen artifacts (``{"scalar": ..., "vector":
-        ...}`` as produced by ``batch.payload_from_result``) so
+        ...}`` as produced by ``store.payload_from_result``) so
         :meth:`compiled` can exec stored source instead of re-emitting it.
         Ignored when already compiled; invalid artifacts fall back to a
         fresh compile silently."""

@@ -26,14 +26,13 @@ paper's promise:
   preprocessor's blue-paint rule leaves it as a plain identifier) and
   declared as a synthetic global via ``AnalysisConfig.symbolic_params``, so
   a size macro like ``STREAM_ARRAY_SIZE`` becomes a free model symbol: one
-  pipeline run, then the whole grid is compiled evaluation.  The symbolic
-  analysis is memoized in process **and** — when the config enables caching
-  — in the batch engine's content-addressed on-disk
-  :class:`~repro.core.batch.ModelCache`, whose payloads carry the compiled
-  codegen artifacts: a warm hit restores both the model and its generated
-  evaluator source, skipping pipeline *and* closure compilation.  Where the
+  pipeline run, then the whole grid is compiled evaluation.  Where the
   frontend cannot go symbolic (e.g. the name feeds an inner array
-  dimension), it falls back to one cached analysis per point.
+  dimension), it falls back to one analysis per point.  Every analysis
+  either path needs comes from :data:`SWEEP_STORE`, a
+  :class:`~repro.core.store.ModelStore`: a warm hit restores the model and
+  its generated evaluator source, skipping pipeline *and* closure
+  compilation.
 
 The late-bound symbolic model is guaranteed to agree with per-point concrete
 analyses on *counting* (trip counts, FP instruction counts): a constant that
@@ -50,13 +49,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, repeat
 
-from ..errors import MiraError, ModelError, SchemaError, VectorizeError
+from ..errors import MiraError, ModelError, VectorizeError
 from .config import AnalysisConfig
-from .pipeline import Pipeline
 from .result import RESULT_SCHEMA_VERSION, AnalysisResult
+from .store import ModelStore
 
 __all__ = ["SweepPoint", "SweepResult", "expand_grid", "run_model_sweep",
-           "sweep_rows", "sweep_source", "DEFAULT_SWEEP_CHUNK"]
+           "sweep_rows", "sweep_source", "DEFAULT_SWEEP_CHUNK", "SWEEP_STORE"]
 
 #: Vector-engine chunk size (points per evaluation batch).  Chunking keeps
 #: peak memory bounded and lets the int64-vs-object decision adapt to each
@@ -563,15 +562,9 @@ def run_model_sweep(result: AnalysisResult, function: str, grid,
 # source-level sweep with late binding
 # ---------------------------------------------------------------------------
 
-#: In-process analysis memo keyed on config fingerprints (bounded FIFO).
-_ANALYSIS_MEMO: dict[str, AnalysisResult] = {}
-_ANALYSIS_MEMO_MAX = 32
-
-
-def _memo_put(key: str, result: AnalysisResult) -> None:
-    if len(_ANALYSIS_MEMO) >= _ANALYSIS_MEMO_MAX:
-        _ANALYSIS_MEMO.pop(next(iter(_ANALYSIS_MEMO)))
-    _ANALYSIS_MEMO[key] = result
+#: The process-wide store behind both sweep paths.  It has no disk tier of
+#: its own: each call's config decides whether (and where) to cache on disk.
+SWEEP_STORE = ModelStore(capacity=32)
 
 
 def _resolve_function(result: AnalysisResult, function: str | None):
@@ -582,63 +575,6 @@ def _resolve_function(result: AnalysisResult, function: str | None):
         if function is None and result.models:
             return next(iter(result.models))
         return None
-
-
-def _restore_cached(payload) -> AnalysisResult | None:
-    """AnalysisResult from a ModelCache payload, compiled artifacts attached."""
-    if not (payload and payload.get("ok") and payload.get("result")):
-        return None
-    try:
-        res = AnalysisResult.from_dict(payload["result"])
-    except SchemaError:
-        return None
-    res.attach_compiled_artifacts(payload.get("compiled"))
-    return res
-
-
-def _try_symbolic_analysis(source: str, names: tuple,
-                           config: AnalysisConfig,
-                           filename: str) -> tuple[AnalysisResult | None, int]:
-    """One pipeline run with every swept name late-bound.
-
-    Returns ``(result, analyses)`` where ``analyses`` is the number of
-    pipeline runs actually consumed (0 on a memo or disk-cache hit, so warm
-    sweeps report their true cost), or ``(None, 0)`` when late binding is
-    impossible.  Disk-cache hits restore the persisted codegen artifacts,
-    so a warm sweep skips closure compilation too.
-    """
-    keep = tuple((k, v) for k, v in config.predefined if k not in names)
-    sym_cfg = config.with_changes(
-        predefined=keep + tuple((n, n) for n in names),
-        symbolic_params=tuple(names))
-    key = sym_cfg.fingerprint(source, filename=filename)
-    hit = _ANALYSIS_MEMO.get(key)
-    if hit is not None:
-        return hit, 0
-    cache = _disk_cache(config)
-    if cache is not None:
-        res = _restore_cached(cache.get(key))
-        if res is not None:
-            _memo_put(key, res)
-            return res, 0
-    try:
-        result = Pipeline(sym_cfg).run(source, filename=filename)
-    except MiraError:
-        return None, 0
-    _memo_put(key, result)
-    if cache is not None:
-        from .batch import payload_from_result
-
-        cache.put(key, payload_from_result(sym_cfg, result, filename, 0.0))
-    return result, 1
-
-
-def _disk_cache(config: AnalysisConfig):
-    if not config.use_cache:
-        return None
-    from .batch import ModelCache  # deferred: batch sits beside this module
-
-    return ModelCache(config.cache_dir)
 
 
 def sweep_source(source: str, grid, *, function: str | None = None,
@@ -660,20 +596,26 @@ def sweep_source(source: str, grid, *, function: str | None = None,
     config = config or AnalysisConfig()
     names, envs = expand_grid(grid)
 
+    keep = tuple((k, v) for k, v in config.predefined if k not in names)
+
     # ---- late binding: one symbolic analysis, compiled grid evaluation ----
-    symbolic, sym_analyses = _try_symbolic_analysis(source, names, config,
-                                                    filename)
-    if symbolic is not None:
-        qname = _resolve_function(symbolic, function)
+    sym_cfg = config.with_changes(
+        predefined=keep + tuple((n, n) for n in names),
+        symbolic_params=tuple(names))
+    try:
+        entry, origin = SWEEP_STORE.get_or_analyze(source, sym_cfg, filename)
+    except MiraError:
+        entry = None    # the frontend cannot late-bind these names
+    if entry is not None:
+        qname = _resolve_function(entry.result, function)
         if qname is not None and \
-                set(names) <= set(symbolic.parameters(qname)):
-            return run_model_sweep(symbolic, qname, grid, base=base,
-                                   mode="parametric", analyses=sym_analyses,
+                set(names) <= set(entry.result.parameters(qname)):
+            return run_model_sweep(entry.result, qname, grid, base=base,
+                                   mode="parametric",
+                                   analyses=int(origin == "cold"),
                                    engine=engine)
 
-    # ---- fallback: one analysis per point, memoized + disk-cached ----
-    cache = _disk_cache(config)
-    keep = tuple((k, v) for k, v in config.predefined if k not in names)
+    # ---- fallback: one stored analysis per point ----
     points = []
     analyses = 0
     qname_out = None
@@ -682,20 +624,9 @@ def sweep_source(source: str, grid, *, function: str | None = None,
         pcfg = config.with_changes(
             predefined=keep + tuple((n, str(env[n])) for n in names
                                     if n in env))
-        key = pcfg.fingerprint(source, filename=filename)
-        res = _ANALYSIS_MEMO.get(key)
-        if res is None and cache is not None:
-            res = _restore_cached(cache.get(key))
-            if res is not None:
-                _memo_put(key, res)
-        if res is None:
-            res = Pipeline(pcfg).run(source, filename=filename)
-            analyses += 1
-            _memo_put(key, res)
-            if cache is not None:
-                from .batch import payload_from_result
-
-                cache.put(key, payload_from_result(pcfg, res, filename, 0.0))
+        entry, origin = SWEEP_STORE.get_or_analyze(source, pcfg, filename)
+        analyses += origin == "cold"
+        res = entry.result
         qname = _resolve_function(res, function)
         if qname is None:  # raise the detailed ModelError
             res._resolve(function or "main")

@@ -23,11 +23,10 @@ from __future__ import annotations
 import tempfile
 from dataclasses import dataclass, field, replace
 
-from ..core.batch import ModelCache, payload_from_result
 from ..core.config import AnalysisConfig
 from ..core.pipeline import Pipeline
 from ..core.result import AnalysisResult
-from ..core.sweep import _restore_cached
+from ..core.store import ModelCache, payload_from_result, restore
 from ..dynamic import TauProfiler
 from ..errors import MiraError, VectorizeError
 from .generator import GeneratedProgram, StmtSpec
@@ -260,7 +259,7 @@ def oracle_cache(case: FuzzCase) -> OracleVerdict:
         key = cfg.fingerprint(source, filename="<fuzz-concrete>")
         cache.put(key, payload_from_result(cfg, res, "<fuzz-concrete>", 0.0))
         payload = cache.get(key)
-        warm = _restore_cached(payload)
+        warm = restore(payload)
         if warm is None:
             return OracleVerdict("cache", False,
                                  detail="warm payload failed to restore")

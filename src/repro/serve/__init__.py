@@ -2,9 +2,9 @@
 
 The paper's economics — analyze once, evaluate cheaply forever — turned
 into a service: :class:`MiraServer` is a stdlib-only threaded HTTP server
-exposing REST CRUD over analyses and corpora, :class:`ModelRegistry` keeps
-fingerprint-keyed warm models (LRU) layered over the on-disk
-:class:`~repro.core.batch.ModelCache`, and :class:`MiraClient` is the
+exposing REST CRUD over analyses and corpora, :class:`ModelRegistry` serves
+fingerprint-keyed warm models from a :class:`~repro.core.store.ModelStore`
+(memory LRU → on-disk cache → pipeline), and :class:`MiraClient` is the
 ``request → raise_for_status → json`` client the ``mira client`` CLI
 drives.
 

@@ -1,57 +1,27 @@
-"""ModelRegistry: fingerprint-keyed warm models layered over the disk cache.
+"""ModelRegistry: the serving view of a :class:`~repro.core.store.ModelStore`.
 
-The serving subsystem's core data structure.  A registry entry is a fully
-restored :class:`~repro.core.result.AnalysisResult` — wire-format models
-with the persisted codegen artifacts attached — keyed by the submission's
-content-addressed fingerprint (:meth:`AnalysisConfig.fingerprint`), which
-doubles as the HTTP resource id and ETag.  Three tiers, cheapest first:
-
-1. **registry** — warm in-memory entries, LRU-bounded (``capacity``),
-   thread-safe; a hit costs a dict lookup and never touches the compiler,
-2. **cache** — the batch engine's on-disk :class:`ModelCache`; a hit
-   deserializes the stored payload (still no compiler) and promotes the
-   entry into the warm tier,
-3. **cold** — a full :class:`Pipeline` run; the payload is stored back to
-   disk (shared with ``mira batch``/``mira sweep``) and the restored entry
-   registered.
-
-Identical submissions that race on different server threads are collapsed
-onto one pipeline run by per-fingerprint in-flight locks; the global lock
-is never held across an analysis.
+An entry's fingerprint (:meth:`AnalysisConfig.fingerprint`) doubles as the
+HTTP resource id and ETag; :meth:`RegistryEntry.describe` is its handle
+document.  Tiering (memory → disk cache → pipeline) and the collapse of
+racing identical submissions are the store's; the registry adds serving
+metadata and reports the store's counters.
 """
 
 from __future__ import annotations
 
-import threading
-import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
-
-from ..core.batch import ModelCache, payload_from_result
 from ..core.config import AnalysisConfig
-from ..core.pipeline import Pipeline
 from ..core.result import AnalysisResult
-from ..errors import MiraError
+from ..core.store import (DEFAULT_CAPACITY, ModelCache, ModelEntry,
+                          ModelStore)
 
 __all__ = ["ModelRegistry", "RegistryEntry", "DEFAULT_CAPACITY"]
 
-#: Default warm-tier bound: plenty for a corpus, small enough that a
-#: misbehaving client cannot balloon server memory.
-DEFAULT_CAPACITY = 64
+#: Store origin -> the ``origin`` a submission reports over HTTP.
+_ORIGINS = {"memory": "registry", "disk": "cache", "cold": "cold"}
 
 
-@dataclass
-class RegistryEntry:
+class RegistryEntry(ModelEntry):
     """One warm model: the restored result plus its serving metadata."""
-
-    key: str                       # fingerprint == resource id == ETag basis
-    result: AnalysisResult
-    functions: dict = field(default_factory=dict)  # qname -> summary dict
-    coverage: dict = field(default_factory=dict)
-    source_name: str = "<input>"
-    analysis_elapsed: float = 0.0  # the original cold analysis wall time
-    created_at: float = field(default_factory=time.time)
-    hits: int = 0
 
     @property
     def etag(self) -> str:
@@ -75,26 +45,8 @@ class RegistryEntry:
         }
 
 
-def _entry_from_payload(key: str, payload: dict) -> RegistryEntry:
-    """Restore a warm entry from a :func:`payload_from_result` document.
-
-    Raises :class:`~repro.errors.SchemaError` (via
-    ``AnalysisResult.from_dict``) on stale/corrupt payloads, which callers
-    treat as a cache miss.
-    """
-    result = AnalysisResult.from_dict(payload["result"])
-    result.attach_compiled_artifacts(payload.get("compiled"))
-    return RegistryEntry(
-        key=key,
-        result=result,
-        functions=dict(payload.get("functions", {})),
-        coverage=dict(payload.get("coverage", {})),
-        source_name=result.source_name,
-        analysis_elapsed=payload.get("elapsed", 0.0))
-
-
 class ModelRegistry:
-    """Thread-safe LRU of warm models over the content-addressed disk cache.
+    """Fingerprint-keyed warm models over a :class:`ModelStore`.
 
     :param config: the server's base :class:`AnalysisConfig`; its
         ``cache_dir``/``use_cache`` fields decide the disk tier (requests
@@ -107,63 +59,22 @@ class ModelRegistry:
     def __init__(self, config: AnalysisConfig | None = None, *,
                  capacity: int = DEFAULT_CAPACITY,
                  cache: ModelCache | None = None) -> None:
-        if capacity < 1:
-            raise MiraError(f"registry capacity must be >= 1, got {capacity}")
         self.config = config or AnalysisConfig()
-        self.capacity = capacity
         if cache is None and self.config.use_cache:
             cache = ModelCache(self.config.cache_dir)
         self.cache = cache
-        self._entries: OrderedDict[str, RegistryEntry] = OrderedDict()
-        self._lock = threading.RLock()
-        self._inflight: dict[str, threading.Lock] = {}
-        # serving counters (monotonic; surfaced by /v1/health)
-        self.registry_hits = 0
-        self.disk_hits = 0
-        self.analyses = 0
-        self.evictions = 0
+        self.store = ModelStore(cache, capacity=capacity,
+                                entry_type=RegistryEntry)
+
+    @property
+    def evictions(self) -> int:
+        return self.store.evictions
 
     # -- lookups -----------------------------------------------------------------
-    def _touch(self, key: str) -> RegistryEntry | None:
-        """Warm-tier lookup; refreshes LRU order and hit counters."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            entry.hits += 1
-            self.registry_hits += 1
-            return entry
-
-    def _promote(self, key: str) -> RegistryEntry | None:
-        """Disk-tier lookup; a hit is restored and registered warm."""
-        if self.cache is None:
-            return None
-        payload = self.cache.get(key)
-        if payload is None or not payload.get("ok"):
-            return None
-        try:
-            entry = _entry_from_payload(key, payload)
-        except (MiraError, KeyError, TypeError, ValueError):
-            return None   # stale/corrupt payload: a miss, not an error
-        with self._lock:
-            raced = self._entries.get(key)
-            if raced is not None:    # another thread promoted first
-                self._entries.move_to_end(key)
-                return raced
-            self.disk_hits += 1
-            self._insert(entry)
-            return entry
-
     def get(self, key: str) -> RegistryEntry | None:
         """The entry for ``key`` from the warm tier, falling back to (and
         promoting from) the disk cache; None when unknown to both."""
-        return self._touch(key) or self._promote(key)
-
-    def contains(self, key: str) -> bool:
-        """Whether ``key`` is warm (no promotion, no LRU side effects)."""
-        with self._lock:
-            return key in self._entries
+        return self.store.lookup(key)
 
     # -- submission --------------------------------------------------------------
     def fingerprint(self, source: str, config: AnalysisConfig | None = None,
@@ -176,104 +87,44 @@ class ModelRegistry:
         """Analyze-or-serve one source; returns ``(entry, origin)``.
 
         ``origin`` is ``"registry"`` (warm hit), ``"cache"`` (disk hit,
-        promoted) or ``"cold"`` (pipeline ran).  Identical concurrent
-        submissions serialize on a per-fingerprint lock so the pipeline
-        runs at most once per fingerprint.
+        promoted) or ``"cold"`` (pipeline ran, at most once per
+        fingerprint however many identical submissions race).
         """
-        config = config or self.config
-        key = self.fingerprint(source, config, filename)
-        entry = self._touch(key)
-        if entry is not None:
-            return entry, "registry"
-        entry = self._promote(key)
-        if entry is not None:
-            return entry, "cache"
-        try:
-            with self._key_lock(key):
-                # Re-check under the per-key lock: a racing identical
-                # submission may have finished while this thread waited.
-                entry = self._touch(key) or self._promote(key)
-                if entry is not None:
-                    return entry, "registry"
-                t0 = time.perf_counter()
-                result = Pipeline(config).run(source, filename=filename)
-                elapsed = time.perf_counter() - t0
-                payload = payload_from_result(config, result, filename,
-                                              elapsed)
-                if self.cache is not None:
-                    self.cache.put(key, payload)
-                    self.cache.persist_stats()
-                entry = _entry_from_payload(key, payload)
-                with self._lock:
-                    self.analyses += 1
-                    self._insert(entry)
-                return entry, "cold"
-        finally:
-            # Done (or failed): drop the in-flight lock so the table stays
-            # bounded by live concurrency, not submission history.  Late
-            # waiters that already hold a reference simply acquire the
-            # orphaned lock and find the entry on their re-check.
-            with self._lock:
-                self._inflight.pop(key, None)
+        entry, origin = self.store.get_or_analyze(
+            source, config or self.config, filename)
+        return entry, _ORIGINS[origin]
 
     def adopt(self, key: str, result: AnalysisResult, *,
               functions: dict | None = None, coverage: dict | None = None,
               source_name: str = "<input>") -> RegistryEntry:
         """Register an externally produced result (e.g. a batch run's) as a
         warm entry; an existing entry for ``key`` is kept untouched."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry
-            entry = RegistryEntry(key=key, result=result,
-                                  functions=dict(functions or {}),
-                                  coverage=dict(coverage or {}),
-                                  source_name=source_name)
-            self._insert(entry)
-            return entry
+        return self.store.adopt(RegistryEntry(
+            key=key, result=result, functions=dict(functions or {}),
+            coverage=dict(coverage or {}), source_name=source_name))
 
     # -- maintenance -------------------------------------------------------------
-    def _insert(self, entry: RegistryEntry) -> None:
-        """Register ``entry`` and evict beyond capacity.  Callers hold the
-        lock."""
-        self._entries[entry.key] = entry
-        self._entries.move_to_end(entry.key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-
-    def _key_lock(self, key: str) -> threading.Lock:
-        with self._lock:
-            lock = self._inflight.get(key)
-            if lock is None:
-                lock = self._inflight[key] = threading.Lock()
-            return lock
-
     def evict(self, key: str) -> bool:
         """Drop ``key`` from the warm tier (the disk tier is untouched:
         cache entries are content-addressed and immutable)."""
-        with self._lock:
-            return self._entries.pop(key, None) is not None
+        return self.store.evict(key)
 
     def ids(self) -> list[str]:
         """Warm entry ids, most recently used last."""
-        with self._lock:
-            return list(self._entries)
+        return [e.key for e in self.store.entries()]
 
     def entries(self) -> list[RegistryEntry]:
-        with self._lock:
-            return list(self._entries.values())
+        return self.store.entries()
 
     def stats(self) -> dict:
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "capacity": self.capacity,
-                "registry_hits": self.registry_hits,
-                "disk_hits": self.disk_hits,
-                "analyses": self.analyses,
-                "evictions": self.evictions,
-                "cache_dir": (self.cache.cache_dir
-                              if self.cache is not None else None),
-            }
+        store = self.store
+        return {
+            "size": len(store.entries()),
+            "capacity": store.capacity,
+            "registry_hits": store.memory_hits,
+            "disk_hits": store.disk_hits,
+            "analyses": store.analyses,
+            "evictions": store.evictions,
+            "cache_dir": (self.cache.cache_dir
+                          if self.cache is not None else None),
+        }

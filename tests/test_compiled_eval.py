@@ -327,7 +327,7 @@ class TestSweep:
         # warm re-run: every point served from the content-addressed disk
         # cache (the in-process memo is cleared to prove the disk path)
         from repro.core import sweep as sweep_mod
-        sweep_mod._ANALYSIS_MEMO.clear()
+        sweep_mod.SWEEP_STORE.clear()
         swept2 = sweep_source(src, {"COLS": [2, 4]}, function="f",
                               config=config, filename="cols.c",
                               base={"r": 8})

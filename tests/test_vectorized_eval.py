@@ -413,7 +413,7 @@ class TestCompiledMemoAndArtifacts:
 
         config = AnalysisConfig(use_cache=True, cache_dir=str(tmp_path))
         grid = {"n": [16, 32, 64]}
-        sweep_mod._ANALYSIS_MEMO.clear()
+        sweep_mod.SWEEP_STORE.clear()
         cold = sweep_source(get_source("dgemm"), grid,
                             function="dgemm_kernel", config=config,
                             filename="dgemm")
@@ -423,7 +423,7 @@ class TestCompiledMemoAndArtifacts:
         # warm: in-process memo cleared, so the disk cache must serve the
         # analysis *and* its compiled artifacts — no pipeline stage, no
         # codegen emission, only an exec of the stored source.
-        sweep_mod._ANALYSIS_MEMO.clear()
+        sweep_mod.SWEEP_STORE.clear()
         reset_codegen_counters()
         before = dict(STAGE_RUN_COUNTS)
         warm = sweep_source(get_source("dgemm"), grid,
