@@ -79,12 +79,14 @@ class CategoryVector:
         self.counts[_CAT_INDEX[arch.category_of(mnemonic)]] += n
 
     def as_dict(self, *, nonzero_only: bool = True) -> dict[str, int]:
-        out = {}
-        for i, name in enumerate(CATEGORY_NAMES):
-            v = int(self.counts[i])
-            if v or not nonzero_only:
-                out[name] = v
-        return out
+        """Counts by category name in ``CATEGORY_NAMES`` order, as builtin
+        ints (JSON-able); zero categories are dropped unless
+        ``nonzero_only`` is false."""
+        # One tolist() converts all 64 numpy scalars at C speed.
+        pairs = zip(CATEGORY_NAMES, self.counts.tolist())
+        if not nonzero_only:
+            return dict(pairs)
+        return {name: v for name, v in pairs if v}
 
     def fp_instructions(self, arch: ArchDescription) -> int:
         """PAPI_FP_INS analog: instructions in the FP-arithmetic categories."""

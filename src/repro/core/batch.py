@@ -114,9 +114,15 @@ class BatchResult:
     elapsed: float = 0.0
     functions: dict = field(default_factory=dict)  # qname -> FunctionSummary
     coverage: dict = field(default_factory=dict)
-    model_source: str = ""
     error: BatchError | None = None
     analysis: AnalysisResult | None = None
+
+    @property
+    def model_source(self) -> str:
+        """The generated Python model module (paper Fig. 5), derived from
+        ``analysis`` on access; empty for a failure."""
+        return self.analysis.python_source() if self.analysis is not None \
+            else ""
 
     @property
     def status(self) -> str:
@@ -282,7 +288,6 @@ def _success(item: BatchItem, entry: ModelEntry, analysis: AnalysisResult,
         functions={q: FunctionSummary(qualified_name=q, **f)
                    for q, f in entry.functions.items()},
         coverage=dict(entry.coverage),
-        model_source=entry.model_source,
         analysis=analysis)
 
 

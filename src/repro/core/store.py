@@ -221,15 +221,25 @@ def payload_from_result(config: AnalysisConfig, result: AnalysisResult,
                         name: str, elapsed: float) -> dict:
     """The JSON-able success payload the :class:`ModelCache` stores: the
     versioned :class:`AnalysisResult` wire format, its codegen artifacts,
-    per-function summaries, loop coverage and the generated model source.
+    per-function summaries and loop coverage.
+
+    The generated model source is not stored: a restored result
+    regenerates it byte-identically (``AnalysisResult.python_source``).
+    Concrete summaries are evaluated through the scalar compiled models
+    the payload stores anyway; the tree-walk evaluator is the fallback
+    when the models do not compile.
     """
+    try:
+        evaluate = result.compiled().evaluate
+    except (MiraError, RecursionError):
+        evaluate = result.evaluate
     functions = {}
     for qname, fm in result.function_models().items():
         params = result.parameters(qname)
         counts = total = fp = None
         if not params:
             try:
-                metrics = result.evaluate(qname)
+                metrics = evaluate(qname)
                 counts = metrics.as_dict()
                 total = metrics.total()
                 fp = metrics.fp_instructions(
@@ -254,7 +264,6 @@ def payload_from_result(config: AnalysisConfig, result: AnalysisResult,
             "in_loop_statements": cov.in_loop_statements,
             "percentage": round(cov.percentage, 2),
         },
-        "model_source": result.python_source(),
         "result": result.to_dict(),
         "compiled": _compiled_artifacts(result),
         "elapsed": elapsed,
@@ -288,7 +297,6 @@ class ModelEntry:
     result: AnalysisResult
     functions: dict = field(default_factory=dict)  # qname -> summary dict
     coverage: dict = field(default_factory=dict)
-    model_source: str = ""
     source_name: str = "<input>"
     analysis_elapsed: float = 0.0  # the original cold analysis wall time
     hits: int = 0                  # memory-tier hits
@@ -307,7 +315,6 @@ def _restore_entry(entry_type, key: str, payload) -> ModelEntry | None:
             functions={q: {k: f[k] for k in _SUMMARY}
                        for q, f in payload["functions"].items()},
             coverage=dict(payload["coverage"]),
-            model_source=str(payload["model_source"]),
             source_name=result.source_name,
             analysis_elapsed=float(payload.get("elapsed", 0.0)))
     except (MiraError, KeyError, TypeError, ValueError, AttributeError):

@@ -1,146 +1,121 @@
-"""Hand-written lexer for the C/C++ subset.
+"""Lexer for the C/C++ subset: one compiled master regex.
 
 Tracks 1-based line/column positions for every token: line numbers are the
 *bridge* between the source AST and the binary AST (paper §III-A.2), so
-position fidelity matters more here than in a typical toy lexer.
+position fidelity matters more here than in a typical toy lexer.  Every
+token kind is a named group of one alternation, so the source is scanned
+once; line and column come from counting the newlines of each match.
 
 ``#pragma`` lines are emitted as single ``pragma`` tokens; all other
 preprocessor directives are expected to have been handled by
 :mod:`repro.frontend.preprocessor` before lexing.
+
+Numeric literals are ASCII only, so every ``int``/``float`` token the
+parser receives converts: ``0x`` without hex digits and non-ASCII digits
+are :class:`~repro.errors.LexError`, as is a string literal cut off after a
+backslash.
 """
 
 from __future__ import annotations
+
+import re
 
 from ..errors import LexError
 from .tokens import KEYWORDS, PUNCTUATORS, Token
 
 __all__ = ["tokenize"]
 
+# A string literal up to its closing quote; neither a character nor an
+# escape may be a newline.
+_STRING_BODY = r'"(?:[^"\\\n]|\\[^\n])*'
+
+# Alternatives are tried in order, so where two overlap the earlier wins:
+# comments before the "/" punctuator, numbers before ".", and a malformed
+# form of a construct right after its well-formed one.  Punctuators keep
+# ``PUNCTUATORS``' longest-first order (greedy matching).
+_RULES = (
+    ("ws", r"[ \t\r\n]+"),
+    ("comment", r"//[^\n]*|/\*[\s\S]*?\*/"),
+    ("open_comment", r"/\*"),
+    ("hash", r"#[^\n]*"),
+    ("id", r"[^\W\d]\w*"),
+    ("hex", r"0[xX](?P<hexdigits>[0-9a-fA-F]*)(?P<hexsuffix>[uUlLfF]*)"),
+    ("number", r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+               r"[uUlLfF]*"),
+    ("char", r"'(?:\\[\s\S]|[^\\])'"),
+    ("open_char", r"'"),
+    ("string", _STRING_BODY + '"'),
+    ("open_string", _STRING_BODY),
+    ("punct", "|".join(re.escape(p) for p in PUNCTUATORS)),
+    ("other", r"[\s\S]"),
+)
+_FLOAT_MARKS = frozenset(".eEfF")
+_TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})"
+                                for name, pattern in _RULES))
+
 
 def tokenize(source: str) -> list[Token]:
     """Convert source text into a token list ending with an ``eof`` token."""
     toks: list[Token] = []
-    i = 0
+    append = toks.append
     line = 1
-    col = 1
-    n = len(source)
-
-    def advance(k: int) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and source[i] == "\n":
+    line_start = 0          # offset of the first character of ``line``
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        text = m.group()
+        if kind == "punct":
+            append(Token("punct", text, line, m.start() - line_start + 1))
+            continue
+        if kind == "ws" or kind == "comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = m.start() + text.rindex("\n") + 1
+            continue
+        col = m.start() - line_start + 1
+        if kind == "id":
+            if text in KEYWORDS:
+                append(Token("kw", text, line, col))
+            elif text[0].isalpha() or text[0] == "_":
+                append(Token("id", text, line, col))
+            else:
+                # ``[^\W\d]`` also admits non-decimal digits (``²``) and
+                # other numerics (``½``); neither starts a C identifier.
+                raise LexError(f"unexpected character {text[0]!r}",
+                               line, col)
+        elif kind == "number":
+            kind = "int" if _FLOAT_MARKS.isdisjoint(text) else "float"
+            append(Token(kind, text, line, col))
+        elif kind == "string":
+            append(Token("string", text, line, col))
+        elif kind == "hex":
+            if not m.group("hexdigits"):
+                raise LexError(f"hex literal {text!r} has no digits",
+                               line, col)
+            kind = "float" if "f" in m.group("hexsuffix").lower() else "int"
+            append(Token(kind, text, line, col))
+        elif kind == "char":
+            append(Token("char", text, line, col))
+            if "\n" in text:       # a newline is a legal (odd) char body
                 line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        c = source[i]
-        # -- whitespace -----------------------------------------------------
-        if c in " \t\r\n":
-            advance(1)
-            continue
-        # -- comments ---------------------------------------------------------
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            advance((j - i) if j != -1 else (n - i))
-            continue
-        if source.startswith("/*", i):
-            j = source.find("*/", i + 2)
-            if j == -1:
-                raise LexError("unterminated block comment", line, col)
-            advance(j + 2 - i)
-            continue
-        # -- preprocessor remnants (#pragma only) ------------------------------
-        if c == "#":
-            j = source.find("\n", i)
-            end = j if j != -1 else n
-            text = source[i:end]
-            if text.rstrip().startswith("#pragma"):
-                toks.append(Token("pragma", text.strip(), line, col))
-                advance(end - i)
-                continue
-            raise LexError(f"unexpected preprocessor directive {text.split()[0]!r} "
-                           "(preprocessor should have consumed it)", line, col)
-        # -- identifiers / keywords ---------------------------------------------
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = "kw" if text in KEYWORDS else "id"
-            toks.append(Token(kind, text, line, col))
-            advance(j - i)
-            continue
-        # -- numeric literals -----------------------------------------------------
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            is_float = False
-            if source.startswith("0x", i) or source.startswith("0X", i):
-                j = i + 2
-                while j < n and (source[j].isdigit() or source[j].lower() in "abcdef"):
-                    j += 1
-            else:
-                while j < n and source[j].isdigit():
-                    j += 1
-                if j < n and source[j] == ".":
-                    is_float = True
-                    j += 1
-                    while j < n and source[j].isdigit():
-                        j += 1
-                if j < n and source[j] in "eE":
-                    k = j + 1
-                    if k < n and source[k] in "+-":
-                        k += 1
-                    if k < n and source[k].isdigit():
-                        is_float = True
-                        j = k
-                        while j < n and source[j].isdigit():
-                            j += 1
-            # suffixes
-            while j < n and source[j] in "uUlLfF":
-                if source[j] in "fF":
-                    is_float = True
-                j += 1
-            text = source[i:j]
-            toks.append(Token("float" if is_float else "int", text, line, col))
-            advance(j - i)
-            continue
-        # -- character literal -------------------------------------------------------
-        if c == "'":
-            j = i + 1
-            if j < n and source[j] == "\\":
-                j += 2
-            else:
-                j += 1
-            if j >= n or source[j] != "'":
-                raise LexError("unterminated character literal", line, col)
-            toks.append(Token("char", source[i : j + 1], line, col))
-            advance(j + 1 - i)
-            continue
-        # -- string literal -----------------------------------------------------------
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\\":
-                    j += 1
-                if source[j] == "\n":
-                    raise LexError("newline in string literal", line, col)
-                j += 1
-            if j >= n:
-                raise LexError("unterminated string literal", line, col)
-            toks.append(Token("string", source[i : j + 1], line, col))
-            advance(j + 1 - i)
-            continue
-        # -- punctuators -------------------------------------------------------------
-        for p in PUNCTUATORS:
-            if source.startswith(p, i):
-                toks.append(Token("punct", p, line, col))
-                advance(len(p))
-                break
+                line_start = m.end() - 1
+        elif kind == "hash":
+            if not text.rstrip().startswith("#pragma"):
+                raise LexError(
+                    f"unexpected preprocessor directive {text.split()[0]!r} "
+                    "(preprocessor should have consumed it)", line, col)
+            append(Token("pragma", text.strip(), line, col))
+        elif kind == "open_comment":
+            raise LexError("unterminated block comment", line, col)
+        elif kind == "open_char":
+            raise LexError("unterminated character literal", line, col)
+        elif kind == "open_string":
+            # The body stops at EOF, at a newline, or at a backslash that
+            # escapes a newline or nothing at all.
+            if source.startswith(("\n", "\\\n"), m.end()):
+                raise LexError("newline in string literal", line, col)
+            raise LexError("unterminated string literal", line, col)
         else:
-            raise LexError(f"unexpected character {c!r}", line, col)
-
-    toks.append(Token("eof", "", line, col))
+            raise LexError(f"unexpected character {text!r}", line, col)
+    append(Token("eof", "", line, len(source) - line_start + 1))
     return toks

@@ -582,7 +582,12 @@ class Parser:
             return A.IntLit(value, t.line, t.col)
         if t.kind == "float":
             self.advance()
-            return A.FloatLit(float(t.text.rstrip("fFlL")), t.text, t.line, t.col)
+            try:
+                value = float(t.text.rstrip("fFlL"))
+            except ValueError:      # suffix mixes, e.g. 1.5u or 0x1lf
+                raise ParseError(f"malformed floating literal {t.text!r}",
+                                 t.line, t.col) from None
+            return A.FloatLit(value, t.text, t.line, t.col)
         if t.kind == "char":
             self.advance()
             inner = t.text[1:-1]

@@ -90,7 +90,7 @@ class TestModelCache:
         path = os.path.join(cache_dir, key[:2], f"{key}.json")
         assert os.path.exists(path)
         payload = json.load(open(path))
-        assert payload["ok"] and "model_source" in payload
+        assert payload["ok"] and "model_source" not in payload
 
     def test_source_change_invalidates(self, cache_dir):
         ba = BatchAnalyzer(jobs=1, cache_dir=cache_dir)

@@ -1,11 +1,16 @@
 """Tests for the disassembler, line-table bridge, and category vectors."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.binary import disassemble, format_listing
 from repro.bridge import CategoryVector, build_bridge, vector_for_center
+from repro.bridge.metrics import NCAT
 from repro.compiler import (CAT_INT_CTRL, CAT_SSE2_ARITH, CAT_SSE2_DATA,
                             compile_tu, default_arch)
+from repro.compiler.arch import CATEGORY_NAMES
 from repro.errors import DisasmError
 from repro.frontend import parse_source
 
@@ -127,6 +132,33 @@ class TestCategoryVector:
         v.add_mnemonic("jmp", arch)
         d = v.as_dict()
         assert list(d.values()) == [1]
+
+    def test_as_dict_values_are_builtin_ints_in_category_order(self):
+        v = CategoryVector(np.arange(NCAT, dtype=np.int64) * 3)
+        d = v.as_dict()
+        assert list(d) == [c for c in CATEGORY_NAMES if c != CATEGORY_NAMES[0]]
+        assert all(type(n) is int for n in d.values())
+        assert json.loads(json.dumps(d)) == d
+
+    def test_as_dict_all_categories(self):
+        d = CategoryVector().as_dict(nonzero_only=False)
+        assert list(d) == list(CATEGORY_NAMES) and len(d) == 64
+        assert set(d.values()) == {0}
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_as_dict_matches_the_scalar_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(-2**40, 2**40, NCAT, dtype=np.int64)
+        counts[rng.random(NCAT) < 0.7] = 0     # mostly sparse, like models
+        v = CategoryVector(counts)
+        for nonzero_only in (True, False):
+            expected = {}
+            for i, name in enumerate(CATEGORY_NAMES):
+                n = int(v.counts[i])
+                if n or not nonzero_only:
+                    expected[name] = n
+            got = v.as_dict(nonzero_only=nonzero_only)
+            assert got == expected and list(got) == list(expected)
 
     def test_equality(self):
         arch = default_arch()

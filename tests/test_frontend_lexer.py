@@ -1,9 +1,16 @@
 """Unit tests for the lexer and preprocessor."""
 
+import random
+import re
+
 import pytest
 
-from repro.errors import LexError, ParseError
-from repro.frontend import preprocess, tokenize
+import reference_lexer
+from repro.core import AnalysisConfig, Pipeline
+from repro.errors import LexError, MiraError, ParseError
+from repro.frontend import parse_source, preprocess, tokenize
+from repro.fuzz.generator import generate_program
+from repro.workloads import available, get_source
 
 
 class TestLexer:
@@ -77,6 +84,163 @@ class TestLexer:
     def test_unexpected_directive_rejected(self):
         with pytest.raises(LexError):
             tokenize("#define X 1\nint x;")
+
+
+class TestLexerTotality:
+    """Inputs that used to escape the frontend as raw Python exceptions."""
+
+    @pytest.mark.parametrize("source, message", [
+        ('char *s = "a\\', "unterminated string literal"),
+        ('char *s = "a\\\n";', "newline in string literal"),
+    ])
+    def test_string_cut_after_backslash(self, source, message):
+        with pytest.raises(LexError, match=message) as exc:
+            tokenize(source)
+        assert (exc.value.line, exc.value.col) == (1, 11)
+
+    @pytest.mark.parametrize("literal", ["0x", "0X", "0xu", "0xLf"])
+    def test_hex_prefix_without_digits(self, literal):
+        with pytest.raises(LexError, match="no digits") as exc:
+            tokenize(f"int x = {literal};")
+        assert (exc.value.line, exc.value.col) == (1, 9)
+
+    @pytest.mark.parametrize("text, col", [
+        ("int x = ²;", 9),       # superscript two: a digit, not decimal
+        ("int x = 1²;", 10),
+        ("int x = ٣;", 9),       # Arabic-Indic three: a decimal digit
+        ("int x = ½;", 9),       # one half: numeric
+    ])
+    def test_non_ascii_digits(self, text, col):
+        with pytest.raises(LexError, match="unexpected character") as exc:
+            tokenize(text)
+        assert (exc.value.line, exc.value.col) == (1, col)
+
+    def test_non_ascii_letters_and_trailing_digits_stay_identifiers(self):
+        toks = tokenize("café x²")
+        assert [(t.kind, t.text) for t in toks[:-1]] == \
+            [("id", "café"), ("id", "x²")]
+
+    def test_malformed_float_suffix_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="malformed floating literal"):
+            parse_source("double x = 1.5u;")
+
+    @pytest.mark.parametrize("source", [
+        'char *s = "a\\',
+        "int main() { return 0x; }",
+        "int main() { return ²; }",
+        "int main() { double d = 0x1lf; return 0; }",
+    ])
+    def test_pipeline_raises_a_typed_error(self, source):
+        with pytest.raises(MiraError):
+            Pipeline(AnalysisConfig(use_cache=False)).run(source)
+
+
+# -- the regex lexer against the hand-written reference ----------------------
+
+def _lex(fn, source):
+    """Tokens as tuples, or ``("LexError", line, col, message)``."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in fn(source)]
+    except LexError as exc:
+        return ("LexError", exc.line, exc.col, str(exc))
+
+
+#: A reference hex token with no digits: any suffix starts with u or l,
+#: since the digit loop would have taken an f.
+_NO_HEX_DIGITS = re.compile(r"0[xX](?:[uUlL][uUlLfF]*)?")
+
+
+def _offset(source, line, col):
+    return sum(len(s) + 1 for s in source.split("\n")[:line - 1]) + col - 1
+
+
+def assert_matches_reference(source: str) -> None:
+    """Token-for-token equality with the reference lexer, or the same
+    LexError line, column and message.  The reference's three escapes are
+    the only allowed differences: a string cut after a backslash and a
+    ``0x`` without digits are a LexError here; the regex lexer agrees with
+    the reference up to a non-ASCII digit, which it does not read as one."""
+    got = _lex(tokenize, source)
+    try:
+        expected = _lex(reference_lexer.tokenize, source)
+    except IndexError:
+        # A string literal ending in a backslash at EOF (or an earlier
+        # escape the reference lexed past).
+        assert got[0] == "LexError", source
+        return
+    tokens = expected
+    if expected[0] == "LexError":
+        # The tokens the reference lexed before its error.
+        tokens = _lex(reference_lexer.tokenize,
+                      source[:_offset(source, *expected[1:3])])
+    for kind, text, line, col in tokens:
+        if kind not in ("int", "float"):
+            continue
+        if not text.isascii():
+            first = next(i for i, c in enumerate(text) if not c.isascii())
+            assert_matches_reference(
+                source[:_offset(source, line, col) + first])
+            return
+        if _NO_HEX_DIGITS.fullmatch(text):
+            assert got[:3] == ("LexError", line, col), source
+            return
+    assert got == expected, source
+
+
+def _preprocessed(name):
+    return preprocess(get_source(name))
+
+
+#: Fragments that start, end or break literals, comments and directives.
+SPLICE_FRAGMENTS = ('"', "'", "\\", "/", "*", "#", ".", "0x", "0X", "e", "E",
+                    "+", "-", "u", "L", "f", " ", "\n", "\t")
+
+
+class TestLexerMatchesReference:
+    @pytest.mark.parametrize("name", available())
+    def test_corpus_program(self, name):
+        assert_matches_reference(get_source(name))   # raw: directive errors
+        assert_matches_reference(_preprocessed(name))
+
+    @pytest.mark.parametrize("mode", ["concrete", "runtime", "symbolic"])
+    def test_fuzz_generator_programs(self, mode):
+        for seed in range(25):
+            source = generate_program(seed).source(mode)
+            assert_matches_reference(source)
+            assert_matches_reference(preprocess(source))
+
+    @pytest.mark.parametrize("name", ["dgemm", "stream", "minife", "fig5"])
+    def test_truncations(self, name):
+        source = _preprocessed(name)
+        ends = set(range(0, len(source) + 1, len(source) // 60 + 1))
+        # Cutting right after a backslash ends a string literal there.
+        ends |= {i + 1 for i, c in enumerate(source) if c == "\\"}
+        for end in sorted(ends):
+            assert_matches_reference(source[:end])
+
+    @pytest.mark.parametrize("name", ["dgemm", "stream", "minife", "fig5"])
+    def test_byte_splices(self, name):
+        source = _preprocessed(name)
+        rng = random.Random(name)
+        for _ in range(100):
+            at = rng.randrange(len(source) + 1)
+            if rng.random() < 0.5:
+                lo = rng.randrange(len(source))
+                patch = source[lo:lo + rng.randrange(1, 12)]
+            else:
+                patch = "".join(rng.choice(SPLICE_FRAGMENTS)
+                                for _ in range(rng.randrange(1, 4)))
+            cut = rng.randrange(6)
+            assert_matches_reference(source[:at] + patch + source[at + cut:])
+
+    @pytest.mark.parametrize("source", [
+        "'\n'", "'\\\n' x", "'\\'", "'''", "''", "'ab'",
+        "1.e5 .5e+3f 0x1uf 1Lf 1e+ 2e", "a...b ..c", "/*/ */ x",
+        "#pragma x\r\n y", "#  \n", "\f", "x /* a\nb */ y // z\n w",
+        '"a\\"b" "\\\\"', "00x1 0x1.5", "\u00a0",
+    ])
+    def test_edge_cases(self, source):
+        assert_matches_reference(source)
 
 
 class TestPreprocessor:

@@ -26,6 +26,8 @@ exercises the warm registry's statefulness across requests:
       malformed JSON 400, unparsable C 400 with error.type ParseError
 - [x] 3000-deep parentheses are 400 ParseError; a loop bound beyond
       int64 is 400 CompileError (never a 500)
+- [x] a string literal cut off after a backslash at EOF is 400 LexError
+      (it used to escape the lexer as an IndexError and answer 500)
 - [x] `mira serve` + `mira client` drive the same API from the shell
 """
 
@@ -367,6 +369,13 @@ def test_loop_bound_beyond_int64_is_400_compile_error(client):
         client.submit(HUGE_BOUND_SRC)
     assert exc.value.status == 400
     assert exc.value.error_type == "CompileError"
+
+
+def test_string_ending_in_backslash_is_400_lex_error(client):
+    with pytest.raises(HTTPStatusError) as exc:
+        client.submit('char *s = "a\\')
+    assert exc.value.status == 400
+    assert exc.value.error_type == "LexError"
 
 
 def test_missing_field_is_400(client):

@@ -5,7 +5,8 @@ The contract under test: every consumer that reuses a built model —
 analyzer — goes through one :class:`ModelStore` with memory → disk → cold
 tiers; a cache entry that does not restore is a miss everywhere (never a
 raw exception), and sweep traffic reaches ``stats.json`` like everyone
-else's.
+else's.  Payloads fill their summaries through the compiled models (the
+tree-walk is the fallback and the oracle) and carry no model source.
 """
 
 import json
@@ -15,11 +16,16 @@ import threading
 
 import pytest
 
-from repro.core import AnalysisConfig, BatchAnalyzer, IncrementalAnalyzer
+from repro.core import (AnalysisConfig, BatchAnalyzer, IncrementalAnalyzer,
+                        Pipeline)
+from repro.core import result as result_mod
 from repro.core import store as store_mod
 from repro.core.store import ModelCache, ModelStore, restore
 from repro.core.sweep import SWEEP_STORE, sweep_source
+from repro.errors import MiraError, ModelError
 from repro.serve import ModelRegistry
+from repro.symbolic import compile as compile_mod
+from repro.workloads import available, get_source, source_path
 
 SRC = """\
 double kernel(int n) {
@@ -197,3 +203,95 @@ def test_incremental_function_tier_is_bounded(tmp_path, monkeypatch):
     # restores every function without modeling anything.
     first = analyzer.analyze(INC_SRC.replace("s += i;", "s += i + 0;"))
     assert first.fresh_functions() == []
+
+
+# -- payloads: summaries from the compiled models, no stored model source ----
+
+def _tree_walk_summaries(result, config) -> dict:
+    """The reference: concrete summaries from the tree-walk evaluator."""
+    out = {}
+    for qname in result.models:
+        if result.parameters(qname):
+            continue
+        try:
+            metrics = result.evaluate(qname)
+        except (MiraError, RecursionError):
+            out[qname] = (None, None, None)
+            continue
+        out[qname] = (metrics.as_dict(), metrics.total(),
+                      metrics.fp_instructions(config.arch.fp_arith_categories))
+    return out
+
+
+def _payload_summaries(payload) -> dict:
+    return {q: (f["counts"], f["total"], f["fp_ins"])
+            for q, f in payload["functions"].items() if not f["params"]}
+
+
+@pytest.fixture
+def tree_walks(monkeypatch):
+    """Counts calls of the tree-walk evaluator behind AnalysisResult."""
+    calls = []
+    real = result_mod.evaluate_model
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(result_mod, "evaluate_model", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", available())
+def test_payload_summaries_equal_the_tree_walk(name, tree_walks):
+    config = AnalysisConfig(use_cache=False)
+    path = source_path(name)
+    result = Pipeline(config).run(get_source(name), filename=path)
+    payload = store_mod.payload_from_result(config, result, path, 0.0)
+    assert tree_walks == []                  # evaluated by the compiled models
+    assert payload["compiled"]["scalar"] is not None
+    assert _payload_summaries(payload) == _tree_walk_summaries(result, config)
+
+
+def test_payload_summaries_fall_back_to_the_tree_walk(monkeypatch, tree_walks):
+    def no_compile(models):
+        raise ModelError("scalar codegen unavailable")
+
+    monkeypatch.setattr(compile_mod, "compile_result", no_compile)
+    config = AnalysisConfig(use_cache=False)
+    result = Pipeline(config).run(get_source("stream"))
+    payload = store_mod.payload_from_result(config, result, "stream.c", 0.0)
+    assert payload["compiled"] is None
+    summaries = _payload_summaries(payload)
+    assert summaries["main"][2] > 0 and "main" in tree_walks
+    assert summaries == _tree_walk_summaries(result, config)
+
+
+def test_model_source_is_derived_for_cold_warm_and_old_layout_hits(tmp_path):
+    config = AnalysisConfig(cache_dir=str(tmp_path / "cache"))
+    source = get_source("dgemm")
+    expected = Pipeline(config).run(source, filename="k").python_source()
+
+    def batch():
+        (r,) = BatchAnalyzer(config, jobs=1).analyze_sources(
+            {"k": source}).results
+        return r
+
+    cold = batch()
+    assert not cold.from_cache and cold.model_source == expected
+    (entry_path,) = file_entries(config.cache_dir)
+    with open(entry_path) as fh:
+        payload = json.load(fh)
+    assert "model_source" not in payload
+    warm = batch()
+    assert warm.from_cache and warm.model_source == expected
+
+    # The layout before the model source was dropped still restores.
+    payload["model_source"] = expected
+    with open(entry_path, "w") as fh:
+        json.dump(payload, fh)
+    old = batch()
+    assert old.from_cache and old.model_source == expected
+    assert _payload_summaries(payload) == {
+        q: (f.counts, f.total, f.fp_ins) for q, f in old.functions.items()
+        if not f.params}
