@@ -16,17 +16,25 @@ on the dgemm and stream models:
 * **model-construction time** — the full pipeline with expression
   hash-consing on vs off (``interning_disabled``),
 * **sweep economy** — a Fig. 7-style 5-point sweep must run the pipeline's
-  "compile" stage at most once per workload (stage counters).
+  "compile" stage at most once per workload (stage counters),
+* **repeated sweeps** — calls of 2048 fresh seeded points each over one
+  range, the shape of a served sweep: the first call's time, the median
+  of the rest, and how many int64-precheck walks (``_cats_iv``) they took;
+  later calls reuse the first call's range-bucket verdict.
 
 Emits ``benchmarks/out/BENCH_eval_sweep.json`` with the machine-comparable
 numbers next to the human-readable table.  CI asserts the JSON parses, that
 compiled throughput beats interpreted, that the vector engine is >= 10x the
-scalar closures with bit-identical results, and archives the artifact.
+scalar closures with bit-identical results, that a repeated stream sweep
+takes at most half the first one's time, and archives the artifact.
 """
 
 import json
 import os
+import random
+import statistics
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 from _common import (OUT_DIR, analyze_workload, rows_to_text, save_table,
@@ -34,6 +42,7 @@ from _common import (OUT_DIR, analyze_workload, rows_to_text, save_table,
 
 from repro.core import STAGE_RUN_COUNTS, Pipeline, AnalysisConfig
 from repro.symbolic.expr import interning_disabled
+from repro.symbolic.veccompile import VecCompiledResult
 from repro.workloads import get_source
 
 #: Minimum wall time per throughput measurement (adaptive batching).
@@ -47,6 +56,12 @@ DGEMM_POINTS = [16, 64, 256, 1024, 4096]
 #: scalar-closure sweep over a subset large enough to amortize setup.
 VECTOR_GRID_POINTS = 200_000
 SCALAR_BASELINE_POINTS = 2_000
+
+#: Repeated-sweep measurement: REPEAT_CALLS sweeps of REPEAT_POINTS fresh
+#: seeded values each, drawn from one range per model.
+REPEAT_POINTS = 2048
+REPEAT_CALLS = 25
+REPEAT_RANGES = {"dgemm": (1, 4000), "stream": (1, 10 ** 6)}
 
 
 def _throughput(fn) -> float:
@@ -133,6 +148,50 @@ def _vector_block(doc: dict, name: str, model, function: str, axis: str,
     doc.setdefault("vector_speedup_vs_scalar", {})[name] = vec_pps / scal_pps
 
 
+@contextmanager
+def _counted_walks():
+    """Count top-level int64-precheck walks (``_cats_iv`` minus its
+    recursion into callees) while the block runs."""
+    walk = VecCompiledResult._cats_iv
+    count = [0]
+    depth = [0]
+
+    def counted(self, *args):
+        if depth[0] == 0:
+            count[0] += 1
+        depth[0] += 1
+        try:
+            return walk(self, *args)
+        finally:
+            depth[0] -= 1
+
+    VecCompiledResult._cats_iv = counted
+    try:
+        yield count
+    finally:
+        VecCompiledResult._cats_iv = walk
+
+
+def _repeat_block(doc: dict, name: str, model, function: str,
+                  axis: str) -> None:
+    """Time repeated sweeps of fresh grids over one range, starting from
+    an empty precheck memo."""
+    lo, hi = REPEAT_RANGES[name]
+    rng = random.Random(f"repeat:{name}")
+    model.compiled(engine="vector")._safe_memo.clear()
+    times = []
+    with _counted_walks() as walks:
+        for _ in range(REPEAT_CALLS):
+            values = sorted(rng.sample(range(lo, hi + 1), REPEAT_POINTS))
+            t0 = time.perf_counter()
+            model.sweep(function, {axis: values})
+            times.append(time.perf_counter() - t0)
+    doc.setdefault("repeat_sweep_ms", {})[name] = {
+        "first": times[0] * 1e3,
+        "median_rest": statistics.median(times[1:]) * 1e3}
+    doc.setdefault("repeat_sweep_walks", {})[name] = walks[0]
+
+
 def _construction_seconds() -> dict:
     """Full-pipeline wall time with and without expression interning."""
     source = get_source("dgemm")
@@ -175,6 +234,7 @@ def run_bench() -> dict:
         lambda: dgemm.sweep("dgemm_kernel", {"n": DGEMM_POINTS})
     ) * len(DGEMM_POINTS)
     _vector_block(doc, "dgemm", dgemm, "dgemm_kernel", "n", lo=16)
+    _repeat_block(doc, "dgemm", dgemm, "dgemm_kernel", "n")
 
     # ---- stream: the size macro is late-bound by the sweep engine ---------
     before = STAGE_RUN_COUNTS["compile"]
@@ -193,6 +253,7 @@ def run_bench() -> dict:
     ) * len(SWEEP_SIZES)
     _vector_block(doc, "stream", stream, "main", "STREAM_ARRAY_SIZE",
                   lo=1000, step=5)
+    _repeat_block(doc, "stream", stream, "main", "STREAM_ARRAY_SIZE")
 
     doc["construction_seconds"] = _construction_seconds()
     return doc
@@ -232,6 +293,11 @@ def test_eval_sweep_bench(benchmark):
         ["stream sweep+to_dict+json points/s", f"{doc['end_to_end_points_per_sec']['stream']:,.0f}"],
         ["dgemm vector vs scalar", f"{doc['vector_speedup_vs_scalar']['dgemm']:.1f}x"],
         ["stream vector vs scalar", f"{doc['vector_speedup_vs_scalar']['stream']:.1f}x"],
+        *[[f"{m} repeated {REPEAT_POINTS}-point sweep (first / median)",
+           f"{doc['repeat_sweep_ms'][m]['first']:.2f} / "
+           f"{doc['repeat_sweep_ms'][m]['median_rest']:.2f} ms, "
+           f"{doc['repeat_sweep_walks'][m]} precheck walks in "
+           f"{REPEAT_CALLS} calls"] for m in ("dgemm", "stream")],
         ["sweep compiles (dgemm/stream)",
          f"{doc['sweep_compile_invocations']['dgemm']}/"
          f"{doc['sweep_compile_invocations']['stream']}"],

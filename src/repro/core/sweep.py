@@ -125,6 +125,12 @@ class _VectorFallback(Exception):
 
 def _axis_column(name: str, values, np):
     """One grid axis as an int64 or object ndarray, exactly."""
+    if isinstance(values, (list, tuple)) and set(map(type, values)) == {int}:
+        # the common case, plain ints (a JSON grid): one conversion
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
             raise _VectorFallback(f"axis {name!r} is not one-dimensional")

@@ -78,18 +78,27 @@ def _int_params(doc, what: str = "params") -> dict:
         return {}
     if not isinstance(doc, dict):
         raise HTTPError(400, f"{what} must be an object of name -> integer")
-    out = {}
-    for name, value in doc.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise HTTPError(400, f"{what}[{name!r}] must be an integer, "
-                                 f"got {value!r}")
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise HTTPError(400, f"{what}[{name!r}] must be an "
-                                     f"integer, got {value!r}")
-            value = int(value)
-        out[str(name)] = value
-    return out
+    return {str(name): _int_value(value, f"{what}[{name!r}]")
+            for name, value in doc.items()}
+
+
+def _int_value(value, where: str) -> int:
+    """One binding as an exact int; ``where`` names it in the 400."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise HTTPError(400, f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _int_axis(name: str, values: list) -> list:
+    """One grid axis as exact ints.  An axis of plain ints (what JSON
+    decoding gives) passes through in one pass; anything else is checked
+    value by value."""
+    if set(map(type, values)) <= {int}:
+        return values
+    return [_int_value(x, f"grid[{name!r}][{i}]")
+            for i, x in enumerate(values)]
 
 
 def _engine(req: Request) -> str:
@@ -208,10 +217,9 @@ def sweep_analysis(ctx: ServerContext, req: Request) -> Response:
     if isinstance(grid, dict):
         grid = {str(k): (v if isinstance(v, list) else [v])
                 for k, v in grid.items()}
-        grid = {k: [_int_params({"v": x})["v"] for x in v]
-                for k, v in grid.items()}
+        grid = {k: _int_axis(k, v) for k, v in grid.items()}
     elif isinstance(grid, list):
-        grid = [_int_params(p, "grid point") for p in grid]
+        grid = [_int_params(p, f"grid[{i}]") for i, p in enumerate(grid)]
     else:
         raise HTTPError(400, "grid must be an object of name -> values "
                              "or a list of point objects")

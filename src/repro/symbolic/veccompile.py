@@ -27,6 +27,14 @@ strict fallback ladder:
   and call-graph merges of the emitted code.  This precheck is mandatory:
   numpy int64 multiplication **wraps silently** (``errstate`` does not
   see it), so runtime detection alone cannot guarantee exactness.
+  The walk costs milliseconds, so its verdicts are memoized per *range
+  bucket*: each endpoint of the chunk's box is rounded outward to 0 or a
+  signed power of two, and the verdict for that widened box is kept on
+  the compiled object.  Interval evaluation encloses every point of the
+  box it is given (each operation is inclusion-monotone), so a proof for
+  the widened box covers every point of the chunk; when the widened box
+  is not provably safe, the exact box is checked as well, so bucketing
+  never costs a chunk the int64 path.
   Integer-body ``Sum`` closed forms stay integral via the scaled form
   ``(D * cf) // D`` (``D`` = lcm of the Faulhaber coefficient
   denominators), which is exact because the true sum — and the Faulhaber
@@ -68,6 +76,7 @@ re-emission entirely; :data:`~.compile.CODEGEN_COUNTS` distinguishes
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from ..errors import ModelError, SchemaError, SymbolicError, VectorizeError
@@ -92,6 +101,26 @@ __all__ = ["HAVE_NUMPY", "INT64_BOUND", "VecCompiledExpr",
 #: purpose: it forgoes -2**63 itself, which only makes the precheck more
 #: conservative.
 INT64_BOUND = Fraction(2 ** 63 - 1)
+
+#: Most range-bucket verdicts one :class:`VecCompiledResult` remembers for
+#: :meth:`~VecCompiledResult.int64_safe`; the memo starts over when full.
+INT64_MEMO_SIZE = 64
+
+
+def _round_up(x) -> Fraction:
+    """``x`` rounded up to 0 or a signed power of two (a bucket's hi)."""
+    if x < 0:
+        return -_round_down(-x)
+    c = math.ceil(x)
+    return Fraction(1 << (c - 1).bit_length()) if c else Fraction(0)
+
+
+def _round_down(x) -> Fraction:
+    """``x`` rounded down to 0 or a signed power of two (a bucket's lo)."""
+    if x < 0:
+        return -_round_up(-x)
+    f = math.floor(x)
+    return Fraction(1 << (f.bit_length() - 1)) if f else Fraction(0)
 
 
 def _require_numpy():
@@ -350,12 +379,13 @@ class VecCompiledResult:
     module docstring for the full dtype discipline)."""
 
     __slots__ = ("models", "source", "int64_capable", "_fns", "_consts",
-                 "_name_map", "_order", "_sum_lower")
+                 "_name_map", "_order", "_sum_lower", "_safe_memo")
 
     def __init__(self, models: dict, *, _artifact: dict | None = None) -> None:
         _require_numpy()
         self.models = models
         self._sum_lower = None
+        self._safe_memo: dict = {}
         if _artifact is None:
             order = _emit_order(models)
             name_map = {q: f"_mira_vfn_{i}" for i, q in enumerate(order)}
@@ -474,13 +504,32 @@ class VecCompiledResult:
         code: term counts, per-category accumulation, callee argument
         expressions, recursive callee evaluation, and call-count merges
         are all bounded in interval arithmetic; any unknown or unbounded
-        piece fails closed (returns False → object mode)."""
+        piece fails closed (returns False → object mode).
+
+        The walk runs on the *range bucket* of ``env_ivs`` — every
+        endpoint rounded outward to 0 or a signed power of two — and its
+        verdict is memoized per ``(qname, bucket)``, so repeated sweeps
+        over similar ranges skip it.  That is sound because interval
+        evaluation encloses every point of the box it is given: a proof
+        for the bucket covers every point of the smaller actual box.  A
+        bucket that is not provably safe falls back to walking the exact
+        ``env_ivs``, so the verdict always equals the exact-box one."""
         if not self.int64_capable:
             return False
         if self.models.get(qname) is None:
             return False
         lower = self._check_lowerings().get
-        return self._cats_iv(qname, dict(env_ivs), lower) is not None
+        env_ivs = dict(env_ivs)
+        bucket = {k: (_round_down(lo), _round_up(hi))
+                  for k, (lo, hi) in env_ivs.items()}
+        key = (qname, tuple(sorted(bucket.items())))
+        safe = self._safe_memo.get(key)
+        if safe is None:
+            safe = self._cats_iv(qname, bucket, lower) is not None
+            if len(self._safe_memo) >= INT64_MEMO_SIZE:
+                self._safe_memo.clear()
+            self._safe_memo[key] = safe
+        return safe or self._cats_iv(qname, env_ivs, lower) is not None
 
     def _cats_iv(self, qname: str, env_ivs: dict, lower):
         bound = INT64_BOUND

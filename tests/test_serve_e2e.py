@@ -17,6 +17,8 @@ exercises the warm registry's statefulness across requests:
 - [x] a bare sweep POST still returns the v1 document with per-point rows
 - [x] sweep ``layout=columns`` == the direct columnar ``to_dict()``
 - [x] an unknown sweep layout is 400 with error.type UnsupportedLayout
+- [x] a non-integer grid value is 400 BadRequest naming its axis and
+      index (it used to name a ``params['v']`` the request never had)
 - [x] ``client.sweep(...)["points"]`` == the rows reply
 - [x] bodies are compact JSON (no indentation, no separator spaces)
 - [x] served diff of two stored models == direct result.diff
@@ -245,6 +247,20 @@ def test_bad_sweep_layout_is_400(client, handle):
     resp = _sweep_post(client, handle, layout="diagonal")
     assert resp.status == 400
     assert resp.json()["error"]["type"] == "UnsupportedLayout"
+
+
+def test_bad_grid_value_is_400_naming_the_axis(client, handle):
+    for bad in (2.5, True, "8"):
+        resp = client.request("POST", f"/v1/analyses/{handle['id']}/sweep",
+                              {"function": "kernel", "grid": {"n": [1, bad]}})
+        assert resp.status == 400
+        error = resp.json()["error"]
+        assert error["type"] == "BadRequest"
+        assert error["message"] == \
+            f"grid['n'][1] must be an integer, got {bad!r}"
+    # an integral float is still accepted, as an int
+    doc = client.sweep(handle["id"], "kernel", {"n": [1, 4.0]})
+    assert doc["columns"]["params"]["n"] == [1, 4]
 
 
 def test_client_sweep_points_equal_the_rows_reply(client, handle):

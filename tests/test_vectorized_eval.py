@@ -20,6 +20,7 @@ the columnar path of ``core.sweep``):
 """
 
 import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +30,8 @@ from repro.cli import _parse_sweep_spec, main as cli_main
 from repro.core import (AnalysisConfig, Pipeline, STAGE_RUN_COUNTS,
                         sweep_source)
 from repro.core.result import AnalysisResult
-from repro.core.sweep import _ColumnarPoints, run_model_sweep
+from repro.core.sweep import (_axis_column, _ColumnarPoints,
+                              _VectorFallback, run_model_sweep)
 from repro.errors import ModelError, SymbolicError, VectorizeError
 from repro.symbolic import (CODEGEN_COUNTS, Int, Max, Sum, Sym,
                             compile_expr_vector, reset_codegen_counters)
@@ -271,6 +273,172 @@ class TestDtypeDiscipline:
         for pv, ps in zip(swept_v, swept_s):
             assert exact_counts(pv.metrics.counts) == \
                 exact_counts(ps.metrics.counts)
+
+
+    # -- the int64_safe range-bucket memo ---------------------------------
+
+    def test_memoized_precheck_equals_exact_box_verdict(self):
+        """Soundness: on seeded random boxes (many sharing a bucket, so
+        most calls are memo hits), ``int64_safe`` agrees with a fresh
+        ``_cats_iv`` walk of the exact box, for every function of every
+        corpus program that vectorizes."""
+        rng = random.Random(15)
+        verdicts = set()
+        pipeline = Pipeline()
+        for name in available():
+            result = pipeline.run_file(source_path(name))
+            try:
+                vec = result.compiled(engine="vector")
+            except VectorizeError:
+                continue
+            lower = vec._check_lowerings().get
+            for qname in result.models:
+                params = result.parameters(qname)
+                if not params:
+                    continue
+                for _ in range(40):
+                    ivs = {}
+                    for p in params:
+                        scale = 2 ** rng.choice((3, 6, 10, 20, 21, 31, 40))
+                        lo = rng.randint(-scale // 8, scale)
+                        hi = lo + rng.randint(0, scale)
+                        ivs[p] = (Fraction(lo), Fraction(hi))
+                    exact = vec.int64_capable and \
+                        vec._cats_iv(qname, dict(ivs), lower) is not None
+                    assert vec.int64_safe(qname, ivs) is exact, \
+                        (name, qname, ivs)
+                    verdicts.add(exact)
+        assert verdicts == {True, False}   # both sides were exercised
+
+    def test_same_bucket_sweep_skips_the_precheck_walk(self, dgemm,
+                                                        monkeypatch):
+        from repro.symbolic.veccompile import VecCompiledResult
+
+        calls = []
+        walk = VecCompiledResult._cats_iv
+
+        def counted(self, *args):
+            calls.append(args[0])
+            return walk(self, *args)
+
+        monkeypatch.setattr(VecCompiledResult, "_cats_iv", counted)
+        dgemm.compiled(engine="vector")._safe_memo.clear()
+        rng = random.Random(7)
+        # every value in [1100, 2000]: the bucket is n in [1024, 2048]
+        grids = [[rng.randint(1100, 2000) for _ in range(2048)]
+                 for _ in range(2)]
+        first = dgemm.sweep("dgemm_kernel", {"n": grids[0]})
+        assert calls                        # a cold bucket is walked
+        calls.clear()
+        second = dgemm.sweep("dgemm_kernel", {"n": grids[1]})
+        assert calls == []                  # the same bucket is not
+        for swept, grid in zip((first, second), grids):
+            assert swept.vector_stats["int64_chunks"] == 1
+            assert swept.fp_series() == [2 * n ** 3 + n ** 2 for n in grid]
+
+    def test_unsafe_bucket_falls_back_to_the_exact_box(self, dgemm):
+        # n <= 2**20 + 1 widens to n <= 2**21, where n**3 overflows; the
+        # exact box is still provably safe, so the chunk stays int64.
+        vec = dgemm.compiled(engine="vector")
+        bucket = {"n": (Fraction(1), Fraction(2 ** 21))}
+        assert vec._cats_iv("dgemm_kernel", bucket,
+                            vec._check_lowerings().get) is None
+        grid = [1, 2 ** 10, 2 ** 20 + 1]
+        swept = dgemm.sweep("dgemm_kernel", {"n": grid}, engine="vector")
+        assert swept.vector_stats["int64_chunks"] == 1
+        assert swept.fp_series() == [2 * n ** 3 + n ** 2 for n in grid]
+        assert_sweep_matches_interpreted(dgemm, "dgemm_kernel", swept)
+
+    def test_memo_shared_by_threads_keeps_exact_verdicts(self, dgemm,
+                                                          monkeypatch):
+        """Server threads share one compiled model.  With a 2-entry memo
+        that keeps starting over, every verdict still equals the exact-box
+        one and the memo stays bounded."""
+        import sys
+        import threading
+
+        from repro.symbolic import veccompile
+
+        monkeypatch.setattr(veccompile, "INT64_MEMO_SIZE", 2)
+        vec = dgemm.compiled(engine="vector")
+        lower = vec._check_lowerings().get
+        rng = random.Random(3)
+        boxes = []
+        for _ in range(48):
+            lo = rng.randint(1, 2 ** 20)
+            ivs = {"n": (Fraction(lo), Fraction(lo + rng.randint(0, 2 ** 20)))}
+            exact = vec._cats_iv("dgemm_kernel", dict(ivs), lower) is not None
+            boxes.append((ivs, exact))
+        assert {exact for _, exact in boxes} == {True, False}
+        wrong = []
+
+        def worker(k):
+            for ivs, exact in (boxes[k:] + boxes[:k]) * 3:
+                if vec.int64_safe("dgemm_kernel", ivs) is not exact:
+                    wrong.append(ivs)
+
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(vec._safe_memo) <= 2 + len(threads)
+
+
+class TestAxisColumn:
+    """``_axis_column``'s all-int fast path keeps today's dtypes/values."""
+
+    @staticmethod
+    def column(values):
+        return _axis_column("n", values, np)
+
+    def test_plain_ints_become_int64(self):
+        col = self.column([3, -7, 2 ** 62])
+        assert col.dtype == np.int64
+        assert col.tolist() == [3, -7, 2 ** 62]
+
+    def test_beyond_int64_stays_an_exact_object_column(self):
+        for values in ([2 ** 70], [1, 2 ** 70], [-(2 ** 63) - 1]):
+            col = self.column(values)
+            assert col.dtype == object
+            assert list(col) == values
+            assert all(type(v) is int for v in col)
+
+    def test_bools_are_int64_ones_and_zeros(self):
+        col = self.column([True, 2])
+        assert col.dtype == np.int64
+        assert col.tolist() == [1, 2]
+
+    def test_numpy_ints_are_int64(self):
+        for values in (np.array([4, 5], dtype=np.int32),
+                       np.array([4, 5], dtype=np.uint8),
+                       [np.int64(4), 5]):
+            col = self.column(values)
+            assert col.dtype == np.int64
+            assert col.tolist() == [4, 5]
+        col = self.column(np.array([2 ** 64 - 1], dtype=np.uint64))
+        assert col.dtype == object and list(col) == [2 ** 64 - 1]
+
+    def test_fraction_axes_are_object_columns(self):
+        for values in ([Fraction(1, 2), 3], [Fraction(4)]):
+            col = self.column(values)
+            assert col.dtype == object
+            assert list(col) == values
+            assert [type(v) for v in col] == [type(v) for v in values]
+
+    def test_floats_and_empty_axes_are_refused(self):
+        with pytest.raises(_VectorFallback, match="float-valued"):
+            self.column([1, 2.0])
+        with pytest.raises(ModelError, match="no values"):
+            self.column([])
 
 
 # ---------------------------------------------------------------------------
