@@ -28,7 +28,7 @@ def test_fig5_generated_model(benchmark):
     m = re.search(r"def main_0\((y_\d+)\):", src)
     assert m, "main model should take the bubbled call-site parameter"
     ysite = m.group(1)
-    assert f"A_foo_2(y={ysite})" in src
+    assert f"A_foo_2({ysite})" in src
     assert "handle_function_call(metrics, _callee_0, 1)" in src
 
     # the model is executable and parametric in y

@@ -21,7 +21,7 @@ from .input_processor import (InputProcessor, ProcessedInput,
 from .metric_generator import (CallTerm, FunctionModel, GeneratorOptions,
                                MetricGenerator, MetricTerm)
 from .mira import Mira, MiraModel
-from .model_generator import (compile_model, evaluate_model,
+from .model_generator import (CompiledResult, compile_model, evaluate_model,
                               generate_model_source, model_entry_name)
 from .model_runtime import Metrics, handle_function_call
 from .pipeline import (FUNC_STAGE_RUN_COUNTS, STAGE_RUN_COUNTS, STAGES,

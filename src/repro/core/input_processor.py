@@ -25,7 +25,8 @@ __all__ = ["ProcessedInput", "InputProcessor", "source_fingerprint"]
 # v3: cache payloads carry compiled codegen artifacts (scalar + vector).
 # v4: the cache also stores per-function FunctionModel payloads keyed on
 #     function-unit fingerprints (the incremental engine).
-PIPELINE_VERSION = 4
+# v5: the scalar artifact is the generated model module, {"source": text}.
+PIPELINE_VERSION = 5
 
 
 def source_fingerprint(source: str, arch: ArchDescription, opt_level: int,

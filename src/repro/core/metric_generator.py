@@ -46,7 +46,8 @@ from ..polyhedral.counting import count_nest
 from ..symbolic import Expr, Int, Sym, as_expr
 
 __all__ = ["MetricTerm", "CallTerm", "FunctionModel", "MetricGenerator",
-           "GeneratorOptions", "resolve_callee", "direct_callees"]
+           "GeneratorOptions", "resolve_callee", "direct_callees",
+           "topo_order"]
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +647,7 @@ class MetricGenerator:
         ``fresh`` (incremental runs) names the models generated this run;
         restored models already carry their final parameter lists, which
         are read as-is so bubbling through them stays exact."""
-        order = self._topo_order(models)
+        order = topo_order(models)
         needed: dict[str, list[str]] = {}
         for qname in order:
             m = models[qname]
@@ -684,7 +685,7 @@ class MetricGenerator:
         warning; a non-negative constant is discharged; anything still
         symbolic is inherited.
         """
-        for qname in self._topo_order(models):
+        for qname in topo_order(models):
             m = models[qname]
             if fresh is not None and qname not in fresh:
                 continue  # restored model: assumptions already closed
@@ -711,25 +712,29 @@ class MetricGenerator:
                     elif rewritten not in m.assumptions:
                         m.assumptions.append(rewritten)
 
-    def _topo_order(self, models: dict[str, FunctionModel]) -> list[str]:
-        """Callees before callers; raises on recursion."""
-        out: list[str] = []
-        state: dict[str, int] = {}
 
-        def visit(q: str) -> None:
-            st = state.get(q, 0)
-            if st == 1:
-                raise ModelError(f"recursive call cycle involving {q!r} "
-                                 "(not supported by static modeling)")
-            if st == 2:
-                return
-            state[q] = 1
-            for c in models[q].calls:
-                if c.callee in models:
-                    visit(c.callee)
-            state[q] = 2
-            out.append(q)
+def topo_order(models: dict[str, FunctionModel]) -> list[str]:
+    """Callees before callers; raises on recursion.
 
-        for q in models:
-            visit(q)
-        return out
+    The one call-graph order: the metric generator, the Fig. 5 emitter,
+    the vector emitter and ``AnalysisResult.from_dict`` all use it."""
+    out: list[str] = []
+    state: dict[str, int] = {}
+
+    def visit(q: str) -> None:
+        st = state.get(q, 0)
+        if st == 1:
+            raise ModelError(f"recursive call cycle involving {q!r} "
+                             "(not supported by static modeling)")
+        if st == 2:
+            return
+        state[q] = 1
+        for c in models[q].calls:
+            if c.callee in models:
+                visit(c.callee)
+        state[q] = 2
+        out.append(q)
+
+    for q in models:
+        visit(q)
+    return out

@@ -7,27 +7,40 @@ sites are combined with ``handle_function_call``; unknown quantities are
 function parameters, with call-site-specific parameters named ``<var>_<line>``
 exactly as the paper's ``y_16``.
 
-Two evaluation paths exist and are cross-checked in the tests:
+The module :func:`generate_model_source` writes is also the scalar
+evaluator: :class:`CompiledResult` execs exactly that text and calls its
+``MODEL_FUNCTIONS``, and the model cache stores the text as the scalar
+codegen artifact.  :func:`evaluate_model`, a direct walk of the symbolic
+terms with no codegen, is the oracle the module is tested against.
 
-* :func:`evaluate_model` — direct in-process evaluation of the symbolic
-  terms (no codegen),
-* :func:`generate_model_source` + :func:`compile_model` — the paper's actual
-  product, a standalone Python module, exec'd and called.
+Three emission rules make the module fit to evaluate with:
+
+* sums are rendered with ``sum_mode="closed"``: exact Faulhaber closed
+  forms, with the ``_mira_sum`` loop only for non-polynomial bodies;
+* each distinct category vector is written once, as a module constant;
+* names never collide.  A parameter keeps its source name when that is a
+  plain identifier the module does not use itself; otherwise it is
+  emitted as ``_p_<name>`` (``_q_<hex>`` when it is no identifier at all),
+  and every name the module makes up starts with ``_``.  Model functions
+  take and pass arguments by position, in ``PARAMETERS`` order.
 """
 
 from __future__ import annotations
 
 import io
+import keyword
+import re
 from fractions import Fraction
 
 from ..compiler.arch import ArchDescription
-from ..errors import ModelError
-from ..symbolic import Expr, expr_to_python
-from .metric_generator import CallTerm, FunctionModel
-from .model_runtime import Metrics, _mira_sum, handle_function_call
+from ..errors import ModelError, SchemaError, SymbolicError
+from ..symbolic import Expr, Sym, expr_to_python
+from ..symbolic.compile import CODEGEN_COUNTS
+from .metric_generator import CallTerm, FunctionModel, topo_order
+from .model_runtime import Metrics, handle_function_call
 
-__all__ = ["generate_model_source", "compile_model", "evaluate_model",
-           "model_entry_name"]
+__all__ = ["CompiledResult", "call_args", "compile_model", "evaluate_model",
+           "generate_model_source", "model_entry_name"]
 
 
 def model_entry_name(models: dict[str, FunctionModel], qname: str) -> str:
@@ -90,132 +103,187 @@ def _callee_env(models: dict[str, FunctionModel], c: CallTerm,
     return sub
 
 
+def call_args(models: dict[str, FunctionModel], caller: FunctionModel,
+              c: CallTerm) -> list[Expr]:
+    """The call-binding rule of the emitted evaluators (scalar and vector).
+
+    One expression over ``caller``'s parameters per callee parameter, in
+    the callee's ``params`` order: the bound argument expression, else the
+    caller's call-site parameter ``<p>_<line>``, else a caller parameter
+    named ``<p>`` (the order :func:`evaluate_model` looks them up in).
+    Raises the :class:`ModelError` that :func:`evaluate_model` raises at
+    this call; the emitters turn it into code that raises it when the
+    call is evaluated.
+    """
+    callee = models.get(c.callee)
+    if callee is None:
+        raise ModelError(f"call to unmodeled function {c.callee!r}")
+    args = []
+    for p in callee.params:
+        bound = c.arg_exprs.get(p)
+        if bound is None:
+            key = f"{p}_{c.line}"
+            if key in caller.params:
+                bound = Sym(key)
+            elif p in caller.params:
+                bound = Sym(p)
+            else:
+                raise ModelError(
+                    f"call at line {c.line}: no binding for callee "
+                    f"parameter {p!r} (expected env key {key!r})")
+        args.append(bound)
+    return args
+
+
 # ---------------------------------------------------------------------------
 # Python code generation
 # ---------------------------------------------------------------------------
 
-def _py_count(e: Expr) -> str:
-    return expr_to_python(e)
+_PLAIN = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_WORD = re.compile(r"\w+\Z", re.ASCII)
+
+#: Names a model function's body uses besides its own parameters: the
+#: builtins it calls and the module's globals.
+_MODULE_NAMES = frozenset({
+    "Fraction", "Metrics", "handle_function_call", "metrics", "max", "min",
+    "MODEL_FUNCTIONS", "PARAMETERS", "MIRA_FP_CATEGORIES",
+    "MIRA_FP_DATA_CATEGORIES"})
+
+
+def _plain(name: str, taken) -> bool:
+    """``name`` can be emitted as it is: an identifier starting with a
+    letter, not a keyword, and not a name the module already uses."""
+    return (_PLAIN.match(name) is not None and not keyword.iskeyword(name)
+            and name not in _MODULE_NAMES and name not in taken)
+
+
+def _function_names(models: dict, order: list) -> dict:
+    """qname -> emitted function name: the model name, or ``_mira_fn_<i>``
+    when that name is not plain or already taken."""
+    names: dict = {}
+    for i, q in enumerate(order):
+        name = models[q].model_name
+        if not _plain(name, names.values()):
+            name = f"_mira_fn_{i}"
+        names[q] = name
+    return names
+
+
+def _param_namer(function_names: set):
+    """An injective map from parameter names to Python identifiers.
+
+    Plain names map to themselves; all others get a prefix starting with
+    ``_``, which no plain name has, and distinct names keep distinct
+    suffixes."""
+    cache: dict = {}
+
+    def py(name: str) -> str:
+        out = cache.get(name)
+        if out is None:
+            if _plain(name, function_names):
+                out = name
+            elif _WORD.match(name):
+                out = "_p_" + name
+            else:
+                out = "_q_" + name.encode().hex()
+            cache[name] = out
+        return out
+
+    return py
+
+
+def _text(s: str) -> str:
+    """``s`` escaped to sit on one line of a comment or a triple-quoted
+    string: names and file names come from outside the program."""
+    return s.encode("unicode_escape").decode("ascii").replace('"', '\\"')
 
 
 def generate_model_source(models: dict[str, FunctionModel],
                           arch: ArchDescription,
                           source_name: str = "<input>") -> str:
     """Render the full Python model module (paper Fig. 5)."""
+    order = topo_order(models)
+    fn_names = _function_names(models, order)
+    py = _param_namer(set(fn_names.values()))
+    vectors: dict = {}                   # vector items -> constant name
+    body = io.StringIO()
+    for qname in order:
+        _emit_function(body.write, models, qname, fn_names, py, vectors)
+
     out = io.StringIO()
     w = out.write
     w('"""Performance model generated statically by Mira.\n\n')
-    w(f"source: {source_name}\n")
-    w(f"architecture: {arch.name}\n")
+    w(f"source: {_text(source_name)}\n")
+    w(f"architecture: {_text(arch.name)}\n")
     w('Evaluate by calling the per-function model functions; parameters\n')
     w('are loop bounds / annotation variables the static analysis preserved\n')
     w('(paper III-C: "the parametric expression exists in the model").\n')
     w('"""\n\n')
     w("from fractions import Fraction\n")
-    w("from repro.core.model_runtime import Metrics, handle_function_call, "
-      "_mira_sum\n\n")
+    w("from repro.core.model_runtime import (Metrics, handle_function_call,\n"
+      "    _mira_ceil, _mira_error, _mira_exact, _mira_floor, _mira_sum)\n\n")
     w(f"MIRA_FP_CATEGORIES = {arch.fp_arith_categories!r}\n")
     w(f"MIRA_FP_DATA_CATEGORIES = {arch.fp_data_categories!r}\n\n")
-
-    order = _emit_order(models)
-    name_map = {q: models[q].model_name for q in order}
-    for qname in order:
-        _emit_function(w, models, models[qname], name_map)
+    for items, cname in vectors.items():
+        w(f"{cname} = {dict(items)!r}\n")
+    w("\n\n")
+    w(body.getvalue())
 
     w("\nMODEL_FUNCTIONS = {\n")
     for qname in order:
-        w(f"    {qname!r}: {name_map[qname]},\n")
+        w(f"    {qname!r}: {fn_names[qname]},\n")
     w("}\n\n")
     w("PARAMETERS = {\n")
     for qname in order:
         w(f"    {qname!r}: {models[qname].params!r},\n")
     w("}\n\n")
     w(_MAIN_STUB)
+    CODEGEN_COUNTS["scalar_emit"] += 1
     return out.getvalue()
 
 
-def _emit_order(models: dict[str, FunctionModel]) -> list[str]:
-    """Callees before callers (mirrors MetricGenerator's topo order)."""
-    out: list[str] = []
-    seen: set[str] = set()
+def _emit_function(w, models: dict, qname: str, fn_names: dict, py,
+                   vectors: dict) -> None:
+    m = models[qname]
 
-    def visit(q: str) -> None:
-        if q in seen:
-            return
-        seen.add(q)
-        for c in models[q].calls:
-            if c.callee in models:
-                visit(c.callee)
-        out.append(q)
+    def count(e: Expr) -> str:
+        return expr_to_python(e, sum_mode="closed", rename=py)
 
-    for q in models:
-        visit(q)
-    return out
-
-
-def _emit_function(w, models: dict, m: FunctionModel, name_map: dict) -> None:
-    args = ", ".join(m.params)
-    w(f"def {m.model_name}({args}):\n")
-    doc = f"Model of {m.qualified_name!r}"
+    w(f"def {fn_names[qname]}({', '.join(map(py, m.params))}):\n")
+    doc = f"Model of {qname!r}"
     if m.warnings:
         doc += " (warnings: " + "; ".join(m.warnings) + ")"
-    w(f'    """{doc}."""\n')
+    w(f"    {doc + '.'!r}\n")
     w("    metrics = Metrics()\n")
     for t in m.terms:
         vec = t.vector.as_dict()
         if not vec:
             continue
-        w(f"    # line {t.line}:{t.col} [{t.desc}]\n")
-        w(f"    metrics.add({vec!r}, {_py_count(t.count)})\n")
+        key = tuple(vec.items())
+        cname = vectors.get(key)
+        if cname is None:
+            cname = vectors[key] = f"_VEC{len(vectors)}"
+        w(f"    # line {t.line}:{t.col} [{_text(t.desc)}]\n")
+        w(f"    metrics.add({cname}, {count(t.count)})\n")
     for i, c in enumerate(m.calls):
-        callee = models.get(c.callee)
-        if callee is None:
+        w(f"    # call {_text(c.callee)} at line {c.line}\n")
+        try:
+            args = call_args(models, m, c)
+        except ModelError as exc:
+            w(f"    _mira_error({str(exc)!r})\n")
             continue
-        bindings = []
-        for p in callee.params:
-            bound = c.arg_exprs.get(p)
-            if bound is not None:
-                bindings.append(f"{p}={_py_count(bound)}")
-            else:
-                bindings.append(f"{p}={p}_{c.line}")
-        w(f"    # call {c.callee} at line {c.line}\n")
-        w(f"    _callee_{i} = {name_map[c.callee]}({', '.join(bindings)})\n")
+        w(f"    _callee_{i} = {fn_names[c.callee]}"
+          f"({', '.join(map(count, args))})\n")
         w(f"    handle_function_call(metrics, _callee_{i}, "
-          f"{_py_count(c.count)})\n")
+          f"{count(c.count)})\n")
     w("    return metrics\n\n")
 
 
 _MAIN_STUB = '''\
-def _parse_args(argv):
-    entry = None
-    env = {}
-    for a in argv:
-        if "=" in a:
-            k, v = a.split("=", 1)
-            env[k] = int(v)
-        else:
-            entry = a
-    return entry, env
-
-
 if __name__ == "__main__":
-    import sys
+    from repro.core.model_runtime import run_model_script
 
-    entry, env = _parse_args(sys.argv[1:])
-    if entry is None:
-        entry = next(iter(MODEL_FUNCTIONS))
-    fn = MODEL_FUNCTIONS[entry]
-    needed = PARAMETERS[entry]
-    missing = [p for p in needed if p not in env]
-    if missing:
-        raise SystemExit(
-            f"model {entry} needs parameters: {needed}; missing {missing}")
-    metrics = fn(**{p: env[p] for p in needed})
-    print(f"# Mira model evaluation: {entry}")
-    for cat, n in sorted(metrics.as_dict().items(), key=lambda kv: -kv[1]):
-        print(f"{n:>16}  {cat}")
-    print(f"{metrics.total():>16}  TOTAL")
-    print(f"{metrics.fp_instructions(MIRA_FP_CATEGORIES):>16}  FP_INS")
+    run_model_script(MODEL_FUNCTIONS, PARAMETERS, MIRA_FP_CATEGORIES)
 '''
 
 
@@ -224,3 +292,67 @@ def compile_model(source: str) -> dict:
     ns: dict = {}
     exec(compile(source, "<mira-model>", "exec"), ns)
     return ns
+
+
+# ---------------------------------------------------------------------------
+# The scalar evaluator
+# ---------------------------------------------------------------------------
+
+class CompiledResult:
+    """A generated model module, exec'd: the scalar evaluator.
+
+    ``evaluate(qualified_name, params)`` is a drop-in replacement for
+    :func:`evaluate_model`: same parameter checking, same errors,
+    ``Fraction``-equal metrics, at a fraction of the cost per call.  Build
+    once (see ``AnalysisResult.compiled``), evaluate at thousands of
+    parameter points.  Raises :class:`~repro.errors.SchemaError` when the
+    module does not define exactly ``models`` with their parameters.
+    """
+
+    __slots__ = ("models", "source", "_fns")
+
+    def __init__(self, models: dict, source: str) -> None:
+        ns = compile_model(source)
+        fns, params = ns.get("MODEL_FUNCTIONS"), ns.get("PARAMETERS")
+        if not isinstance(fns, dict) or not isinstance(params, dict) \
+                or set(fns) != set(models) \
+                or any(params.get(q) != m.params for q, m in models.items()):
+            raise SchemaError("model module does not match the model set")
+        self.models = models
+        self.source = source
+        self._fns = fns
+        CODEGEN_COUNTS["scalar_exec"] += 1
+
+    def to_artifact(self) -> dict:
+        """The cache payload's scalar codegen artifact: the module text."""
+        return {"source": self.source}
+
+    @classmethod
+    def from_artifact(cls, models: dict, artifact) -> "CompiledResult":
+        """Rebuild from a :meth:`to_artifact` payload; raises
+        :class:`~repro.errors.SchemaError` on any other shape (such as an
+        older artifact layout) or a mismatched model set."""
+        if not isinstance(artifact, dict) or set(artifact) != {"source"}:
+            raise SchemaError("not a model module artifact")
+        return cls(models, artifact["source"])
+
+    def evaluate(self, qname: str, params=None) -> Metrics:
+        """Evaluate one function's model; returns ``Metrics``."""
+        m = self.models.get(qname)
+        if m is None:
+            raise ModelError(f"no model for function {qname!r}")
+        env = params or {}
+        missing = [p for p in m.params if p not in env]
+        if missing:
+            raise ModelError(
+                f"model {m.model_name} missing parameter(s) {missing}; "
+                f"required: {m.params}")
+        args = [env[p] for p in m.params]
+        for p, v in zip(m.params, args):
+            if isinstance(v, float):
+                raise SymbolicError(
+                    f"float binding for {p!r}; use int/Fraction")
+        return self._fns[qname](*args)
+
+    def __repr__(self) -> str:
+        return f"CompiledResult({len(self.models)} function(s))"

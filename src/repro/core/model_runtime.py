@@ -18,8 +18,11 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Mapping
 
+from ..errors import ModelError
+
 __all__ = ["Metrics", "handle_function_call", "_mira_sum",
-           "_mira_ceil", "_mira_floor", "_mira_exact"]
+           "_mira_ceil", "_mira_floor", "_mira_exact", "_mira_error",
+           "run_model_script"]
 
 
 def _mira_ceil(x) -> int:
@@ -49,6 +52,12 @@ def _mira_exact(x):
     if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
+
+
+def _mira_error(message: str):
+    """Raise the ModelError of a call site the model cannot evaluate (an
+    unmodeled callee, an unbound callee parameter) when it is reached."""
+    raise ModelError(message)
 
 
 def _mira_sum(body: Callable[[int], object], lo, hi):
@@ -132,3 +141,36 @@ def handle_function_call(caller: Metrics, callee: Metrics, iterations=1) -> None
     if not isinstance(iterations, (int, Rational)):
         raise TypeError("iterations must be an exact number")
     caller.merge(callee, iterations)
+
+
+def run_model_script(model_functions: dict, parameters: dict,
+                     fp_categories, argv=None) -> None:
+    """The ``__main__`` entry of a generated model module.
+
+    ``python model.py [FUNCTION] name=value ...`` evaluates one model
+    function (the first one by default) and prints its category counts,
+    ``TOTAL`` and ``FP_INS``, in the format of ``mira eval``.
+    """
+    import sys
+
+    entry = None
+    env = {}
+    for a in sys.argv[1:] if argv is None else argv:
+        if "=" in a:
+            k, v = a.split("=", 1)
+            env[k] = int(v)
+        else:
+            entry = a
+    if entry is None:
+        entry = next(iter(model_functions))
+    needed = parameters[entry]
+    missing = [p for p in needed if p not in env]
+    if missing:
+        raise SystemExit(
+            f"model {entry} needs parameters: {needed}; missing {missing}")
+    metrics = model_functions[entry](*[env[p] for p in needed])
+    print(f"# Mira model evaluation: {entry}")
+    for cat, n in sorted(metrics.as_dict().items(), key=lambda kv: -kv[1]):
+        print(f"{n:>16}  {cat}")
+    print(f"{metrics.total():>16}  TOTAL")
+    print(f"{metrics.fp_instructions(fp_categories):>16}  FP_INS")

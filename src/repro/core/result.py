@@ -6,7 +6,11 @@ crucially — a **versioned JSON wire format**: ``to_json``/``from_json``
 round-trip everything evaluation needs (symbolic counts included, exact),
 so models can be cached, diffed, and served without re-running the
 compiler.  A restored result evaluates to bit-identical metrics and
-regenerates byte-identical Python model source.
+regenerates byte-identical Python model source.  The model source (paper
+Fig. 5) is also the scalar evaluator: :meth:`AnalysisResult.compiled`
+execs exactly the text :meth:`AnalysisResult.python_source` returns, and a
+cache hit that carries that text as its scalar artifact reuses it without
+emitting it again.
 
 ``processed`` (both ASTs + the bridge) is a live-run extra for tools that
 need the AST — the dynamic profiler, PBound — and is deliberately *not*
@@ -28,8 +32,8 @@ from ..errors import ModelError, SchemaError, SymbolicError, VectorizeError
 from ..bridge.metrics import CategoryVector
 from ..symbolic import expr_from_json, expr_to_json
 from .input_processor import ProcessedInput
-from .metric_generator import CallTerm, FunctionModel, MetricTerm
-from .model_generator import (compile_model, evaluate_model,
+from .metric_generator import CallTerm, FunctionModel, MetricTerm, topo_order
+from .model_generator import (CompiledResult, compile_model, evaluate_model,
                               generate_model_source)
 from .model_runtime import Metrics
 
@@ -167,8 +171,8 @@ class AnalysisResult:
         """The compiled models, memoized per codegen engine.
 
         ``engine="scalar"`` returns a
-        :class:`repro.symbolic.compile.CompiledResult` (per-point
-        closures); ``engine="vector"`` a
+        :class:`repro.core.model_generator.CompiledResult` (the exec'd
+        :meth:`python_source` module); ``engine="vector"`` a
         :class:`repro.symbolic.veccompile.VecCompiledResult` (numpy
         columns) or raises :class:`~repro.errors.VectorizeError` when the
         models have no vector form.  Either way the build happens at most
@@ -180,29 +184,33 @@ class AnalysisResult:
         """
         if engine not in ("scalar", "vector"):
             raise ModelError(f"unknown codegen engine {engine!r}")
-        cache = self._compiled_cache
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_compiled_cache", cache)
+        cache = self._compiled_memo()
         hit = cache.get(engine)
         if hit is not None:
             if isinstance(hit, Exception):
                 raise hit
             return hit
-        artifact = (self._compiled_artifacts or {}).get(engine)
         try:
-            compiled = self._build_compiled(engine, artifact)
+            compiled = self._build_compiled(engine)
         except VectorizeError as exc:
             cache[engine] = exc
             raise
         cache[engine] = compiled
         return compiled
 
-    def _build_compiled(self, engine: str, artifact: dict | None):
+    def _compiled_memo(self) -> dict:
+        cache = self._compiled_cache
+        if cache is None:
+            cache = {}
+            object.__setattr__(self, "_compiled_cache", cache)
+        return cache
+
+    def _build_compiled(self, engine: str):
         if engine == "vector":
             from ..symbolic.veccompile import VecCompiledResult, \
                 compile_result_vector
 
+            artifact = (self._compiled_artifacts or {}).get("vector")
             if artifact is not None:
                 try:
                     return VecCompiledResult.from_artifact(
@@ -210,21 +218,33 @@ class AnalysisResult:
                 except Exception:
                     pass  # stale/corrupt artifact: recompile from models
             return compile_result_vector(self.models)
-        from ..symbolic.compile import CompiledResult, compile_result
+        return self._stored_module() or CompiledResult(self.models,
+                                                       self.python_source())
 
-        if artifact is not None:
-            try:
-                return CompiledResult.from_artifact(self.models, artifact)
-            except Exception:
-                pass
-        return compile_result(self.models)
+    def _stored_module(self) -> CompiledResult | None:
+        """The attached scalar artifact exec'd, or None.
+
+        The artifact is consumed on first use.  One that does not exec into
+        this model set (stale, corrupt, or an older layout) is dropped, and
+        the module is emitted from the models instead."""
+        artifact = (self._compiled_artifacts or {}).pop("scalar", None)
+        if artifact is None or self._source_cache is not None:
+            return None
+        try:
+            compiled = CompiledResult.from_artifact(self.models, artifact)
+        except Exception:
+            return None
+        self._source_cache = compiled.source
+        return compiled
 
     def attach_compiled_artifacts(self, artifacts: dict | None) -> None:
         """Attach persisted codegen artifacts (``{"scalar": ..., "vector":
         ...}`` as produced by ``store.payload_from_result``) so
         :meth:`compiled` can exec stored source instead of re-emitting it.
-        Ignored when already compiled; invalid artifacts fall back to a
-        fresh compile silently."""
+        The scalar artifact is the :meth:`python_source` text itself, so a
+        restored result neither emits for :meth:`compiled` nor for
+        :meth:`python_source`.  Ignored when already compiled; invalid
+        artifacts fall back to a fresh emission silently."""
         if artifacts:
             object.__setattr__(self, "_compiled_artifacts", dict(artifacts))
 
@@ -282,11 +302,18 @@ class AnalysisResult:
 
     # -- code generation ------------------------------------------------------------
     def python_source(self) -> str:
+        """The generated model module (paper Fig. 5), which is also the
+        scalar evaluator's source: the stored text on a restored result,
+        else emitted once from the models."""
         if self._source_cache is None:
-            name = (self.processed.tu.filename if self.processed is not None
-                    else self.source_name)
-            self._source_cache = generate_model_source(
-                self.models, self.arch, name)
+            stored = self._stored_module()
+            if stored is not None:
+                self._compiled_memo().setdefault("scalar", stored)
+            else:
+                name = (self.processed.tu.filename
+                        if self.processed is not None else self.source_name)
+                self._source_cache = generate_model_source(
+                    self.models, self.arch, name)
         return self._source_cache
 
     def compiled_module(self) -> dict:
@@ -339,6 +366,11 @@ class AnalysisResult:
             raise SchemaError(
                 f"malformed AnalysisResult functions payload: {exc}") \
                 from None
+        try:
+            topo_order(models)
+        except ModelError as exc:
+            raise SchemaError(
+                f"malformed AnalysisResult call graph: {exc}") from None
         return AnalysisResult(
             models=models, arch=arch,
             source_name=d.get("source", "<input>"),

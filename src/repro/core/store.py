@@ -223,11 +223,10 @@ def payload_from_result(config: AnalysisConfig, result: AnalysisResult,
     versioned :class:`AnalysisResult` wire format, its codegen artifacts,
     per-function summaries and loop coverage.
 
-    The generated model source is not stored: a restored result
-    regenerates it byte-identically (``AnalysisResult.python_source``).
-    Concrete summaries are evaluated through the scalar compiled models
-    the payload stores anyway; the tree-walk evaluator is the fallback
-    when the models do not compile.
+    The generated model source is stored once, as the scalar artifact: a
+    restored result's ``python_source()`` returns it without emitting.
+    Concrete summaries are evaluated through that module; the tree-walk
+    evaluator is the fallback when the models do not compile.
     """
     try:
         evaluate = result.compiled().evaluate
@@ -271,10 +270,11 @@ def payload_from_result(config: AnalysisConfig, result: AnalysisResult,
 
 
 def _compiled_artifacts(result: AnalysisResult) -> dict | None:
-    """Codegen artifacts for the cache payload: generated evaluator source
-    plus metadata for both engines, so a warm hit execs the stored source
-    instead of re-deriving it from the symbolic models (``vector`` is None
-    when the models have no vector form)."""
+    """Codegen artifacts for the cache payload, so a warm hit execs stored
+    source instead of re-deriving it from the symbolic models: ``scalar``
+    is the model module of :meth:`AnalysisResult.python_source`,
+    ``vector`` the numpy evaluator's source and metadata (None when the
+    models have no vector form)."""
     try:
         doc = {"scalar": result.compiled().to_artifact()}
     except (MiraError, RecursionError):

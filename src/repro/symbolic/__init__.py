@@ -4,7 +4,7 @@ See :mod:`repro.symbolic.expr` for the expression nodes,
 :mod:`repro.symbolic.poly` for polynomial canonicalization and Faulhaber
 power sums, :mod:`repro.symbolic.summation` for symbolic summation, and
 :mod:`repro.symbolic.pycodegen` for Python code emission,
-:mod:`repro.symbolic.compile` for closure-compiled evaluation, and
+:mod:`repro.symbolic.compile` for closure-compiled expressions, and
 :mod:`repro.symbolic.veccompile` for numpy array-vectorized evaluation.
 
 Expression identity is canonical: nodes are hash-consed, so structurally
@@ -14,10 +14,7 @@ equal expressions are the same object (see :mod:`repro.symbolic.expr`).
 from .compile import (
     CODEGEN_COUNTS,
     CompiledExpr,
-    CompiledResult,
     compile_expr,
-    compile_function_model,
-    compile_result,
     reset_codegen_counters,
 )
 from .veccompile import (
@@ -59,7 +56,6 @@ __all__ = [
     "Add",
     "CODEGEN_COUNTS",
     "CompiledExpr",
-    "CompiledResult",
     "Expr",
     "HAVE_NUMPY",
     "VecCompiledExpr",
@@ -71,8 +67,6 @@ __all__ = [
     "category_exprs",
     "classify_change",
     "compile_expr_vector",
-    "compile_function_model",
-    "compile_result",
     "compile_result_vector",
     "diff_results",
     "reset_codegen_counters",

@@ -1,28 +1,27 @@
-"""Closure-compilation of symbolic expressions and whole analysis results.
+"""Closure-compilation of symbolic expressions.
 
 ``Expr.evaluate`` is a recursive tree-walk that allocates a ``Fraction`` per
-node — fine for one evaluation, far too slow for the paper's core promise
+node: fine for one evaluation, far too slow for the paper's core promise
 (Fig. 7: analyze once, evaluate at arbitrary input sizes "for free").  This
-module compiles expressions — and whole function-model sets — into plain
-Python closures via ``compile()`` on the :mod:`.pycodegen` rendering:
+module compiles a single expression into a plain Python closure via
+``compile()`` on the :mod:`.pycodegen` rendering:
 
 * **integer fast path** — the emitted code uses Python int arithmetic
   (exact) and touches ``Fraction`` only where rational coefficients or
-  branch ratios actually appear, so the common all-integer model evaluates
-  with zero ``Fraction`` allocations;
+  branch ratios actually appear;
 * **closed-form summations** — polynomial-body ``Sum`` nodes are lowered to
   guarded Faulhaber closed forms (``sum_mode="closed"``), turning O(n)
   summation loops into O(1) arithmetic; non-polynomial bodies keep the
   (fast-path) ``_mira_sum`` loop;
 * **bit-exactness** — compiled evaluation is ``Fraction``-equal to
-  ``Expr.evaluate``/``evaluate_model`` on every input, including fractional
-  summation bounds, empty ranges, and rational branch-ratio counts.  The
-  test suite enforces this across the full workload corpus.
+  ``Expr.evaluate`` on every input, including fractional summation bounds,
+  empty ranges, and rational branch-ratio counts.
 
-Entry points: :func:`compile_expr` for a single :class:`~.expr.Expr`,
-:func:`compile_result` / :class:`CompiledResult` for every
-``FunctionModel`` of an analysis (used by
-:meth:`repro.core.result.AnalysisResult.compiled` and the sweep engine).
+Whole analyses are not compiled here: their scalar evaluator is the
+generated Fig. 5 module itself
+(:class:`repro.core.model_generator.CompiledResult`), rendered with the
+same ``sum_mode="closed"``.  :data:`CODEGEN_COUNTS` counts codegen work for
+both engines.
 """
 
 from __future__ import annotations
@@ -30,12 +29,11 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 
-from ..errors import ModelError, SchemaError, SymbolicError
+from ..errors import SymbolicError
 from .expr import Expr
 from .pycodegen import expr_to_python
 
-__all__ = ["CODEGEN_COUNTS", "CompiledExpr", "CompiledResult", "compile_expr",
-           "compile_function_model", "compile_result",
+__all__ = ["CODEGEN_COUNTS", "CompiledExpr", "compile_expr",
            "reset_codegen_counters"]
 
 #: Observability counters for codegen work, keyed ``"<engine>_emit"`` (source
@@ -57,45 +55,22 @@ def _mangle(name: str) -> str:
 
 
 def _runtime_namespace() -> dict:
-    """The helpers every compiled closure may reference.
+    """The helpers a compiled expression may reference.
 
     Imported lazily: :mod:`repro.core.model_runtime` lives above this
     package in the import graph, and by the time anything is compiled the
     core package is necessarily loaded.
     """
-    from ..core.model_runtime import (Metrics, _mira_ceil, _mira_exact,
-                                      _mira_floor, _mira_sum,
-                                      handle_function_call)
+    from ..core.model_runtime import (_mira_ceil, _mira_exact, _mira_floor,
+                                      _mira_sum)
 
     return {
         "Fraction": Fraction,
-        "_Metrics": Metrics,
-        "_hfc": handle_function_call,
         "_mira_sum": _mira_sum,
         "_mira_ceil": _mira_ceil,
         "_mira_floor": _mira_floor,
         "_mira_exact": _mira_exact,
-        "_pick": _pick_callee_binding,
-        "_unmodeled": _raise_unmodeled,
     }
-
-
-def _pick_callee_binding(env, p: str, line: int, _callee: str):
-    """Resolve an unbound callee parameter exactly like
-    ``model_generator._callee_env``: call-site key first, then the plain
-    name (annotation variables), then the same ModelError."""
-    key = f"{p}_{line}"
-    if key in env:
-        return env[key]
-    if p in env:
-        return env[p]
-    raise ModelError(
-        f"call at line {line}: no binding for callee "
-        f"parameter {p!r} (expected env key {key!r})")
-
-
-def _raise_unmodeled(callee: str):
-    raise ModelError(f"call to unmodeled function {callee!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -153,186 +128,3 @@ def compile_expr(e: Expr, params=None, *, name: str = "_mira_expr") -> CompiledE
     ns = _runtime_namespace()
     exec(compile(source, f"<mira-compiled:{name}>", "exec"), ns)
     return CompiledExpr(params, source, ns[name])
-
-
-# ---------------------------------------------------------------------------
-# whole-model compilation
-# ---------------------------------------------------------------------------
-
-def _emit_order(models: dict) -> list:
-    """Callees before callers (mirrors the model generator's topo order)."""
-    out: list = []
-    seen: set = set()
-
-    def visit(q) -> None:
-        if q in seen:
-            return
-        seen.add(q)
-        for c in models[q].calls:
-            if c.callee in models:
-                visit(c.callee)
-        out.append(q)
-
-    for q in models:
-        visit(q)
-    return out
-
-
-def _model_free_syms(m, models: dict) -> set:
-    """Exactly the symbols the compiled body reads from ``env`` — mirrors
-    ``evaluate_model``: term counts, call counts, and the bound argument
-    expressions of *modeled* callees' actual model parameters (an arg bound
-    to a source parameter that never became a model parameter is dead)."""
-    syms: set = set()
-    for t in m.terms:
-        syms |= t.count.free_symbols()
-    for c in m.calls:
-        callee = models.get(c.callee)
-        if callee is None:
-            continue
-        syms |= c.count.free_symbols()
-        for p in callee.params:
-            bound = c.arg_exprs.get(p)
-            if bound is not None:
-                syms |= bound.free_symbols()
-    return syms
-
-
-def _emit_model_function(lines: list, consts: dict, m, models: dict,
-                         fname: str, name_map: dict) -> None:
-    """Append the compiled source of one FunctionModel to ``lines``.
-
-    The body mirrors ``evaluate_model`` statement for statement: one
-    ``Metrics.add`` per cost-center term, one callee closure call plus
-    ``handle_function_call`` per call site.  Counts are inlined expressions
-    on the integer fast path; category vectors are shared dict constants.
-    """
-
-    def emit(e: Expr) -> str:
-        return expr_to_python(e, sum_mode="closed", rename=_mangle)
-
-    lines.append(f"def {fname}(env):")
-    lines.append(f"    # compiled model of {m.qualified_name!r}")
-    for s in sorted(_model_free_syms(m, models)):
-        lines.append(f"    {_mangle(s)} = env[{s!r}]")
-    lines.append("    _m = _Metrics()")
-    lines.append("    _add = _m.add")
-    for i, t in enumerate(m.terms):
-        vec = t.vector.as_dict()
-        if not vec:
-            continue
-        cname = f"_VEC_{fname}_{i}"
-        consts[cname] = vec
-        lines.append(f"    _add({cname}, {emit(t.count)})")
-    for j, c in enumerate(m.calls):
-        callee = models.get(c.callee)
-        if callee is None:
-            # parity with evaluate_model: the error fires at evaluation
-            # time, not at compile time
-            lines.append(f"    _unmodeled({c.callee!r})")
-            continue
-        parts = []
-        for p in callee.params:
-            bound = c.arg_exprs.get(p)
-            if bound is not None:
-                parts.append(f"{p!r}: {emit(bound)}")
-            else:
-                parts.append(
-                    f"{p!r}: _pick(env, {p!r}, {c.line}, {c.callee!r})")
-        lines.append(f"    _c{j} = {name_map[c.callee]}"
-                     f"({{{', '.join(parts)}}})")
-        lines.append(f"    _hfc(_m, _c{j}, {emit(c.count)})")
-    lines.append("    return _m")
-    lines.append("")
-
-
-class CompiledResult:
-    """Every function model of an analysis compiled into closures.
-
-    ``evaluate(qualified_name, params)`` is a drop-in replacement for
-    ``model_generator.evaluate_model`` — same parameter checking, same
-    errors, ``Fraction``-equal metrics — at a fraction of the cost per
-    call.  Build once (see ``AnalysisResult.compiled``), evaluate at
-    thousands of parameter points.
-    """
-
-    __slots__ = ("models", "source", "_fns", "_consts", "_name_map", "_order")
-
-    def __init__(self, models: dict, *, _artifact: dict | None = None) -> None:
-        self.models = models
-        if _artifact is None:
-            order = _emit_order(models)
-            name_map = {q: f"_mira_fn_{i}" for i, q in enumerate(order)}
-            consts: dict = {}
-            lines: list[str] = []
-            for q in order:
-                _emit_model_function(lines, consts, models[q], models,
-                                     name_map[q], name_map)
-            self.source = "\n".join(lines)
-            CODEGEN_COUNTS["scalar_emit"] += 1
-        else:
-            order = list(_artifact["order"])
-            name_map = dict(_artifact["names"])
-            consts = dict(_artifact["consts"])
-            if set(order) != set(models) or set(name_map) != set(models):
-                raise SchemaError(
-                    "compiled artifact does not match the model set")
-            self.source = _artifact["source"]
-        self._order = order
-        self._name_map = name_map
-        self._consts = consts
-        ns = _runtime_namespace()
-        ns.update(consts)
-        exec(compile(self.source, "<mira-compiled-result>", "exec"), ns)
-        self._fns = {q: ns[name_map[q]] for q in order}
-        CODEGEN_COUNTS["scalar_exec"] += 1
-
-    def to_artifact(self) -> dict:
-        """JSON-serializable codegen artifact: exec-only reconstruction via
-        :meth:`from_artifact` skips re-deriving source from the symbolic
-        models (the expensive half of compilation)."""
-        return {
-            "source": self.source,
-            "order": list(self._order),
-            "names": dict(self._name_map),
-            "consts": {k: dict(v) for k, v in self._consts.items()},
-        }
-
-    @classmethod
-    def from_artifact(cls, models: dict, artifact: dict) -> "CompiledResult":
-        """Rebuild from a :meth:`to_artifact` payload; raises
-        :class:`~repro.errors.SchemaError` on a mismatched model set."""
-        return cls(models, _artifact=artifact)
-
-    def evaluate(self, qname: str, params=None):
-        """Evaluate one function's compiled model; returns ``Metrics``."""
-        m = self.models.get(qname)
-        if m is None:
-            raise ModelError(f"no model for function {qname!r}")
-        env = dict(params or {})
-        missing = [p for p in m.params if p not in env]
-        if missing:
-            raise ModelError(
-                f"model {m.model_name} missing parameter(s) {missing}; "
-                f"required: {m.params}")
-        for p in m.params:
-            if isinstance(env[p], float):
-                raise SymbolicError(
-                    f"float binding for {p!r}; use int/Fraction")
-        return self._fns[qname](env)
-
-    def __repr__(self) -> str:
-        return f"CompiledResult({len(self.models)} function(s))"
-
-
-def compile_result(models: dict) -> CompiledResult:
-    """Compile every FunctionModel in ``models`` (qname -> model)."""
-    return CompiledResult(models)
-
-
-def compile_function_model(models: dict, qname: str):
-    """Compile one function (and its callees); returns ``env -> Metrics``."""
-    compiled = CompiledResult(models)
-    if qname not in compiled.models:
-        raise ModelError(f"no model for function {qname!r}")
-    return lambda env=None: compiled.evaluate(qname, env)

@@ -9,12 +9,12 @@ lazy ``Sum`` fallback is rendered as a call to the ``_mira_sum`` helper from
 
 Two rendering modes exist for ``Sum`` nodes:
 
-* ``sum_mode="loop"`` (default) — the ``_mira_sum`` loop fallback, the
-  stable generated-module format.
-* ``sum_mode="closed"`` — used by :mod:`.compile` for closure-compiled
-  models: polynomial bodies are lowered to an exact Faulhaber closed form
-  guarded by a runtime empty-range check (``ceil(lo) > floor(hi)`` → 0),
-  which is bit-identical to ``Sum.evaluate`` for *every* input, including
+* ``sum_mode="loop"`` (default) — every ``Sum`` is a ``_mira_sum`` loop.
+* ``sum_mode="closed"`` — used by the model generator (whose module is
+  also the scalar evaluator) and :mod:`.compile`: polynomial bodies are
+  lowered to an exact Faulhaber closed form guarded by a runtime
+  empty-range check (``ceil(lo) > floor(hi)`` → 0), which is
+  bit-identical to ``Sum.evaluate`` for *every* input, including
   reversed and fractional bounds.  Non-polynomial bodies keep the loop.
 """
 
@@ -40,11 +40,11 @@ def expr_to_python(e: Expr, *, sum_mode: str = "loop", rename=None) -> str:
     requires ``_mira_ceil``/``_mira_floor``/``_mira_exact`` (all exported by
     :mod:`repro.core.model_runtime`).
 
-    ``rename`` optionally maps symbol names to emitted identifiers (used by
-    :mod:`.compile` to mangle model parameters into safe local names);
-    summation bound variables are never renamed — they are bound by the
-    emitted lambda itself, mirroring how ``Sum.evaluate`` shadows the
-    environment.
+    ``rename`` optionally maps symbol names to emitted identifiers (the
+    model generator and :mod:`.compile` use it to turn model parameters
+    into collision-free Python names); it must be injective.  Summation
+    variables are renamed too, and bound by the emitted lambda itself,
+    mirroring how ``Sum.evaluate`` shadows the environment.
     """
     if sum_mode not in ("loop", "closed"):
         raise ValueError(f"unknown sum_mode {sum_mode!r}")
@@ -52,7 +52,7 @@ def expr_to_python(e: Expr, *, sum_mode: str = "loop", rename=None) -> str:
 
 
 def _shadowed(rename, var: str):
-    """A rename that leaves the lambda-bound summation variable alone."""
+    """A rename that leaves a closed form's lambda-bound name alone."""
     if rename is None:
         return None
 
@@ -90,10 +90,13 @@ def _emit(e: Expr, sum_mode: str, rename) -> str:
             closed = _emit_sum_closed(e, sum_mode, rename)
             if closed is not None:
                 return closed
-        body = _emit(e.body, sum_mode, _shadowed(rename, e.var))
+        # the lambda binds the renamed variable, so the body's renamed
+        # references see it, shadowing the environment like Sum.evaluate
+        var = rename(e.var) if rename is not None else e.var
+        body = _emit(e.body, sum_mode, rename)
         lo = _emit(e.lo, sum_mode, rename)
         hi = _emit(e.hi, sum_mode, rename)
-        return f"_mira_sum(lambda {e.var}: {body}, {lo}, {hi})"
+        return f"_mira_sum(lambda {var}: {body}, {lo}, {hi})"
     raise TypeError(f"cannot emit Python for {type(e).__name__}")
 
 

@@ -1,6 +1,7 @@
 """Array-vectorized compilation of symbolic expressions and model sets.
 
-Where :mod:`.compile` turns an analysis into per-point Python closures,
+Where the generated Fig. 5 module (the scalar evaluator, see
+:mod:`repro.core.model_generator`) evaluates an analysis point by point,
 this module turns it into functions over **numpy arrays** of parameter
 values: a million-point sweep becomes a handful of ufunc operations per
 cost-center term instead of a million closure calls.  The emission
@@ -52,7 +53,7 @@ strict fallback ladder:
   form exists; vector emission raises
   :class:`~repro.errors.VectorizeError`), numpy unavailable — is handled
   by the caller (``core.sweep``) falling back to the per-point scalar
-  closures of :mod:`.compile`.
+  evaluator.
 
 Fallback rules, as applied per chunk by the sweep engine:
 
@@ -80,8 +81,7 @@ import math
 from fractions import Fraction
 
 from ..errors import ModelError, SchemaError, SymbolicError, VectorizeError
-from .compile import (CODEGEN_COUNTS, _emit_order, _mangle, _model_free_syms,
-                      _pick_callee_binding, _raise_unmodeled)
+from .compile import CODEGEN_COUNTS, _mangle
 from .expr import Expr
 from .intervals import _mul_iv, interval_eval_within
 from .pycodegen import expr_to_numpy
@@ -206,6 +206,8 @@ def _vmerge(totals, callee, times):
 
 
 def _vec_runtime_namespace() -> dict:
+    from ..core.model_runtime import _mira_error
+
     return {
         "Fraction": Fraction,
         "np": np,
@@ -216,8 +218,7 @@ def _vec_runtime_namespace() -> dict:
         "_vfloor": _vfloor,
         "_vadd": _vadd,
         "_vmerge": _vmerge,
-        "_vpick": _pick_callee_binding,
-        "_vunmodeled": _raise_unmodeled,
+        "_mira_error": _mira_error,
     }
 
 
@@ -323,10 +324,12 @@ def _emit_vec_model(lines: list, consts: dict, m, models: dict,
                     fname: str, name_map: dict) -> bool:
     """Emit one model's vector function; returns its uses_fraction flag.
 
-    Structure mirrors ``compile._emit_model_function`` exactly — one
+    Structure mirrors the generated Fig. 5 module function exactly — one
     ``_vadd`` per cost-center term, one callee call plus ``_vmerge`` per
-    call site — so values agree with the scalar closures operation for
-    operation."""
+    call site, arguments bound by the same ``call_args`` rule — so values
+    agree with the scalar evaluator operation for operation."""
+    from ..core.model_generator import call_args
+
     frac = False
 
     def emit(e: Expr) -> str:
@@ -337,8 +340,8 @@ def _emit_vec_model(lines: list, consts: dict, m, models: dict,
 
     lines.append(f"def {fname}(env):")
     lines.append(f"    # vector-compiled model of {m.qualified_name!r}")
-    for s in sorted(_model_free_syms(m, models)):
-        lines.append(f"    {_mangle(s)} = env[{s!r}]")
+    for p in m.params:
+        lines.append(f"    {_mangle(p)} = env[{p!r}]")
     lines.append("    _t = {}")
     for i, t in enumerate(m.terms):
         vec = t.vector.as_dict()
@@ -348,18 +351,13 @@ def _emit_vec_model(lines: list, consts: dict, m, models: dict,
         consts[cname] = vec
         lines.append(f"    _vadd(_t, {cname}, {emit(t.count)})")
     for j, c in enumerate(m.calls):
-        callee = models.get(c.callee)
-        if callee is None:
-            lines.append(f"    _vunmodeled({c.callee!r})")
+        try:
+            args = call_args(models, m, c)
+        except ModelError as exc:
+            lines.append(f"    _mira_error({str(exc)!r})")
             continue
-        parts = []
-        for p in callee.params:
-            bound = c.arg_exprs.get(p)
-            if bound is not None:
-                parts.append(f"{p!r}: {emit(bound)}")
-            else:
-                parts.append(
-                    f"{p!r}: _vpick(env, {p!r}, {c.line}, {c.callee!r})")
+        parts = [f"{p!r}: {emit(a)}"
+                 for p, a in zip(models[c.callee].params, args)]
         lines.append(f"    _c{j} = {name_map[c.callee]}"
                      f"({{{', '.join(parts)}}})")
         lines.append(f"    _vmerge(_t, _c{j}, {emit(c.count)})")
@@ -387,7 +385,9 @@ class VecCompiledResult:
         self._sum_lower = None
         self._safe_memo: dict = {}
         if _artifact is None:
-            order = _emit_order(models)
+            from ..core.metric_generator import topo_order
+
+            order = topo_order(models)
             name_map = {q: f"_mira_vfn_{i}" for i, q in enumerate(order)}
             consts: dict = {}
             lines: list[str] = []
@@ -478,6 +478,8 @@ class VecCompiledResult:
         not count as codegen — artifact-restored results keep their
         zero-emit guarantee."""
         if self._sum_lower is None:
+            from ..core.model_generator import call_args
+
             sl: dict = {}
             for q in self._order:
                 m = self.models[q]
@@ -485,14 +487,12 @@ class VecCompiledResult:
                     if t.vector.as_dict():
                         expr_to_numpy(t.count, sum_lower=sl)
                 for c in m.calls:
-                    callee = self.models.get(c.callee)
-                    if callee is None:
+                    try:
+                        args = call_args(self.models, m, c)
+                    except ModelError:
                         continue
-                    expr_to_numpy(c.count, sum_lower=sl)
-                    for p in callee.params:
-                        bound = c.arg_exprs.get(p)
-                        if bound is not None:
-                            expr_to_numpy(bound, sum_lower=sl)
+                    for e in (c.count, *args):
+                        expr_to_numpy(e, sum_lower=sl)
             self._sum_lower = sl
         return self._sum_lower
 
@@ -532,12 +532,10 @@ class VecCompiledResult:
         return safe or self._cats_iv(qname, env_ivs, lower) is not None
 
     def _cats_iv(self, qname: str, env_ivs: dict, lower):
+        from ..core.model_generator import call_args
+
         bound = INT64_BOUND
-        m = self.models.get(qname)
-        if m is None:
-            # unmodeled callee: evaluation raises ModelError in every
-            # engine, so the mode choice is irrelevant — don't block int64
-            return {}
+        m = self.models[qname]
         cats: dict = {}
 
         def acc(cat, iv):
@@ -567,26 +565,18 @@ class VecCompiledResult:
                 if not acc(cat, wiv):
                     return None
         for c in m.calls:
-            callee = self.models.get(c.callee)
-            if callee is None:
+            try:
+                args = call_args(self.models, m, c)
+            except ModelError:
+                # the call raises the same error in every engine, so the
+                # mode choice is irrelevant
                 continue
             sub_ivs: dict = {}
-            ok = True
-            for p in callee.params:
-                be = c.arg_exprs.get(p)
-                if be is not None:
-                    iv = interval_eval_within(be, env_ivs, bound,
-                                              lower_sum=lower)
-                else:
-                    iv = env_ivs.get(f"{p}_{c.line}")
-                    if iv is None:
-                        iv = env_ivs.get(p)
+            for p, a in zip(self.models[c.callee].params, args):
+                iv = interval_eval_within(a, env_ivs, bound, lower_sum=lower)
                 if iv is None:
-                    ok = False
-                    break
+                    return None
                 sub_ivs[p] = iv
-            if not ok:
-                return None
             callee_cats = self._cats_iv(c.callee, sub_ivs, lower)
             if callee_cats is None:
                 return None

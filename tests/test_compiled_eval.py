@@ -15,16 +15,17 @@ The acceptance surface of the compiled-evaluation subsystem:
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from repro.core import (AnalysisConfig, Pipeline, STAGE_RUN_COUNTS,
-                        sweep_source)
+from repro.core import (AnalysisConfig, AnalysisResult, Pipeline,
+                        STAGE_RUN_COUNTS, evaluate_model, sweep_source)
 from repro.core.model_runtime import (Metrics, _mira_ceil, _mira_exact,
                                       _mira_floor, _mira_sum)
 from repro.core.sweep import expand_grid
 from repro.cli import main as cli_main
 from repro.errors import ModelError, SymbolicError
-from repro.symbolic import (Int, Max, Min, Sum, Sym, compile_expr,
+from repro.symbolic import (FloorDiv, Int, Max, Min, Sum, Sym, compile_expr,
                             expr_from_json, expr_to_json)
 from repro.symbolic.expr import interning_disabled
 from repro.workloads import available, get_source, source_path
@@ -143,6 +144,13 @@ class TestCompileExpr:
         for env in ({"n": 4, "m": 9}, {"n": 0, "m": -3}):
             assert Fraction(ce(env)) == s.evaluate(env)
 
+    def test_loop_fallback_binds_a_keyword_summation_variable(self):
+        s = Sum(FloorDiv(Sym("in") * Sym("n"), Int(3)), "in", Int(0),
+                Sym("n"))
+        ce = compile_expr(s)
+        assert "_mira_sum" in ce.source
+        assert Fraction(ce({"n": 10})) == s.evaluate({"n": 10})
+
     def test_unbound_symbol_raises(self):
         ce = compile_expr(Sym("n") + 1)
         with pytest.raises(SymbolicError):
@@ -249,6 +257,100 @@ class TestCompiledModels:
                         result.evaluate_compiled(qname, env)) == \
                         exact_counts(result.evaluate(qname, env)), \
                         (name, qname, binding)
+
+
+# Loop-bound names that are keywords, builtins the generated module calls,
+# or names it defines itself; the last case pairs a name with the
+# ``v_<name>`` spelling a naive prefix mangling would map it onto.
+UNSAFE_PARAM_NAMES = [["in"], ["is"], ["max"], ["min"], ["metrics"],
+                      ["Metrics"], ["MODEL_FUNCTIONS"], ["Fraction"],
+                      ["n", "v_n"]]
+
+
+def _unsafe_names_src(names: list) -> str:
+    """``f`` loops once per parameter, in strides of two (``max`` in the
+    counts) and behind a non-analyzable branch (a rational 0.5 ratio);
+    ``g`` calls it with its own parameters and with constants."""
+    params = ", ".join(f"int {p}" for p in names)
+    loops = "\n".join(
+        f"    for (int i = 0; i < {p}; i += 2) if (x[i] > 0.0) x[i] = 2.0;"
+        for p in names)
+    args = ", ".join(names)
+    consts = ", ".join(str(3 + k) for k in range(len(names)))
+    return (f"void f(double *x, {params}) {{\n{loops}\n}}\n"
+            f"void g(double *x, {params}) {{ f(x, {args}); "
+            f"f(x, {consts}); }}\n")
+
+
+@pytest.mark.parametrize("names", UNSAFE_PARAM_NAMES, ids="+".join)
+def test_generated_module_handles_unsafe_parameter_names(names):
+    result = Pipeline().run(_unsafe_names_src(names))
+    source = result.python_source()
+    assert "Fraction(1, 2)" in source and "max(" in source
+    module = result.compiled_module()
+    env = {p: 7 + 2 * k for k, p in enumerate(names)}
+    for qname in ("f", "g"):
+        assert module["PARAMETERS"][qname] == names
+        fn = module["MODEL_FUNCTIONS"][qname]
+        counts = exact_counts(fn(*[env[p] for p in names]))
+        oracle = exact_counts(evaluate_model(result.models, qname, env))
+        assert counts == oracle, qname
+        assert exact_counts(result.evaluate_compiled(qname, env)) == oracle
+
+
+def test_generated_module_escapes_file_names():
+    result = Pipeline().run(SCALE_SRC, filename='C:\\new\\x"""\n.c')
+    assert result.compiled().source == result.python_source()
+    assert exact_counts(result.evaluate_compiled("scale", {"n": 5})) == \
+        exact_counts(result.evaluate("scale", {"n": 5}))
+
+
+def test_generated_module_keeps_colliding_model_names_apart():
+    src = """
+class A {
+public:
+    void b_c(double *x, int n) { for (int i = 0; i < n; i++) x[i] = 2.0; }
+};
+class A_b {
+public:
+    void c(double *x, int n) {
+        for (int i = 0; i < n; i++) x[i] = x[i] * 3.0 + 1.0;
+    }
+};
+void A_b_c(double *x, int n) { for (int i = 0; i < n; i++) x[i] += 1.0; }
+"""
+    result = Pipeline().run(src)
+    assert {m.model_name for m in result.models.values()} == {"A_b_c_2"}
+    module = result.compiled_module()
+    for qname in result.models:
+        assert exact_counts(module["MODEL_FUNCTIONS"][qname](5)) == \
+            exact_counts(evaluate_model(result.models, qname, {"n": 5}))
+
+
+def test_unmodeled_callee_raises_in_every_evaluator():
+    src = """
+double g(double *x, int n) {
+    double s = 0.0;
+    for (int i = 0; i < n; i++) s = s + x[i];
+    return s;
+}
+double f(double *x, int n) { return g(x, n); }
+"""
+    doc = Pipeline().run(src).to_dict()
+    del doc["functions"]["g"]
+    result = AnalysisResult.from_dict(doc)
+    evaluators = {
+        "tree-walk": lambda: result.evaluate("f", {"n": 5}),
+        "compiled": lambda: result.compiled().evaluate("f", {"n": 5}),
+        "module": lambda: result.compiled_module()["MODEL_FUNCTIONS"]["f"](
+            n=5),
+        "vector": lambda: result.compiled(engine="vector").evaluate_grid(
+            "f", {"n": np.array([5, 6])}),
+    }
+    for name, run in evaluators.items():
+        with pytest.raises(ModelError) as exc:
+            run()
+        assert str(exc.value) == "call to unmodeled function 'g'", name
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ analyzer — goes through one :class:`ModelStore` with memory → disk → cold
 tiers; a cache entry that does not restore is a miss everywhere (never a
 raw exception), and sweep traffic reaches ``stats.json`` like everyone
 else's.  Payloads fill their summaries through the compiled models (the
-tree-walk is the fallback and the oracle) and carry no model source.
+tree-walk is the fallback and the oracle) and carry the model source once,
+as the scalar codegen artifact.
 """
 
 import json
@@ -24,7 +25,7 @@ from repro.core.store import ModelCache, ModelStore, restore
 from repro.core.sweep import SWEEP_STORE, sweep_source
 from repro.errors import MiraError, ModelError
 from repro.serve import ModelRegistry
-from repro.symbolic import compile as compile_mod
+from repro.symbolic import CODEGEN_COUNTS, reset_codegen_counters
 from repro.workloads import available, get_source, source_path
 
 SRC = """\
@@ -57,8 +58,16 @@ def _compiled_as_string(p):
     return p
 
 
+def _call_cycle(p):
+    kernel = p["result"]["functions"]["kernel"]
+    kernel["calls"].append({"callee": "kernel", "line": 3, "args": {},
+                            "count": kernel["terms"][0]["count"]})
+    return p
+
+
 SHAPES = {
     "ok-only": lambda p: {"ok": True},
+    "call-cycle": _call_cycle,
     "functions-list": _functions_as_list,
     "compiled-string": _compiled_as_string,
     "top-level-list": lambda p: [p],
@@ -205,7 +214,7 @@ def test_incremental_function_tier_is_bounded(tmp_path, monkeypatch):
     assert first.fresh_functions() == []
 
 
-# -- payloads: summaries from the compiled models, no stored model source ----
+# -- payloads: summaries from the compiled models; the module is the artifact
 
 def _tree_walk_summaries(result, config) -> dict:
     """The reference: concrete summaries from the tree-walk evaluator."""
@@ -254,10 +263,10 @@ def test_payload_summaries_equal_the_tree_walk(name, tree_walks):
 
 
 def test_payload_summaries_fall_back_to_the_tree_walk(monkeypatch, tree_walks):
-    def no_compile(models):
+    def no_compile(*args):
         raise ModelError("scalar codegen unavailable")
 
-    monkeypatch.setattr(compile_mod, "compile_result", no_compile)
+    monkeypatch.setattr(result_mod, "generate_model_source", no_compile)
     config = AnalysisConfig(use_cache=False)
     result = Pipeline(config).run(get_source("stream"))
     payload = store_mod.payload_from_result(config, result, "stream.c", 0.0)
@@ -295,3 +304,28 @@ def test_model_source_is_derived_for_cold_warm_and_old_layout_hits(tmp_path):
     assert _payload_summaries(payload) == {
         q: (f.counts, f.total, f.fp_ins) for q, f in old.functions.items()
         if not f.params}
+
+
+def test_scalar_artifact_is_the_model_module():
+    config = AnalysisConfig(use_cache=False)
+    result = Pipeline(config).run(get_source("minife"), filename="minife.c")
+    source = result.python_source()
+    assert result.compiled().source == source
+    payload = store_mod.payload_from_result(config, result, "minife.c", 0.0)
+    assert payload["compiled"]["scalar"] == {"source": source}
+
+    reset_codegen_counters()
+    warm = restore(json.loads(json.dumps(payload)))
+    assert warm.python_source() == source
+    assert warm.compiled().source == source
+    assert CODEGEN_COUNTS["scalar_emit"] == 0
+    assert CODEGEN_COUNTS["scalar_exec"] == 1
+
+    # An artifact in the older order/names/consts layout is ignored, and
+    # the module is emitted again from the restored models.
+    payload["compiled"]["scalar"] = {"source": source, "order": [],
+                                     "names": {}, "consts": {}}
+    reset_codegen_counters()
+    old = restore(payload)
+    assert old.compiled().source == source
+    assert CODEGEN_COUNTS["scalar_emit"] == 1
