@@ -16,8 +16,7 @@ from .batch import (BatchAnalyzer, BatchItem, BatchReport, BatchResult,
 from .config import CONFIG_SCHEMA_VERSION, AnalysisConfig
 from .coverage import CoverageReport, loop_coverage, loop_coverage_source
 from .incremental import IncrementalAnalyzer
-from .input_processor import (InputProcessor, ProcessedInput,
-                              source_fingerprint)
+from .input_processor import ProcessedInput, source_fingerprint
 from .metric_generator import (CallTerm, FunctionModel, GeneratorOptions,
                                MetricGenerator, MetricTerm)
 from .mira import Mira, MiraModel
@@ -28,8 +27,7 @@ from .pipeline import (FUNC_STAGE_RUN_COUNTS, STAGE_RUN_COUNTS, STAGES,
                        Pipeline, PipelineState, StageEvent,
                        reset_stage_counters)
 from .result import (RESULT_SCHEMA_VERSION, AnalysisResult,
-                     assemble_result, function_payload,
-                     restore_function_model)
+                     function_payload, restore_function_model)
 from .store import ModelCache, ModelEntry, ModelStore, payload_from_result
 from .sweep import SweepPoint, SweepResult, run_model_sweep, sweep_source
 from .units import FunctionUnit, build_units
@@ -39,13 +37,13 @@ __all__ = [
     "BatchReport", "BatchResult", "CONFIG_SCHEMA_VERSION", "CallTerm",
     "CoverageReport", "FUNC_STAGE_RUN_COUNTS", "FunctionModel",
     "FunctionSummary", "FunctionUnit", "GeneratorOptions",
-    "IncrementalAnalyzer", "InputProcessor", "Metrics", "MetricGenerator",
+    "IncrementalAnalyzer", "Metrics", "MetricGenerator",
     "MetricTerm", "Mira", "MiraModel", "ModelCache", "ModelEntry",
     "ModelStore", "Pipeline",
     "PipelineState", "ProcessedInput", "RESULT_SCHEMA_VERSION",
     "RooflineEstimate", "STAGES", "STAGE_RUN_COUNTS", "StageEvent",
     "SweepPoint", "SweepResult", "arithmetic_intensity",
-    "assemble_result", "build_units", "compile_model", "evaluate_model",
+    "build_units", "compile_model", "evaluate_model",
     "function_payload", "generate_model_source", "handle_function_call",
     "instruction_distribution", "loop_coverage", "loop_coverage_source",
     "model_entry_name", "payload_from_result", "reset_stage_counters",

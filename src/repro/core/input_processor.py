@@ -1,23 +1,23 @@
-"""Input Processor (paper Fig. 1, first stage).
+"""Input Processor products (paper Fig. 1, first stage).
 
 "Its primary goal is to process source code and ELF object file inputs and
-build the corresponding ASTs": parses the source, compiles it to an object
-file, disassembles the object's *bytes* back into a binary AST, and builds
-the line-number bridge between the two.
+build the corresponding ASTs".  The :class:`~repro.core.pipeline.Pipeline`
+runs that work as its parse → compile → disassemble → bridge stages; this
+module holds what they produce together (:class:`ProcessedInput`) and the
+content-addressed identity of an analysis (:func:`source_fingerprint`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..binary import AsmProgram, disassemble
-from ..bridge import FunctionBridge, build_bridge
-from ..compiler import ArchDescription, ObjectFile, compile_tu, default_arch
-from ..frontend import TranslationUnit, parse_file, parse_source
+from ..binary import AsmProgram
+from ..compiler import ArchDescription, ObjectFile
+from ..frontend import TranslationUnit
 
-__all__ = ["ProcessedInput", "InputProcessor", "source_fingerprint"]
+__all__ = ["ProcessedInput", "source_fingerprint"]
 
 # Bump when the pipeline's observable output changes shape, so stale
 # on-disk model caches self-invalidate instead of replaying old results.
@@ -75,32 +75,3 @@ class ProcessedInput:
 
     def function_names(self) -> list[str]:
         return [f.name for f in self.program.functions]
-
-
-class InputProcessor:
-    """Front end of the framework."""
-
-    def __init__(self, arch: ArchDescription | None = None,
-                 opt_level: int = 2) -> None:
-        self.arch = arch or default_arch()
-        self.opt_level = opt_level
-
-    def process_source(self, source: str, filename: str = "<input>",
-                       predefined: dict | None = None) -> ProcessedInput:
-        tu = parse_source(source, filename=filename, predefined=predefined)
-        return self.process_tu(tu)
-
-    def process_file(self, path: str,
-                     predefined: dict | None = None) -> ProcessedInput:
-        tu = parse_file(path, predefined=predefined)
-        return self.process_tu(tu)
-
-    def process_tu(self, tu: TranslationUnit) -> ProcessedInput:
-        obj = compile_tu(tu, opt_level=self.opt_level)
-        # Round-trip through bytes: the binary AST is built strictly from
-        # the object file, as in the paper.
-        program = disassemble(obj.to_bytes())
-        bridges = build_bridge(program)
-        return ProcessedInput(tu=tu, obj=obj, program=program,
-                              bridges=bridges, arch=self.arch,
-                              opt_level=self.opt_level)

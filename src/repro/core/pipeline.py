@@ -9,6 +9,10 @@ source lines to binary cost centers, and generate the parametric models.
 * **partial execution** — :meth:`Pipeline.run_until` stops after any stage
   and returns the :class:`PipelineState` holding every artifact built so
   far (the CLI's ``mira inspect --stage`` debugging entry point),
+* **narrowed execution** — :meth:`Pipeline.run_stages` runs any slice of
+  the stages on a state whose ``only``/``presolved`` fields restrict
+  compile → model to a subset of functions (the incremental analyzer's
+  stale set, with the restored models of the rest),
 * **per-stage wall-time accounting** — ``state.timings`` and
   ``AnalysisResult.stage_timings``,
 * **observer hooks** — callables receiving a :class:`StageEvent` at each
@@ -38,7 +42,8 @@ from .result import AnalysisResult
 
 __all__ = ["Pipeline", "PipelineState", "StageEvent", "STAGES",
            "STAGE_RUN_COUNTS", "FUNC_STAGE_RUN_COUNTS",
-           "reset_stage_counters", "inject_symbolic_params"]
+           "reset_stage_counters", "inject_symbolic_params",
+           "function_names", "too_deep"]
 
 #: Stage names, in execution order.
 STAGES = ("parse", "compile", "disassemble", "bridge", "model")
@@ -84,10 +89,16 @@ def inject_symbolic_params(tu, names) -> None:
             [A.VarDecl(name, Type("int"), [], None)]))
 
 
-def count_function_stage(stage: str, qnames) -> None:
-    """Record that ``stage`` executed for each function in ``qnames``."""
-    for q in qnames:
-        FUNC_STAGE_RUN_COUNTS[f"{stage}:{q}"] += 1
+def function_names(tu) -> list[str]:
+    """Qualified names of the TU's defined functions, in declaration order
+    (the order of a cold result's models)."""
+    return [f.qualified_name for f in tu.all_functions()
+            if not f.info.get("prototype_only")]
+
+
+def too_deep(stage: str) -> PipelineError:
+    """The typed error for a stack-exhausting input in ``stage``."""
+    return PipelineError(f"{stage}: input nests too deeply to analyze")
 
 
 @dataclass(frozen=True)
@@ -121,6 +132,8 @@ class PipelineState:
     models: dict | None = None    # after "model":    qname -> FunctionModel
     result: AnalysisResult | None = None
     timings: dict = field(default_factory=dict)   # stage -> seconds
+    only: frozenset | None = None  # functions to build; None means all
+    presolved: dict | None = None  # qname -> restored FunctionModel
 
     @property
     def stage(self) -> str | None:
@@ -180,28 +193,54 @@ class Pipeline:
         if stage not in STAGES:
             raise PipelineError(f"unknown pipeline stage {stage!r}; "
                                 f"stages are: {', '.join(STAGES)}")
-        state = PipelineState(
+        state = self.new_state(source, filename=filename,
+                               predefined=predefined)
+        return self.run_stages(state, STAGES[:STAGES.index(stage) + 1])
+
+    def new_state(self, source: str, filename: str = "<input>",
+                  predefined: dict | None = None) -> PipelineState:
+        """A fresh state for ``source``, before any stage has run."""
+        return PipelineState(
             config=self.config, source=source, filename=filename,
             predefined=self.config.merged_predefines(predefined))
-        last = STAGES.index(stage)
-        for i, name in enumerate(STAGES[:last + 1]):
-            self._notify(StageEvent(name, "start", i))
+
+    def run_stages(self, state: PipelineState, names) -> PipelineState:
+        """Run the stages ``names`` (in order) on ``state`` and return it.
+
+        Each stage is timed, counted and reported to the observers; a
+        ``RecursionError`` inside one becomes a :class:`PipelineError`.
+        Once ``state.models`` is set, ``state.result`` is (re)built from
+        the state — with ``processed`` only when nothing was restored.
+        """
+        for name in names:
+            i = STAGES.index(name)
+            self.notify(StageEvent(name, "start", i))
             t0 = time.perf_counter()
-            getattr(self, f"_stage_{name}")(state)
+            try:
+                getattr(self, f"_stage_{name}")(state)
+            except RecursionError:
+                raise too_deep(name) from None
             dt = time.perf_counter() - t0
             state.timings[name] = dt
             STAGE_RUN_COUNTS[name] += 1
-            self._notify(StageEvent(name, "end", i, elapsed=dt))
+            if name != "parse":
+                built = state.only if state.only is not None \
+                    else function_names(state.tu)
+                for q in built:
+                    FUNC_STAGE_RUN_COUNTS[f"{name}:{q}"] += 1
+            self.notify(StageEvent(name, "end", i, elapsed=dt))
         if state.models is not None:
             state.result = AnalysisResult(
                 models=state.models,
                 arch=self.config.arch,
-                processed=state.processed(),
-                source_name=filename,
+                processed=None if state.presolved else state.processed(),
+                source_name=state.filename,
                 opt_level=self.config.opt_level,
                 fingerprint=self.config.fingerprint(
-                    source, filename=filename, predefined=predefined),
-                stage_timings=dict(state.timings))
+                    state.source, filename=state.filename,
+                    predefined=state.predefined),
+                stage_timings=dict(state.timings),
+                restored_functions=tuple(state.presolved or ()))
         return state
 
     def run_file_until(self, stage: str, path: str,
@@ -217,32 +256,26 @@ class Pipeline:
                                 predefined=state.predefined)
         inject_symbolic_params(state.tu, self.config.symbolic_params)
 
-    @staticmethod
-    def _function_names(state: PipelineState) -> list[str]:
-        return [f.qualified_name for f in state.tu.all_functions()
-                if not f.info.get("prototype_only")]
-
     def _stage_compile(self, state: PipelineState) -> None:
-        state.obj = compile_tu(state.tu, opt_level=self.config.opt_level)
-        count_function_stage("compile", self._function_names(state))
+        state.obj = compile_tu(state.tu, opt_level=self.config.opt_level,
+                               only=state.only)
 
     def _stage_disassemble(self, state: PipelineState) -> None:
         # Round-trip through bytes: the binary AST is built strictly from
         # the object file, as in the paper.
         state.program = disassemble(state.obj.to_bytes())
-        count_function_stage("disassemble", self._function_names(state))
 
     def _stage_bridge(self, state: PipelineState) -> None:
         state.bridges = build_bridge(state.program)
-        count_function_stage("bridge", self._function_names(state))
 
     def _stage_model(self, state: PipelineState) -> None:
         gen = MetricGenerator(state.tu, state.bridges, self.config.arch,
                               self.config.gen_options())
-        state.models = gen.generate()
-        count_function_stage("model", self._function_names(state))
+        state.models = gen.generate(only=state.only,
+                                    presolved=state.presolved)
 
     # -- observers ---------------------------------------------------------------
-    def _notify(self, event: StageEvent) -> None:
+    def notify(self, event: StageEvent) -> None:
+        """Deliver ``event`` to every observer."""
         for obs in self._observers:
             obs(event)

@@ -38,7 +38,7 @@ from .model_generator import (CompiledResult, compile_model, evaluate_model,
 from .model_runtime import Metrics
 
 __all__ = ["AnalysisResult", "RESULT_SCHEMA_VERSION", "function_payload",
-           "restore_function_model", "assemble_result"]
+           "restore_function_model"]
 
 RESULT_SCHEMA_VERSION = 1
 
@@ -114,27 +114,6 @@ def restore_function_model(qname: str, payload) -> FunctionModel | None:
         return _model_from_dict(qname, payload["model"])
     except (KeyError, TypeError, ValueError, SymbolicError):
         return None
-
-
-def assemble_result(models: dict, config, source: str, filename: str,
-                    predefined: dict | None, stage_timings: dict,
-                    processed: ProcessedInput | None = None,
-                    restored: tuple = ()) -> "AnalysisResult":
-    """An :class:`AnalysisResult` from a mix of cached and fresh models.
-
-    The wire-format fields (fingerprint, arch, opt level) are derived from
-    ``config`` exactly as :meth:`Pipeline.run_until` derives them, so a
-    mixed result serializes identically to a cold one."""
-    return AnalysisResult(
-        models=dict(models),
-        arch=config.arch,
-        processed=processed,
-        source_name=filename,
-        opt_level=config.opt_level,
-        fingerprint=config.fingerprint(source, filename=filename,
-                                       predefined=predefined),
-        stage_timings=dict(stage_timings),
-        restored_functions=tuple(restored))
 
 
 @dataclass

@@ -73,8 +73,11 @@ class VectorizeError(MiraError):
 
 
 class PipelineError(MiraError):
-    """Raised by the staged analysis pipeline (unknown stage, artifact
-    requested from a stage that has not run)."""
+    """Raised by the staged analysis pipeline: an unknown stage, an
+    artifact requested from a stage that has not run, or an input that
+    nests too deeply for a stage to analyze (a ``RecursionError`` inside
+    any stage, or inside the incremental analyzer's unit split, becomes
+    ``PipelineError("<stage>: input nests too deeply to analyze")``)."""
 
 
 class SchemaError(MiraError):

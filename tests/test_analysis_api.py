@@ -8,7 +8,8 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import (
     CONFIG_SCHEMA_VERSION, RESULT_SCHEMA_VERSION, AnalysisConfig,
-    AnalysisResult, BatchAnalyzer, Mira, MiraModel, Pipeline, StageEvent,
+    AnalysisResult, BatchAnalyzer, IncrementalAnalyzer, Mira, MiraModel,
+    Pipeline, StageEvent,
 )
 from repro.core.pipeline import STAGES
 from repro.errors import MiraError, PipelineError, SchemaError
@@ -207,6 +208,78 @@ class TestPipeline:
                                   predefined={"STREAM_ARRAY_SIZE": 50})
         assert via_call.fp_instructions("tuned_triad", {"n": 50}) == \
             via_config.fp_instructions("tuned_triad", {"n": 50})
+
+
+# ---------------------------------------------------------------------------
+# the incremental analyzer drives the Pipeline's stages
+# ---------------------------------------------------------------------------
+
+# main calls both leaves; editing g re-analyzes g and main, restores h.
+LEAVES_SRC = """\
+int g(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }
+int h(int n) { int s = 1; for (int i = 0; i < n; i++) s += 2 * i; return s; }
+int main() { return g(10) + h(20); }
+"""
+
+
+def _phases(events) -> list:
+    return [(e.stage, e.phase) for e in events]
+
+
+class TestIncrementalEvents:
+    def test_cold_stream_matches_pipeline(self, tmp_path):
+        cfg = AnalysisConfig(cache_dir=str(tmp_path))
+        cold, inc = [], []
+        result = Pipeline(cfg, observers=[cold.append]).run(LEAVES_SRC)
+        inc_result = IncrementalAnalyzer(
+            cfg, observers=[inc.append]).analyze(LEAVES_SRC)
+        assert _phases(inc) == _phases(cold)
+        assert list(inc_result.stage_timings) == list(result.stage_timings)
+
+    def test_leaf_edit_stream(self, tmp_path):
+        analyzer = IncrementalAnalyzer(AnalysisConfig(cache_dir=str(tmp_path)))
+        analyzer.analyze(LEAVES_SRC)
+        events: list[StageEvent] = []
+        analyzer.add_observer(events.append)
+        result = analyzer.analyze(LEAVES_SRC.replace("s += i;", "s += 3 * i;"))
+        assert result.restored_functions == ("h",)
+        assert _phases(events) == [
+            ("parse", "start"), ("parse", "end"), ("model", "cache-hit"),
+            *((s, ph) for s in STAGES[1:] for ph in ("start", "end"))]
+        assert [e.function for e in events if e.phase == "cache-hit"] == ["h"]
+        assert list(result.stage_timings) == ["parse", "cache-hit",
+                                              *STAGES[1:]]
+
+
+# ---------------------------------------------------------------------------
+# stack exhaustion is a typed error
+# ---------------------------------------------------------------------------
+
+def _chain(terms: int) -> str:
+    """``int b = a+a+...+a;`` with ``terms`` operands: ordinary C whose
+    left-leaning expression tree is deeper than the Python stack."""
+    return ("int f(int a) { int b = " + "+".join(["a"] * terms)
+            + "; return b; }\n")
+
+
+@pytest.mark.parametrize("terms", [600, 2000])
+class TestStackExhaustion:
+    def test_pipeline(self, terms):
+        with pytest.raises(PipelineError, match="nests too deeply"):
+            Pipeline(AnalysisConfig(use_cache=False)).run(_chain(terms))
+
+    def test_incremental(self, terms, tmp_path):
+        analyzer = IncrementalAnalyzer(AnalysisConfig(cache_dir=str(tmp_path)))
+        with pytest.raises(PipelineError, match="nests too deeply"):
+            analyzer.analyze(_chain(terms))
+
+    @pytest.mark.parametrize("argv", [["analyze", "{f}"],
+                                      ["diff", "--no-cache", "{f}", "{f}"]])
+    def test_cli_exits_1(self, terms, argv, tmp_path, capsys):
+        path = tmp_path / "chain.c"
+        path.write_text(_chain(terms))
+        assert cli_main([a.format(f=path) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("mira: PipelineError: ")
 
 
 # ---------------------------------------------------------------------------

@@ -193,9 +193,11 @@ class TestFallbackAndEvents:
               "int main() { return f(5); }\n"
         with pytest.raises(ModelError) as cold_err:
             Pipeline(analyzer.config).run(rec, filename="r.c")
+        reset_stage_counters()
         with pytest.raises(ModelError) as inc_err:
             analyzer.analyze(rec, filename="r.c")
         assert str(inc_err.value) == str(cold_err.value)
+        assert STAGE_RUN_COUNTS["parse"] == 1
 
     def test_no_cache_config_still_correct(self):
         analyzer = IncrementalAnalyzer(AnalysisConfig(use_cache=False))

@@ -28,6 +28,8 @@ exercises the warm registry's statefulness across requests:
       malformed JSON 400, unparsable C 400 with error.type ParseError
 - [x] 3000-deep parentheses are 400 ParseError; a loop bound beyond
       int64 is 400 CompileError (never a 500)
+- [x] a 600- or 2000-term ``a+a+...+a`` chain is 400 PipelineError (it
+      used to exhaust the Python stack and answer 500)
 - [x] a string literal cut off after a backslash at EOF is 400 LexError
       (it used to escape the lexer as an IndexError and answer 500)
 - [x] `mira serve` + `mira client` drive the same API from the shell
@@ -378,6 +380,15 @@ def test_too_deep_nesting_is_400_parse_error(client):
         client.submit(src)
     assert exc.value.status == 400
     assert exc.value.error_type == "ParseError"
+
+
+@pytest.mark.parametrize("terms", [600, 2000])
+def test_long_operator_chain_is_400_pipeline_error(client, terms):
+    src = "int f(int a) { int b = " + "+".join(["a"] * terms) + "; return b; }"
+    with pytest.raises(HTTPStatusError) as exc:
+        client.submit(src)
+    assert exc.value.status == 400
+    assert exc.value.error_type == "PipelineError"
 
 
 def test_loop_bound_beyond_int64_is_400_compile_error(client):
