@@ -647,6 +647,7 @@ def cmd_client(args) -> int:
             grid[name] = values
         doc = client.sweep(args.id, args.function, grid,
                            engine=args.engine)
+        del doc["points"]       # print the columnar document only
     elif action == "diff":
         doc = client.diff(args.id, args.other)
     elif action == "corpus":
@@ -719,7 +720,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--engine", default="auto",
                    choices=("auto", "vector", "scalar"),
                    help="grid evaluation engine: vector = columnar numpy "
-                        "evaluation, scalar = one compiled-closure call "
+                        "evaluation, scalar = one generated-model call "
                         "per point, auto = vector when possible "
                         "(default: auto)")
     common(p)

@@ -15,8 +15,8 @@ terms with no codegen, is the oracle the module is tested against.
 
 Three emission rules make the module fit to evaluate with:
 
-* sums are rendered with ``sum_mode="closed"``: exact Faulhaber closed
-  forms, with the ``_mira_sum`` loop only for non-polynomial bodies;
+* sums are rendered as exact Faulhaber closed forms, with the
+  ``_mira_sum`` loop only for non-polynomial bodies;
 * each distinct category vector is written once, as a module constant;
 * names never collide.  A parameter keeps its source name when that is a
   plain identifier the module does not use itself; otherwise it is
@@ -247,7 +247,7 @@ def _emit_function(w, models: dict, qname: str, fn_names: dict, py,
     m = models[qname]
 
     def count(e: Expr) -> str:
-        return expr_to_python(e, sum_mode="closed", rename=py)
+        return expr_to_python(e, rename=py)
 
     w(f"def {fn_names[qname]}({', '.join(map(py, m.params))}):\n")
     doc = f"Model of {qname!r}"

@@ -242,8 +242,8 @@ class AnalysisResult:
         names to value lists (multiple axes form their cartesian product)
         or is an explicit list of point dicts; ``base`` binds the
         non-swept parameters.  ``engine`` selects the evaluation strategy:
-        ``"vector"`` (columnar numpy evaluation), ``"scalar"`` (per-point
-        closures), or ``"auto"`` (vector when possible, scalar otherwise).
+        ``"vector"`` (columnar numpy evaluation), ``"scalar"`` (one call of
+        the generated model per point), or ``"auto"`` (vector when possible, scalar otherwise).
         Returns a :class:`repro.core.sweep.SweepResult`.
         """
         from .sweep import run_model_sweep

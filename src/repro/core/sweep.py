@@ -12,12 +12,11 @@ paper's promise:
   grid; this is what ``AnalysisResult.sweep`` calls.  Three engines:
 
   - ``engine="vector"`` — columnar evaluation through the numpy
-    array-compiled models of :mod:`repro.symbolic.veccompile`: the grid is
-    expanded into parameter *columns* (never a Python dict per point),
-    evaluated in chunks on the int64 fast path when the overflow precheck
-    allows (object dtype otherwise — always bit-exact), and
-    ``SweepPoint``/``Metrics`` objects are materialized lazily on access.
-  - ``engine="scalar"`` — one closure call per grid point (PR 4 behavior).
+    array-compiled models of :mod:`repro.symbolic.veccompile`, in chunks
+    on the int64 fast path when the overflow precheck allows (object dtype
+    otherwise — always bit-exact).
+  - ``engine="scalar"`` — one call of the generated Fig. 5 module per grid
+    point.
   - ``engine="auto"`` (default) — vector when the models and grid allow,
     scalar otherwise.
 
@@ -31,8 +30,13 @@ paper's promise:
   dimension), it falls back to one analysis per point.  Every analysis
   either path needs comes from :data:`SWEEP_STORE`, a
   :class:`~repro.core.store.ModelStore`: a warm hit restores the model and
-  its generated evaluator source, skipping pipeline *and* closure
-  compilation.
+  its generated evaluator source, skipping pipeline *and* codegen.
+
+Every sweep has one shape.  :func:`_grid_columns`, the only grid
+normaliser, turns the grid into one parameter column per swept name, and
+every route — vector, scalar, per-point — ends in the same
+:class:`_ColumnarPoints` of parameter and count columns, which
+``SweepResult`` encodes into one wire document whatever the engine.
 
 The late-bound symbolic model is guaranteed to agree with per-point concrete
 analyses on *counting* (trip counts, FP instruction counts): a constant that
@@ -47,15 +51,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product, repeat
+from itertools import repeat
+
+import numpy as np
 
 from ..errors import MiraError, ModelError, VectorizeError
 from .config import AnalysisConfig
 from .result import RESULT_SCHEMA_VERSION, AnalysisResult
 from .store import ModelStore
 
-__all__ = ["SweepPoint", "SweepResult", "expand_grid", "run_model_sweep",
-           "sweep_rows", "sweep_source", "DEFAULT_SWEEP_CHUNK", "SWEEP_STORE"]
+__all__ = ["SweepPoint", "SweepResult", "run_model_sweep", "sweep_rows",
+           "sweep_source", "DEFAULT_SWEEP_CHUNK", "SWEEP_STORE"]
 
 #: Vector-engine chunk size (points per evaluation batch).  Chunking keeps
 #: peak memory bounded and lets the int64-vs-object decision adapt to each
@@ -76,56 +82,14 @@ def _pyint(x):
 # grids
 # ---------------------------------------------------------------------------
 
-def expand_grid(grid) -> tuple[tuple, list]:
-    """Normalize a sweep grid into ``(param_names, point_envs)``.
+def _axis_column(name: str, values):
+    """One grid axis as an ndarray, exactly.
 
-    ``grid`` is either a mapping ``name -> value(s)`` (scalars are treated
-    as one-element axes; multiple axes expand to their cartesian product in
-    row-major order) or an explicit sequence of point dicts.  Numpy integer
-    scalars are converted to Python ints so closure evaluation stays exact.
-    """
-    if isinstance(grid, (list, tuple)):
-        envs = [{k: _pyint(v) for k, v in g.items()} for g in grid]
-        if not envs:
-            raise ModelError("sweep grid has no points")
-        names: list = []
-        for g in envs:
-            for k in g:
-                if k not in names:
-                    names.append(k)
-        return tuple(names), envs
-    if not isinstance(grid, dict) or not grid:
-        raise ModelError(
-            "sweep grid must be a non-empty mapping of parameter values "
-            "or a sequence of point dicts")
-    names = tuple(grid.keys())
-    axes = []
-    for n in names:
-        v = grid[n]
-        if isinstance(v, (int, Fraction)):
-            v = [v]
-        axis = [_pyint(x) for x in v]
-        if not axis:
-            raise ModelError(f"sweep axis {n!r} has no values")
-        axes.append(axis)
-    return names, [dict(zip(names, combo)) for combo in product(*axes)]
-
-
-class _VectorFallback(Exception):
-    """Internal: this sweep cannot use the vector engine (reason attached).
-
-    Under ``engine="auto"`` the caller silently switches to the scalar
-    engine; under ``engine="vector"`` the reason surfaces as a ModelError.
-    """
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason
-
-
-def _axis_column(name: str, values, np):
-    """One grid axis as an int64 or object ndarray, exactly."""
-    if isinstance(values, (list, tuple)) and set(map(type, values)) == {int}:
+    Ints (Python, numpy or bool) that fit become an int64 column; anything
+    else (ints beyond int64, Fractions, floats, non-numeric values, ``None``
+    for an unbound name) stays a Python value in an object column, for
+    :func:`_vector_refusal` and the scalar engine to judge."""
+    if isinstance(values, list) and set(map(type, values)) == {int}:
         # the common case, plain ints (a JSON grid): one conversion
         try:
             return np.array(values, dtype=np.int64)
@@ -133,72 +97,46 @@ def _axis_column(name: str, values, np):
             pass
     if isinstance(values, np.ndarray):
         if values.ndim != 1:
-            raise _VectorFallback(f"axis {name!r} is not one-dimensional")
-        if values.dtype.kind == "f":
-            raise _VectorFallback(
-                f"axis {name!r} is float-valued; exact engines need "
-                "int/Fraction")
-        if values.dtype == object:
-            vals = list(values)
-        elif values.dtype.kind in "iu":
-            try:
-                return values.astype(np.int64, casting="safe", copy=False)
-            except TypeError:
-                vals = [int(x) for x in values]
-        else:
-            raise _VectorFallback(
-                f"axis {name!r} has unsupported dtype {values.dtype}")
-    else:
-        vals = list(values)
-    out_vals = []
-    for x in vals:
-        x = _pyint(x)
-        if isinstance(x, float):
-            raise _VectorFallback(
-                f"axis {name!r} is float-valued; exact engines need "
-                "int/Fraction")
-        if not isinstance(x, (int, Fraction)):
-            raise _VectorFallback(
-                f"axis {name!r} has non-numeric value {x!r}")
-        out_vals.append(x)
-    if not out_vals:
+            raise ModelError(f"sweep axis {name!r} is not one-dimensional")
+        if np.can_cast(values.dtype, np.int64) and len(values):
+            return values.astype(np.int64, copy=False)
+        values = values.tolist()
+    vals = [_pyint(x) for x in values]
+    if not vals:
         raise ModelError(f"sweep axis {name!r} has no values")
-    if all(isinstance(x, int) for x in out_vals):
+    if all(isinstance(x, int) for x in vals):
         try:
-            return np.array(out_vals, dtype=np.int64)
+            return np.array(vals, dtype=np.int64)
         except OverflowError:
             pass
-    col = np.empty(len(out_vals), dtype=object)
-    col[:] = out_vals
+    col = np.empty(len(vals), dtype=object)
+    col[:] = vals
     return col
 
 
-def _grid_columns(grid, np) -> tuple[tuple, dict, int]:
-    """Expand a grid into ``(names, {name: column}, npoints)`` without
-    building a Python dict per point.  Cartesian products are realized with
-    ``np.repeat``/``np.tile`` on whole axis arrays."""
+def _grid_columns(grid) -> tuple[tuple, dict, int]:
+    """Normalize a sweep grid into ``(names, {name: column}, npoints)``.
+
+    ``grid`` is either a mapping ``name -> value(s)`` (a scalar is a
+    one-element axis; several axes expand to their cartesian product in
+    row-major order, realized with ``np.repeat``/``np.tile`` on whole axis
+    arrays) or an explicit sequence of point dicts, whose names are taken
+    in order of first appearance; a point that leaves a name unbound holds
+    ``None`` in that name's column.  No Python dict is built per point.
+    """
     if isinstance(grid, (list, tuple)):
         if not grid:
             raise ModelError("sweep grid has no points")
-        envs = [dict(g) for g in grid]
-        names = tuple(envs[0].keys())
-        for g in envs:
-            if tuple(g.keys()) != names:
-                raise _VectorFallback(
-                    "explicit point list has heterogeneous keys")
-        cols = {n: _axis_column(n, [g[n] for g in envs], np) for n in names}
-        return names, cols, len(envs)
+        names = tuple(dict.fromkeys(k for g in grid for k in g))
+        cols = {n: _axis_column(n, [g.get(n) for g in grid]) for n in names}
+        return names, cols, len(grid)
     if not isinstance(grid, dict) or not grid:
         raise ModelError(
             "sweep grid must be a non-empty mapping of parameter values "
             "or a sequence of point dicts")
     names = tuple(grid.keys())
-    arrays = []
-    for n in names:
-        v = grid[n]
-        if isinstance(v, (int, Fraction)):
-            v = [v]
-        arrays.append(_axis_column(n, v, np))
+    arrays = [_axis_column(n, [v] if isinstance(v, (int, Fraction)) else v)
+              for n, v in grid.items()]
     npoints = 1
     for a in arrays:
         npoints *= len(a)
@@ -213,6 +151,28 @@ def _grid_columns(grid, np) -> tuple[tuple, dict, int]:
         cols[n] = col
         outer *= len(a)
     return names, cols, npoints
+
+
+def _vector_refusal(cols: dict, base_env: dict) -> str | None:
+    """Why the vector engine cannot evaluate these grid columns with these
+    base bindings, or None when it can."""
+    for name, col in cols.items():
+        if col.dtype != object:
+            continue
+        for x in col:
+            if x is None:
+                return "explicit point list has heterogeneous keys"
+            if isinstance(x, float):
+                return (f"axis {name!r} is float-valued; exact engines "
+                        "need int/Fraction")
+            if not isinstance(x, (int, Fraction)):
+                return f"axis {name!r} has non-numeric value {x!r}"
+    for k, v in base_env.items():
+        if isinstance(v, float):
+            # the scalar engine decides float semantics (SymbolicError when
+            # the binding is actually a model parameter, ignored otherwise)
+            return f"base binding {k!r} is float-valued"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +198,31 @@ def _exact_value(v):
     return v
 
 
-class _ColumnarPoints:
-    """Lazy ``SweepPoint`` sequence over columnar sweep output.
+def _env(param_cols: dict, i: int) -> dict:
+    """Grid point ``i``'s bindings, exact; names it leaves unbound are
+    left out."""
+    env = {}
+    for name, col in param_cols.items():
+        v = _exact_value(col[i])
+        if v is not None:
+            env[name] = v
+    return env
 
-    Nothing is materialized until accessed; iterating the whole sequence
-    builds one ``SweepPoint`` + ``Metrics`` per step, with values identical
-    to what the scalar engine would have produced (exact ints/Fractions;
-    exact-zero categories are dropped, matching ``Metrics.add``'s
+
+def _metric_columns(metrics: list) -> dict:
+    """Per-point ``Metrics`` as category -> exact count columns."""
+    cats = dict.fromkeys(c for m in metrics for c in m.counts)
+    return {cat: [m.counts.get(cat, 0) for m in metrics] for cat in cats}
+
+
+class _ColumnarPoints:
+    """Lazy ``SweepPoint`` sequence over a sweep's columns.
+
+    ``param_cols`` are :func:`_grid_columns` output; ``cat_cols`` map each
+    count category to an exact per-point column (int64 or object ndarray,
+    or a list).  Nothing is materialized until accessed; iterating builds
+    one ``SweepPoint`` + ``Metrics`` per step, with exact ints/Fractions
+    (exact-zero categories are dropped, matching ``Metrics.add``'s
     ``times == 0`` skip)."""
 
     __slots__ = ("names", "param_cols", "cat_cols", "n")
@@ -262,15 +240,13 @@ class _ColumnarPoints:
     def _point(self, i: int) -> SweepPoint:
         from .model_runtime import Metrics
 
-        env = {name: _exact_value(col[i])
-               for name, col in self.param_cols.items()}
         m = Metrics()
         counts = m.counts
         for cat, col in self.cat_cols.items():
             v = _exact_value(col[i])
             if v:
                 counts[cat] = v
-        return SweepPoint(env=env, metrics=m)
+        return SweepPoint(env=_env(self.param_cols, i), metrics=m)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -287,8 +263,9 @@ class _ColumnarPoints:
 
 
 def _jsonable(v):
-    """A swept value on the wire: ints stay ints, Fractions become str."""
-    return v if isinstance(v, int) else str(v)
+    """A swept value on the wire: ints (and ``None`` for an unbound name)
+    stay as they are, Fractions become str."""
+    return v if v is None or isinstance(v, int) else str(v)
 
 
 def _rounded(v) -> int:
@@ -361,21 +338,21 @@ class SweepResult:
     per grid point — the fallback).  ``analyses`` counts how many pipeline
     runs the sweep actually consumed; a warm parametric sweep reports 0.
     ``engine`` records the evaluation engine (``"vector"`` or
-    ``"scalar"``); vector sweeps keep their per-category count columns and
-    materialize ``points`` lazily, with ``vector_stats`` counting how many
-    chunks ran in int64 versus object dtype.
+    ``"scalar"``), with ``vector_stats`` counting how many vector chunks
+    ran in int64 versus object dtype.  ``points`` is a
+    :class:`_ColumnarPoints` whatever the engine: it keeps the parameter
+    and count columns and materializes ``SweepPoint`` objects lazily.
     """
 
     function: str                 # resolved qualified name
     param_names: tuple
-    points: object = field(default_factory=list)
+    points: _ColumnarPoints
     mode: str = "parametric"
     analyses: int = 0
     fp_categories: tuple = ()
     analysis: AnalysisResult | None = None   # the parametric result, if any
     engine: str = "scalar"
     vector_stats: dict = field(default_factory=dict)
-    _columns: dict | None = None             # category -> count column
 
     def __len__(self) -> int:
         return len(self.points)
@@ -384,25 +361,26 @@ class SweepResult:
         return iter(self.points)
 
     def _count_columns(self) -> dict:
-        """Category -> rounded per-point counts; vector sweeps read their
-        columns directly (int64 columns stay ndarrays)."""
-        if self._columns is not None:
-            return {cat: col if _is_int64(col) else [_rounded(v) for v in col]
-                    for cat, col in self._columns.items()}
-        rows = [p.metrics.as_dict() for p in self.points]
-        cats = dict.fromkeys(c for r in rows for c in r)
-        return {cat: [r.get(cat, 0) for r in rows] for cat in cats}
+        """Category -> rounded per-point counts (int64 columns stay
+        ndarrays); a category that rounds to zero at every point is left
+        out."""
+        out = {}
+        for cat, col in self.points.cat_cols.items():
+            if _is_int64(col):
+                nonzero = col.any()
+            else:
+                col = [_rounded(v) for v in col]
+                nonzero = any(col)
+            if nonzero:
+                out[cat] = col
+        return out
 
     def _param_columns(self) -> dict:
         """Swept name -> per-point wire values (``None`` where an explicit
         point list leaves the name unbound)."""
-        if self._columns is not None:
-            return {name: col.tolist() if _is_int64(col)
-                    else [_jsonable(_exact_value(v)) for v in col]
-                    for name, col in self.points.param_cols.items()}
-        return {name: [_jsonable(p.env[name]) if name in p.env else None
-                       for p in self.points]
-                for name in self.param_names}
+        return {name: col.tolist() if _is_int64(col)
+                else [_jsonable(_exact_value(v)) for v in col]
+                for name, col in self.points.param_cols.items()}
 
     def _fp_column(self, counts: dict) -> list[int]:
         return _sum_columns([counts[c] for c in self.fp_categories
@@ -419,10 +397,11 @@ class SweepResult:
         """The columnar wire document (``"layout": "columns"``).
 
         ``columns`` holds one list per swept parameter, one per count
-        category (rounded as ``Metrics.as_dict`` rounds, zeros kept), and
-        ``total`` and ``fp_ins``.  A vector sweep is encoded straight from
-        its count columns, with no per-point object; :func:`sweep_rows`
-        expands the document into per-point rows.
+        category that is nonzero at some point (rounded as
+        ``Metrics.as_dict`` rounds), and ``total`` and ``fp_ins``.  It is
+        encoded straight from the sweep's columns, with no per-point
+        object, so every engine gives the same document;
+        :func:`sweep_rows` expands it into per-point rows.
         """
         counts = self._count_columns()
         return {
@@ -448,35 +427,9 @@ class SweepResult:
 # model-level sweep (AnalysisResult.sweep)
 # ---------------------------------------------------------------------------
 
-def _to_object_col(col, np):
-    if isinstance(col, np.ndarray) and col.dtype == object:
-        return col
-    return col.astype(object)
-
-
-def _run_vector_sweep(result: AnalysisResult, qname: str, grid,
-                      base: dict | None, mode: str, analyses: int,
-                      chunk: int) -> SweepResult:
-    """Columnar evaluation; raises _VectorFallback when unavailable."""
-    try:
-        from ..symbolic.veccompile import HAVE_NUMPY, np
-    except Exception as exc:  # pragma: no cover - defensive
-        raise _VectorFallback(f"vector runtime unavailable: {exc}") from exc
-    if not HAVE_NUMPY:
-        raise _VectorFallback("numpy is not available")
-    try:
-        vec = result.compiled(engine="vector")
-    except VectorizeError as exc:
-        raise _VectorFallback(str(exc)) from exc
-
-    names, cols, npoints = _grid_columns(grid, np)
-    base_env = {k: _pyint(v) for k, v in (base or {}).items()}
-    for k, v in base_env.items():
-        if isinstance(v, float):
-            # the scalar engine decides float semantics (SymbolicError when
-            # the binding is actually a model parameter, ignored otherwise)
-            raise _VectorFallback(f"base binding {k!r} is float-valued")
-
+def _vector_columns(vec, qname: str, cols: dict, npoints: int,
+                    base_env: dict, chunk: int) -> tuple[dict, dict]:
+    """Columnar evaluation in chunks: ``(category columns, stats)``."""
     stats = {"chunks": 0, "int64_chunks": 0, "object_chunks": 0}
     parts: list[dict] = []
     base_is_int = all(isinstance(v, int) for v in base_env.values())
@@ -493,35 +446,60 @@ def _run_vector_sweep(result: AnalysisResult, qname: str, grid,
             use_int64 = vec.int64_safe(qname, ivs)
         cats = None
         if use_int64:
-            env = dict(base_env)
-            env.update(sub)
             try:
-                cats = vec.evaluate_grid(qname, env, n_sub,
+                cats = vec.evaluate_grid(qname, {**base_env, **sub}, n_sub,
                                          guard_divide=True)
             except FloatingPointError:
-                cats = None  # int64 division by zero: redo exactly
+                pass  # int64 division by zero: redo exactly
         if cats is None:
-            env = dict(base_env)
-            for n, c in sub.items():
-                env[n] = _to_object_col(c, np)
+            env = {**base_env, **{n: c.astype(object, copy=False)
+                                  for n, c in sub.items()}}
             cats = vec.evaluate_grid(qname, env, n_sub)
             stats["object_chunks"] += 1
         else:
             stats["int64_chunks"] += 1
         stats["chunks"] += 1
         parts.append(cats)
-
     if len(parts) == 1:
-        cat_cols = parts[0]
-    else:
-        cat_cols = {cat: np.concatenate([p[cat] for p in parts])
-                    for cat in parts[0]}
-    points = _ColumnarPoints(names, cols, cat_cols, npoints)
-    return SweepResult(function=qname, param_names=names, points=points,
+        return parts[0], stats
+    return ({cat: np.concatenate([p[cat] for p in parts])
+             for cat in parts[0]}, stats)
+
+
+def _model_sweep(result: AnalysisResult, qname: str, names: tuple,
+                 cols: dict, npoints: int, base: dict | None, *, mode: str,
+                 analyses: int, engine: str, chunk: int) -> SweepResult:
+    """:func:`run_model_sweep` over an already normalised grid."""
+    if engine not in ("auto", "vector", "scalar"):
+        raise ModelError(f"unknown sweep engine {engine!r}; "
+                         "expected auto, vector, or scalar")
+    base_env = {k: _pyint(v) for k, v in (base or {}).items()}
+    cat_cols, stats = None, {}
+    if engine != "scalar":
+        try:
+            vec = result.compiled(engine="vector")
+        except VectorizeError as exc:
+            reason = str(exc)
+        else:
+            reason = _vector_refusal(cols, base_env)
+        if reason is None:
+            cat_cols, stats = _vector_columns(vec, qname, cols, npoints,
+                                              base_env, chunk)
+        elif engine == "vector":
+            raise ModelError(
+                f"vector engine cannot evaluate this sweep: {reason}")
+    if cat_cols is None:
+        compiled = result.compiled()
+        cat_cols = _metric_columns(
+            [compiled.evaluate(qname, {**base_env, **_env(cols, i)})
+             for i in range(npoints)])
+    return SweepResult(function=qname, param_names=names,
+                       points=_ColumnarPoints(names, cols, cat_cols, npoints),
                        mode=mode, analyses=analyses,
                        fp_categories=tuple(result.arch.fp_arith_categories),
-                       analysis=result, engine="vector",
-                       vector_stats=stats, _columns=cat_cols)
+                       analysis=result,
+                       engine="vector" if stats else "scalar",
+                       vector_stats=stats)
 
 
 def run_model_sweep(result: AnalysisResult, function: str, grid,
@@ -532,36 +510,17 @@ def run_model_sweep(result: AnalysisResult, function: str, grid,
 
     ``engine="vector"`` evaluates the grid columnar through the numpy
     array-compiled models (errors out when that is impossible);
-    ``engine="scalar"`` calls the closure-compiled model once per point;
+    ``engine="scalar"`` calls the generated Fig. 5 module once per point;
     ``engine="auto"`` picks vector when available.  All engines produce
-    ``Fraction``-identical metrics.  ``base`` supplies bindings for model
+    ``Fraction``-identical metrics and the same :meth:`SweepResult.to_dict`
+    document, ``engine`` aside.  ``base`` supplies bindings for model
     parameters that are not being swept.
     """
-    if engine not in ("auto", "vector", "scalar"):
-        raise ModelError(f"unknown sweep engine {engine!r}; "
-                         "expected auto, vector, or scalar")
     qname = result._resolve(function)
-    if engine != "scalar":
-        try:
-            return _run_vector_sweep(result, qname, grid, base, mode,
-                                     analyses, chunk)
-        except _VectorFallback as exc:
-            if engine == "vector":
-                raise ModelError(
-                    f"vector engine cannot evaluate this sweep: "
-                    f"{exc.reason}") from exc
-    names, envs = expand_grid(grid)
-    compiled = result.compiled()
-    points = []
-    for env in envs:
-        full = dict(base or {})
-        full.update(env)
-        points.append(SweepPoint(env=dict(env),
-                                 metrics=compiled.evaluate(qname, full)))
-    return SweepResult(function=qname, param_names=names, points=points,
-                       mode=mode, analyses=analyses,
-                       fp_categories=tuple(result.arch.fp_arith_categories),
-                       analysis=result, engine="scalar")
+    names, cols, npoints = _grid_columns(grid)
+    return _model_sweep(result, qname, names, cols, npoints, base,
+                        mode=mode, analyses=analyses, engine=engine,
+                        chunk=chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +559,7 @@ def sweep_source(source: str, grid, *, function: str | None = None,
     construction (each point is its own analysis).
     """
     config = config or AnalysisConfig()
-    names, envs = expand_grid(grid)
+    names, cols, npoints = _grid_columns(grid)
 
     keep = tuple((k, v) for k, v in config.predefined if k not in names)
 
@@ -616,34 +575,30 @@ def sweep_source(source: str, grid, *, function: str | None = None,
         qname = _resolve_function(entry.result, function)
         if qname is not None and \
                 set(names) <= set(entry.result.parameters(qname)):
-            return run_model_sweep(entry.result, qname, grid, base=base,
-                                   mode="parametric",
-                                   analyses=int(origin == "cold"),
-                                   engine=engine)
+            return _model_sweep(entry.result, qname, names, cols, npoints,
+                                base, mode="parametric",
+                                analyses=int(origin == "cold"),
+                                engine=engine, chunk=DEFAULT_SWEEP_CHUNK)
 
     # ---- fallback: one stored analysis per point ----
-    points = []
+    metrics = []
     analyses = 0
-    qname_out = None
-    fp_categories = tuple(config.arch.fp_arith_categories)
-    for env in envs:
+    qname = None
+    for i in range(npoints):
+        env = _env(cols, i)
         pcfg = config.with_changes(
-            predefined=keep + tuple((n, str(env[n])) for n in names
-                                    if n in env))
+            predefined=keep + tuple((n, str(v)) for n, v in env.items()))
         entry, origin = SWEEP_STORE.get_or_analyze(source, pcfg, filename)
         analyses += origin == "cold"
         res = entry.result
         qname = _resolve_function(res, function)
         if qname is None:  # raise the detailed ModelError
             res._resolve(function or "main")
-        qname_out = qname
-        full = dict(base or {})
-        full.update(env)
-        eval_env = {k: v for k, v in full.items()
-                    if k in res.parameters(qname)}
-        points.append(SweepPoint(env=dict(env),
-                                 metrics=res.evaluate(qname, eval_env)))
-    return SweepResult(function=qname_out, param_names=names, points=points,
+        full = {**(base or {}), **env}
+        metrics.append(res.evaluate(qname, {
+            k: v for k, v in full.items() if k in res.parameters(qname)}))
+    points = _ColumnarPoints(names, cols, _metric_columns(metrics), npoints)
+    return SweepResult(function=qname, param_names=names, points=points,
                        mode="per-point", analyses=analyses,
-                       fp_categories=fp_categories, analysis=None,
-                       engine="scalar")
+                       fp_categories=tuple(config.arch.fp_arith_categories),
+                       analysis=None, engine="scalar")

@@ -65,10 +65,10 @@ class ModelError(MiraError):
 class VectorizeError(MiraError):
     """Raised when an expression or model cannot be compiled into an
     array-vectorized (numpy) evaluator — non-polynomial summation bodies,
-    reserved-name collisions, or numpy being unavailable.
+    or reserved-name collisions.
 
     The sweep engine's ``engine="auto"`` path treats this as a signal to
-    fall back to the scalar closure engine; it only escapes to the user
+    fall back to the scalar engine; it only escapes to the user
     when ``engine="vector"`` was explicitly requested."""
 
 

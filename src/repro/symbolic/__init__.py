@@ -18,7 +18,6 @@ from .compile import (
     reset_codegen_counters,
 )
 from .veccompile import (
-    HAVE_NUMPY,
     VecCompiledExpr,
     VecCompiledResult,
     compile_expr_vector,
@@ -57,7 +56,6 @@ __all__ = [
     "CODEGEN_COUNTS",
     "CompiledExpr",
     "Expr",
-    "HAVE_NUMPY",
     "VecCompiledExpr",
     "VecCompiledResult",
     "compile_expr",

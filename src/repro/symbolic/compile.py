@@ -10,18 +10,18 @@ module compiles a single expression into a plain Python closure via
   (exact) and touches ``Fraction`` only where rational coefficients or
   branch ratios actually appear;
 * **closed-form summations** — polynomial-body ``Sum`` nodes are lowered to
-  guarded Faulhaber closed forms (``sum_mode="closed"``), turning O(n)
-  summation loops into O(1) arithmetic; non-polynomial bodies keep the
-  (fast-path) ``_mira_sum`` loop;
+  guarded Faulhaber closed forms, turning O(n) summation loops into O(1)
+  arithmetic; non-polynomial bodies keep the (fast-path) ``_mira_sum``
+  loop;
 * **bit-exactness** — compiled evaluation is ``Fraction``-equal to
   ``Expr.evaluate`` on every input, including fractional summation bounds,
   empty ranges, and rational branch-ratio counts.
 
 Whole analyses are not compiled here: their scalar evaluator is the
 generated Fig. 5 module itself
-(:class:`repro.core.model_generator.CompiledResult`), rendered with the
-same ``sum_mode="closed"``.  :data:`CODEGEN_COUNTS` counts codegen work for
-both engines.
+(:class:`repro.core.model_generator.CompiledResult`), rendered by the same
+:func:`~.pycodegen.expr_to_python`.  :data:`CODEGEN_COUNTS` counts codegen
+work for both engines.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def compile_expr(e: Expr, params=None, *, name: str = "_mira_expr") -> CompiledE
         if missing:
             raise SymbolicError(
                 f"compile_expr: free symbols {sorted(missing)} not in params")
-    body = expr_to_python(e, sum_mode="closed", rename=_mangle)
+    body = expr_to_python(e, rename=_mangle)
     args = ", ".join(_mangle(p) for p in params)
     source = f"def {name}({args}):\n    return {body}\n"
     ns = _runtime_namespace()

@@ -7,15 +7,10 @@ evaluates exactly.  Rational coefficients are emitted as ``Fraction`` calls
 lazy ``Sum`` fallback is rendered as a call to the ``_mira_sum`` helper from
 :mod:`repro.core.model_runtime`.
 
-Two rendering modes exist for ``Sum`` nodes:
-
-* ``sum_mode="loop"`` (default) — every ``Sum`` is a ``_mira_sum`` loop.
-* ``sum_mode="closed"`` — used by the model generator (whose module is
-  also the scalar evaluator) and :mod:`.compile`: polynomial bodies are
-  lowered to an exact Faulhaber closed form guarded by a runtime
-  empty-range check (``ceil(lo) > floor(hi)`` → 0), which is
-  bit-identical to ``Sum.evaluate`` for *every* input, including
-  reversed and fractional bounds.  Non-polynomial bodies keep the loop.
+A ``Sum`` with a polynomial body is lowered to an exact Faulhaber closed
+form guarded by a runtime empty-range check (``ceil(lo) > floor(hi)`` → 0),
+which is bit-identical to ``Sum.evaluate`` for *every* input, including
+reversed and fractional bounds.  Non-polynomial bodies keep the loop.
 """
 
 from __future__ import annotations
@@ -31,14 +26,13 @@ _CF_LO = "_mira_lo"
 _CF_HI = "_mira_hi"
 
 
-def expr_to_python(e: Expr, *, sum_mode: str = "loop", rename=None) -> str:
+def expr_to_python(e: Expr, *, rename=None) -> str:
     """Render an Expr as a Python expression string.
 
     The string assumes ``from fractions import Fraction`` and the
-    ``_mira_sum`` helper are in scope (both are emitted in the model
-    preamble by the model generator).  ``sum_mode="closed"`` additionally
-    requires ``_mira_ceil``/``_mira_floor``/``_mira_exact`` (all exported by
-    :mod:`repro.core.model_runtime`).
+    ``_mira_sum``/``_mira_ceil``/``_mira_floor``/``_mira_exact`` helpers
+    are in scope (the model generator emits them in the model preamble;
+    all are exported by :mod:`repro.core.model_runtime`).
 
     ``rename`` optionally maps symbol names to emitted identifiers (the
     model generator and :mod:`.compile` use it to turn model parameters
@@ -46,9 +40,7 @@ def expr_to_python(e: Expr, *, sum_mode: str = "loop", rename=None) -> str:
     variables are renamed too, and bound by the emitted lambda itself,
     mirroring how ``Sum.evaluate`` shadows the environment.
     """
-    if sum_mode not in ("loop", "closed"):
-        raise ValueError(f"unknown sum_mode {sum_mode!r}")
-    return _emit(e, sum_mode, rename)
+    return _emit(e, rename)
 
 
 def _shadowed(rename, var: str):
@@ -62,7 +54,7 @@ def _shadowed(rename, var: str):
     return shadow
 
 
-def _emit(e: Expr, sum_mode: str, rename) -> str:
+def _emit(e: Expr, rename) -> str:
     if isinstance(e, Int):
         if e.value.denominator == 1:
             v = e.value.numerator
@@ -71,36 +63,35 @@ def _emit(e: Expr, sum_mode: str, rename) -> str:
     if isinstance(e, Sym):
         return rename(e.name) if rename is not None else e.name
     if isinstance(e, Add):
-        return "(" + " + ".join(_emit(a, sum_mode, rename) for a in e.args) + ")"
+        return "(" + " + ".join(_emit(a, rename) for a in e.args) + ")"
     if isinstance(e, Mul):
-        return "(" + " * ".join(_emit(a, sum_mode, rename) for a in e.args) + ")"
+        return "(" + " * ".join(_emit(a, rename) for a in e.args) + ")"
     if isinstance(e, Pow):
-        return f"({_emit(e.base, sum_mode, rename)} ** {e.exp})"
+        return f"({_emit(e.base, rename)} ** {e.exp})"
     if isinstance(e, FloorDiv):
-        return (f"(({_emit(e.num, sum_mode, rename)}) // "
-                f"({_emit(e.den, sum_mode, rename)}))")
+        return (f"(({_emit(e.num, rename)}) // "
+                f"({_emit(e.den, rename)}))")
     if isinstance(e, Max):
-        return "max(" + ", ".join(_emit(a, sum_mode, rename)
+        return "max(" + ", ".join(_emit(a, rename)
                                   for a in e.args) + ")"
     if isinstance(e, Min):
-        return "min(" + ", ".join(_emit(a, sum_mode, rename)
+        return "min(" + ", ".join(_emit(a, rename)
                                   for a in e.args) + ")"
     if isinstance(e, Sum):
-        if sum_mode == "closed":
-            closed = _emit_sum_closed(e, sum_mode, rename)
-            if closed is not None:
-                return closed
+        closed = _emit_sum_closed(e, rename)
+        if closed is not None:
+            return closed
         # the lambda binds the renamed variable, so the body's renamed
         # references see it, shadowing the environment like Sum.evaluate
         var = rename(e.var) if rename is not None else e.var
-        body = _emit(e.body, sum_mode, rename)
-        lo = _emit(e.lo, sum_mode, rename)
-        hi = _emit(e.hi, sum_mode, rename)
+        body = _emit(e.body, rename)
+        lo = _emit(e.lo, rename)
+        hi = _emit(e.hi, rename)
         return f"_mira_sum(lambda {var}: {body}, {lo}, {hi})"
     raise TypeError(f"cannot emit Python for {type(e).__name__}")
 
 
-def _emit_sum_closed(e: Sum, sum_mode: str, rename) -> str | None:
+def _emit_sum_closed(e: Sum, rename) -> str | None:
     """Exact closed form of a Sum with a runtime empty-range guard, or None.
 
     ``Sum.evaluate`` iterates ``k`` from ``ceil(lo)`` to ``floor(hi)`` and
@@ -124,9 +115,9 @@ def _emit_sum_closed(e: Sum, sum_mode: str, rename) -> str | None:
     except SymbolicError:
         return None
     inner = _shadowed(_shadowed(rename, _CF_LO), _CF_HI)
-    cf_src = _emit(cf, sum_mode, inner)
-    lo_src = _emit(e.lo, sum_mode, rename)
-    hi_src = _emit(e.hi, sum_mode, rename)
+    cf_src = _emit(cf, inner)
+    lo_src = _emit(e.lo, rename)
+    hi_src = _emit(e.hi, rename)
     return (f"(lambda {_CF_LO}, {_CF_HI}: "
             f"(_mira_exact({cf_src}) if {_CF_LO} <= {_CF_HI} else 0))"
             f"(_mira_ceil({lo_src}), _mira_floor({hi_src}))")

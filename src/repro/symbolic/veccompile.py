@@ -51,9 +51,8 @@ strict fallback ladder:
 * **scalar fallback**.  Anything that cannot be vectorized at all — a
   ``Sum`` whose body is not polynomial in its loop variable (no closed
   form exists; vector emission raises
-  :class:`~repro.errors.VectorizeError`), numpy unavailable — is handled
-  by the caller (``core.sweep``) falling back to the per-point scalar
-  evaluator.
+  :class:`~repro.errors.VectorizeError`) — is handled by the caller
+  (``core.sweep``) falling back to the per-point scalar evaluator.
 
 Fallback rules, as applied per chunk by the sweep engine:
 
@@ -61,10 +60,10 @@ Fallback rules, as applied per chunk by the sweep engine:
    ``int64_safe`` proves the chunk's ranges → int64 mode;
 2. a runtime ``FloatingPointError`` (integer division by zero raises
    under ``errstate(divide='raise')``) → retry the chunk in object mode,
-   where Python raises the same ``ZeroDivisionError`` the scalar closures
+   where Python raises the same ``ZeroDivisionError`` the scalar engine
    would;
 3. otherwise → object mode;
-4. ``VectorizeError`` anywhere → the whole sweep uses scalar closures
+4. ``VectorizeError`` anywhere → the whole sweep uses the scalar engine
    (automatic under ``engine="auto"``; surfaced under
    ``engine="vector"``).
 
@@ -80,20 +79,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from ..errors import ModelError, SchemaError, SymbolicError, VectorizeError
 from .compile import CODEGEN_COUNTS, _mangle
 from .expr import Expr
 from .intervals import _mul_iv, interval_eval_within
 from .pycodegen import expr_to_numpy
 
-try:
-    import numpy as np
-    HAVE_NUMPY = True
-except Exception:  # pragma: no cover - numpy is baked into the toolchain
-    np = None
-    HAVE_NUMPY = False
-
-__all__ = ["HAVE_NUMPY", "INT64_BOUND", "VecCompiledExpr",
+__all__ = ["INT64_BOUND", "VecCompiledExpr",
            "VecCompiledResult", "compile_expr_vector",
            "compile_result_vector"]
 
@@ -121,12 +115,6 @@ def _round_down(x) -> Fraction:
         return -_round_up(-x)
     f = math.floor(x)
     return Fraction(1 << (f.bit_length() - 1)) if f else Fraction(0)
-
-
-def _require_numpy():
-    if not HAVE_NUMPY:
-        raise VectorizeError("numpy is not available; use the scalar engine")
-    return np
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +285,7 @@ def compile_expr_vector(e: Expr, params=None, *,
     """Compile one expression into a numpy-elementwise closure.
 
     Raises :class:`~repro.errors.VectorizeError` when the expression has no
-    vector form (non-polynomial ``Sum`` body, numpy missing)."""
-    _require_numpy()
+    vector form (non-polynomial ``Sum`` body)."""
     if params is None:
         params = tuple(sorted(e.free_symbols()))
     else:
@@ -380,7 +367,6 @@ class VecCompiledResult:
                  "_name_map", "_order", "_sum_lower", "_safe_memo")
 
     def __init__(self, models: dict, *, _artifact: dict | None = None) -> None:
-        _require_numpy()
         self.models = models
         self._sum_lower = None
         self._safe_memo: dict = {}
@@ -444,7 +430,7 @@ class VecCompiledResult:
         ``errstate(divide='raise')`` so int64 division by zero surfaces as
         ``FloatingPointError`` (the sweep engine's cue to retry the chunk
         in object mode, where ``ZeroDivisionError`` matches the scalar
-        closures)."""
+        engine)."""
         m = self.models.get(qname)
         if m is None:
             raise ModelError(f"no model for function {qname!r}")

@@ -22,7 +22,7 @@ from repro.core import (AnalysisConfig, AnalysisResult, Pipeline,
                         STAGE_RUN_COUNTS, evaluate_model, sweep_source)
 from repro.core.model_runtime import (Metrics, _mira_ceil, _mira_exact,
                                       _mira_floor, _mira_sum)
-from repro.core.sweep import expand_grid
+from repro.core.sweep import _grid_columns
 from repro.cli import main as cli_main
 from repro.errors import ModelError, SymbolicError
 from repro.symbolic import (FloorDiv, Int, Max, Min, Sum, Sym, compile_expr,
@@ -358,14 +358,16 @@ double f(double *x, int n) { return g(x, n); }
 # ---------------------------------------------------------------------------
 
 class TestSweep:
-    def test_expand_grid_product_and_points(self):
-        names, envs = expand_grid({"a": [1, 2], "b": [10]})
-        assert names == ("a", "b")
-        assert envs == [{"a": 1, "b": 10}, {"a": 2, "b": 10}]
-        names, envs = expand_grid([{"a": 1}, {"a": 2, "b": 3}])
-        assert names == ("a", "b") and len(envs) == 2
+    def test_grid_columns_product_and_points(self):
+        names, cols, n = _grid_columns({"a": [1, 2], "b": [10]})
+        assert names == ("a", "b") and n == 2
+        assert {k: c.tolist() for k, c in cols.items()} == \
+            {"a": [1, 2], "b": [10, 10]}
+        names, cols, n = _grid_columns([{"a": 1}, {"a": 2, "b": 3}])
+        assert names == ("a", "b") and n == 2
+        assert list(cols["b"]) == [None, 3]
         with pytest.raises(ModelError):
-            expand_grid({})
+            _grid_columns({})
 
     def test_model_sweep_matches_pointwise_evaluation(self):
         result = Pipeline().run(SCALE_SRC)

@@ -20,6 +20,8 @@ exercises the warm registry's statefulness across requests:
 - [x] a non-integer grid value is 400 BadRequest naming its axis and
       index (it used to name a ``params['v']`` the request never had)
 - [x] ``client.sweep(...)["points"]`` == the rows reply
+- [x] ``mira client sweep`` prints the columnar document only, no
+      ``points`` rows
 - [x] bodies are compact JSON (no indentation, no separator spaces)
 - [x] served diff of two stored models == direct result.diff
 - [x] POST /v1/corpora batch-analyzes and registers every model warm
@@ -43,6 +45,7 @@ import sys
 import pytest
 
 from repro._version import __version__
+from repro.cli import main as cli_main
 from repro.core import AnalysisConfig, Pipeline
 from repro.core.pipeline import STAGE_RUN_COUNTS, reset_stage_counters
 from repro.core.result import AnalysisResult
@@ -270,6 +273,14 @@ def test_client_sweep_points_equal_the_rows_reply(client, handle):
     doc = client.sweep(handle["id"], "kernel", SWEEP_GRID)
     assert doc["layout"] == "columns"
     assert doc["points"] == rows
+
+
+def test_cli_client_sweep_prints_only_columns(server, handle, capsys):
+    assert cli_main(["client", "--url", server.url, "sweep", handle["id"],
+                     "kernel", "-p", "n=1,4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["columns"]["params"]["n"] == [1, 4]
+    assert "points" not in doc
 
 
 def test_bodies_are_compact_json(client, handle):

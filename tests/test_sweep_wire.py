@@ -12,11 +12,12 @@ columns.
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.core import AnalysisConfig, Pipeline, sweep_source
 from repro.core.sweep import _ColumnarPoints, run_model_sweep, sweep_rows
-from repro.errors import VectorizeError
+from repro.errors import ModelError, VectorizeError
 from repro.workloads import available, get_source, source_path
 
 RATIO_SRC = """
@@ -187,3 +188,41 @@ def test_vector_encoding_builds_no_per_point_objects(dgemm, monkeypatch):
     assert doc["columns"]["fp_ins"] == swept.fp_series() == \
         [2 * n ** 3 + n ** 2 for n in range(1, 2049)]
     assert len(sweep_rows(doc)) == 2048
+
+
+def test_every_engine_encodes_the_same_document(corpus):
+    """Vector and scalar sweeps differ only in their ``engine`` field:
+    same parameter cells (a ``Fraction(4)`` travels as ``4``) and the same
+    count categories (one that is zero at every point is left out)."""
+    def doc(swept):
+        return {k: v for k, v in swept.to_dict().items() if k != "engine"}
+
+    compared = 0
+    for name, result in corpus.items():
+        try:
+            result.compiled(engine="vector")
+        except VectorizeError:
+            continue                # minife: no vector form
+        for qname in result.models:
+            params = result.parameters(qname)
+            grid = ([{p: b for p in params} for b in (3, 7, 13)]
+                    if params else [{}])
+            assert doc(result.sweep(qname, grid, engine="vector")) == \
+                doc(result.sweep(qname, grid, engine="scalar")), qname
+            compared += 1
+    assert compared >= 15
+    result = Pipeline().run(RATIO_SRC)
+    grid = {"n": [Fraction(4), 2]}
+    vector, scalar = (doc(result.sweep("f", grid, engine=engine))
+                      for engine in ("vector", "scalar"))
+    assert vector == scalar
+    assert vector["columns"]["params"]["n"] == [4, 2]
+
+
+@pytest.mark.parametrize("engine", ["auto", "vector", "scalar"])
+def test_two_dimensional_axis_is_a_model_error(engine):
+    result = Pipeline().run(MULTI_SRC)
+    with pytest.raises(ModelError,
+                       match="sweep axis 'n' is not one-dimensional"):
+        result.sweep("g", {"n": np.array([[1, 2], [3, 4]])}, base={"m": 2},
+                     engine=engine)

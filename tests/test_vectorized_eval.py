@@ -30,8 +30,7 @@ from repro.cli import _parse_sweep_spec, main as cli_main
 from repro.core import (AnalysisConfig, Pipeline, STAGE_RUN_COUNTS,
                         sweep_source)
 from repro.core.result import AnalysisResult
-from repro.core.sweep import (_axis_column, _ColumnarPoints,
-                              _VectorFallback, run_model_sweep)
+from repro.core.sweep import _axis_column, _ColumnarPoints, run_model_sweep
 from repro.errors import ModelError, SymbolicError, VectorizeError
 from repro.symbolic import (CODEGEN_COUNTS, Int, Max, Sum, Sym,
                             compile_expr_vector, reset_codegen_counters)
@@ -398,7 +397,7 @@ class TestAxisColumn:
 
     @staticmethod
     def column(values):
-        return _axis_column("n", values, np)
+        return _axis_column("n", values)
 
     def test_plain_ints_become_int64(self):
         col = self.column([3, -7, 2 ** 62])
@@ -434,9 +433,12 @@ class TestAxisColumn:
             assert list(col) == values
             assert [type(v) for v in col] == [type(v) for v in values]
 
-    def test_floats_and_empty_axes_are_refused(self):
-        with pytest.raises(_VectorFallback, match="float-valued"):
-            self.column([1, 2.0])
+    def test_floats_are_object_columns_and_empty_axes_are_refused(self):
+        # the vector engine's "float-valued" refusal is decided later, from
+        # the column (test_float_axis_errors_under_vector_engine)
+        col = self.column([1, 2.0])
+        assert col.dtype == object
+        assert [type(v) for v in col] == [int, float]
         with pytest.raises(ModelError, match="no values"):
             self.column([])
 
