@@ -9,9 +9,10 @@ exactly as the paper's ``y_16``.
 
 The module :func:`generate_model_source` writes is also the scalar
 evaluator: :class:`CompiledResult` execs exactly that text and calls its
-``MODEL_FUNCTIONS``, and the model cache stores the text as the scalar
-codegen artifact.  :func:`evaluate_model`, a direct walk of the symbolic
-terms with no codegen, is the oracle the module is tested against.
+``MODEL_FUNCTIONS``.  The model cache stores the models, not this text: a
+restored result emits it again on first use.  :func:`evaluate_model`, a
+direct walk of the symbolic terms with no codegen, is the oracle the
+module is tested against.
 
 Three emission rules make the module fit to evaluate with:
 
@@ -33,7 +34,7 @@ import re
 from fractions import Fraction
 
 from ..compiler.arch import ArchDescription
-from ..errors import ModelError, SchemaError, SymbolicError
+from ..errors import ModelError, SymbolicError
 from ..symbolic import Expr, Sym, expr_to_python
 from ..symbolic.compile import CODEGEN_COUNTS
 from .metric_generator import CallTerm, FunctionModel, topo_order
@@ -305,36 +306,16 @@ class CompiledResult:
     :func:`evaluate_model`: same parameter checking, same errors,
     ``Fraction``-equal metrics, at a fraction of the cost per call.  Build
     once (see ``AnalysisResult.compiled``), evaluate at thousands of
-    parameter points.  Raises :class:`~repro.errors.SchemaError` when the
-    module does not define exactly ``models`` with their parameters.
+    parameter points.  ``source`` is the module
+    :func:`generate_model_source` rendered from ``models``.
     """
 
     __slots__ = ("models", "source", "_fns")
 
     def __init__(self, models: dict, source: str) -> None:
-        ns = compile_model(source)
-        fns, params = ns.get("MODEL_FUNCTIONS"), ns.get("PARAMETERS")
-        if not isinstance(fns, dict) or not isinstance(params, dict) \
-                or set(fns) != set(models) \
-                or any(params.get(q) != m.params for q, m in models.items()):
-            raise SchemaError("model module does not match the model set")
         self.models = models
         self.source = source
-        self._fns = fns
-        CODEGEN_COUNTS["scalar_exec"] += 1
-
-    def to_artifact(self) -> dict:
-        """The cache payload's scalar codegen artifact: the module text."""
-        return {"source": self.source}
-
-    @classmethod
-    def from_artifact(cls, models: dict, artifact) -> "CompiledResult":
-        """Rebuild from a :meth:`to_artifact` payload; raises
-        :class:`~repro.errors.SchemaError` on any other shape (such as an
-        older artifact layout) or a mismatched model set."""
-        if not isinstance(artifact, dict) or set(artifact) != {"source"}:
-            raise SchemaError("not a model module artifact")
-        return cls(models, artifact["source"])
+        self._fns = compile_model(source)["MODEL_FUNCTIONS"]
 
     def evaluate(self, qname: str, params=None) -> Metrics:
         """Evaluate one function's model; returns ``Metrics``."""

@@ -8,9 +8,9 @@ so models can be cached, diffed, and served without re-running the
 compiler.  A restored result evaluates to bit-identical metrics and
 regenerates byte-identical Python model source.  The model source (paper
 Fig. 5) is also the scalar evaluator: :meth:`AnalysisResult.compiled`
-execs exactly the text :meth:`AnalysisResult.python_source` returns, and a
-cache hit that carries that text as its scalar artifact reuses it without
-emitting it again.
+execs exactly the text :meth:`AnalysisResult.python_source` returns.  The
+wire format carries no generated code: a restored result emits each
+evaluator from its models the first time it is used.
 
 ``processed`` (both ASTs + the bridge) is a live-run extra for tools that
 need the AST — the dynamic profiler, PBound — and is deliberately *not*
@@ -93,6 +93,14 @@ def _model_from_dict(qname: str, d: dict) -> FunctionModel:
                      for a in d.get("assumptions", [])])
 
 
+def _object(key: str, value) -> dict:
+    """``value``, the document's ``key`` member, which must be an object."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"AnalysisResult {key!r} must be an object, "
+                          f"got {type(value).__name__}")
+    return value
+
+
 def function_payload(m: FunctionModel) -> dict:
     """The JSON-able per-function cache entry (the incremental engine's
     unit payload; see :mod:`repro.core.incremental`)."""
@@ -112,7 +120,8 @@ def restore_function_model(qname: str, payload) -> FunctionModel | None:
         return None
     try:
         return _model_from_dict(qname, payload["model"])
-    except (KeyError, TypeError, ValueError, SymbolicError):
+    except (KeyError, TypeError, ValueError, AttributeError, SchemaError,
+            SymbolicError):
         return None
 
 
@@ -132,7 +141,6 @@ class AnalysisResult:
     restored_functions: tuple = ()
     _source_cache: str | None = None
     _compiled_cache: dict | None = None                # engine -> compiled
-    _compiled_artifacts: dict | None = None            # engine -> artifact
 
     # -- evaluation ---------------------------------------------------------------
     def evaluate(self, function: str, params: dict | None = None) -> Metrics:
@@ -157,9 +165,6 @@ class AnalysisResult:
         models have no vector form.  Either way the build happens at most
         once per result — repeated ``.sweep()``/``mira sweep`` calls reuse
         the cached object (a non-vectorizable verdict is cached too).
-        When a persisted codegen artifact was attached (warm
-        ``ModelCache`` hit), reconstruction execs the stored source
-        instead of re-emitting it.
         """
         if engine not in ("scalar", "vector"):
             raise ModelError(f"unknown codegen engine {engine!r}")
@@ -186,46 +191,10 @@ class AnalysisResult:
 
     def _build_compiled(self, engine: str):
         if engine == "vector":
-            from ..symbolic.veccompile import VecCompiledResult, \
-                compile_result_vector
+            from ..symbolic.veccompile import compile_result_vector
 
-            artifact = (self._compiled_artifacts or {}).get("vector")
-            if artifact is not None:
-                try:
-                    return VecCompiledResult.from_artifact(
-                        self.models, artifact)
-                except Exception:
-                    pass  # stale/corrupt artifact: recompile from models
             return compile_result_vector(self.models)
-        return self._stored_module() or CompiledResult(self.models,
-                                                       self.python_source())
-
-    def _stored_module(self) -> CompiledResult | None:
-        """The attached scalar artifact exec'd, or None.
-
-        The artifact is consumed on first use.  One that does not exec into
-        this model set (stale, corrupt, or an older layout) is dropped, and
-        the module is emitted from the models instead."""
-        artifact = (self._compiled_artifacts or {}).pop("scalar", None)
-        if artifact is None or self._source_cache is not None:
-            return None
-        try:
-            compiled = CompiledResult.from_artifact(self.models, artifact)
-        except Exception:
-            return None
-        self._source_cache = compiled.source
-        return compiled
-
-    def attach_compiled_artifacts(self, artifacts: dict | None) -> None:
-        """Attach persisted codegen artifacts (``{"scalar": ..., "vector":
-        ...}`` as produced by ``store.payload_from_result``) so
-        :meth:`compiled` can exec stored source instead of re-emitting it.
-        The scalar artifact is the :meth:`python_source` text itself, so a
-        restored result neither emits for :meth:`compiled` nor for
-        :meth:`python_source`.  Ignored when already compiled; invalid
-        artifacts fall back to a fresh emission silently."""
-        if artifacts:
-            object.__setattr__(self, "_compiled_artifacts", dict(artifacts))
+        return CompiledResult(self.models, self.python_source())
 
     def evaluate_compiled(self, function: str,
                           params: dict | None = None) -> Metrics:
@@ -282,17 +251,12 @@ class AnalysisResult:
     # -- code generation ------------------------------------------------------------
     def python_source(self) -> str:
         """The generated model module (paper Fig. 5), which is also the
-        scalar evaluator's source: the stored text on a restored result,
-        else emitted once from the models."""
+        scalar evaluator's source; emitted once from the models."""
         if self._source_cache is None:
-            stored = self._stored_module()
-            if stored is not None:
-                self._compiled_memo().setdefault("scalar", stored)
-            else:
-                name = (self.processed.tu.filename
-                        if self.processed is not None else self.source_name)
-                self._source_cache = generate_model_source(
-                    self.models, self.arch, name)
+            name = (self.processed.tu.filename
+                    if self.processed is not None else self.source_name)
+            self._source_cache = generate_model_source(
+                self.models, self.arch, name)
         return self._source_cache
 
     def compiled_module(self) -> dict:
@@ -336,12 +300,15 @@ class AnalysisResult:
                 f"unsupported AnalysisResult schema version {version!r} "
                 f"(this build reads version {RESULT_SCHEMA_VERSION})")
         arch_doc = d.get("arch")
-        arch = (ArchDescription.from_json(json.dumps(arch_doc))
-                if arch_doc is not None else default_arch())
+        arch = (default_arch() if arch_doc is None else
+                ArchDescription.from_json(json.dumps(_object("arch",
+                                                             arch_doc))))
+        functions = _object("functions", d.get("functions", {}))
+        timings = _object("stage_timings", d.get("stage_timings", {}))
         try:
-            models = {q: _model_from_dict(q, m)
-                      for q, m in d.get("functions", {}).items()}
-        except (KeyError, TypeError, ValueError, SymbolicError) as exc:
+            models = {q: _model_from_dict(q, m) for q, m in functions.items()}
+        except (KeyError, TypeError, ValueError, AttributeError,
+                SymbolicError) as exc:
             raise SchemaError(
                 f"malformed AnalysisResult functions payload: {exc}") \
                 from None
@@ -355,7 +322,7 @@ class AnalysisResult:
             source_name=d.get("source", "<input>"),
             opt_level=d.get("opt_level", 2),
             fingerprint=d.get("fingerprint", ""),
-            stage_timings=dict(d.get("stage_timings", {})))
+            stage_timings=dict(timings))
 
     @staticmethod
     def from_json(text: str) -> "AnalysisResult":

@@ -9,6 +9,8 @@ cheapest first: **memory** (a dict lookup), **disk** (a
 promoted into memory), **cold** (a :class:`~repro.core.pipeline.Pipeline`
 run whose :func:`payload_from_result` is stored).  :func:`restore` is the
 one decoder of payloads: a malformed one is a miss, never an error.
+A payload stores the model, not generated code: a restored result emits
+its scalar or vector evaluator on first use (codegen on demand).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..errors import MiraError, SchemaError, VectorizeError
+from ..errors import MiraError, SchemaError
 from .config import AnalysisConfig
 from .coverage import loop_coverage
 from .pipeline import Pipeline
@@ -220,13 +222,12 @@ class ModelCache:
 def payload_from_result(config: AnalysisConfig, result: AnalysisResult,
                         name: str, elapsed: float) -> dict:
     """The JSON-able success payload the :class:`ModelCache` stores: the
-    versioned :class:`AnalysisResult` wire format, its codegen artifacts,
-    per-function summaries and loop coverage.
+    versioned :class:`AnalysisResult` wire format, per-function summaries
+    and loop coverage.
 
-    The generated model source is stored once, as the scalar artifact: a
-    restored result's ``python_source()`` returns it without emitting.
-    Concrete summaries are evaluated through that module; the tree-walk
-    evaluator is the fallback when the models do not compile.
+    Concrete summaries are evaluated through the scalar evaluator (the
+    generated model module); the tree-walk evaluator is the fallback when
+    the models do not compile.  No generated code is stored.
     """
     try:
         evaluate = result.compiled().evaluate
@@ -264,26 +265,8 @@ def payload_from_result(config: AnalysisConfig, result: AnalysisResult,
             "percentage": round(cov.percentage, 2),
         },
         "result": result.to_dict(),
-        "compiled": _compiled_artifacts(result),
         "elapsed": elapsed,
     }
-
-
-def _compiled_artifacts(result: AnalysisResult) -> dict | None:
-    """Codegen artifacts for the cache payload, so a warm hit execs stored
-    source instead of re-deriving it from the symbolic models: ``scalar``
-    is the model module of :meth:`AnalysisResult.python_source`,
-    ``vector`` the numpy evaluator's source and metadata (None when the
-    models have no vector form)."""
-    try:
-        doc = {"scalar": result.compiled().to_artifact()}
-    except (MiraError, RecursionError):
-        return None
-    try:
-        doc["vector"] = result.compiled(engine="vector").to_artifact()
-    except (VectorizeError, RecursionError):
-        doc["vector"] = None
-    return doc
 
 
 _SUMMARY = ("model_name", "params", "warnings", "counts", "total", "fp_ins")
@@ -304,12 +287,13 @@ class ModelEntry:
 
 def _restore_entry(entry_type, key: str, payload) -> ModelEntry | None:
     """``payload`` as an ``entry_type``; None for a failure record or any
-    malformed payload (stale schema, hand-edited or foreign JSON)."""
+    malformed payload (stale schema, hand-edited or foreign JSON).  Keys
+    it does not read, such as an older layout's ``compiled`` block, are
+    ignored."""
     try:
         if not payload["ok"]:
             return None
         result = AnalysisResult.from_dict(payload["result"])
-        result.attach_compiled_artifacts(payload.get("compiled"))
         return entry_type(
             key=key, result=result,
             functions={q: {k: f[k] for k in _SUMMARY}
@@ -322,7 +306,7 @@ def _restore_entry(entry_type, key: str, payload) -> ModelEntry | None:
 
 
 def restore(payload) -> AnalysisResult | None:
-    """A payload's result, compiled artifacts attached; None if malformed."""
+    """A payload's result; None if malformed."""
     entry = _restore_entry(ModelEntry, "", payload)
     return entry.result if entry is not None else None
 

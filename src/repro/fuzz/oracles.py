@@ -247,9 +247,9 @@ def oracle_serialize(case: FuzzCase) -> OracleVerdict:
 
 
 def oracle_cache(case: FuzzCase) -> OracleVerdict:
-    """Cold analysis vs warm ``ModelCache`` hit: the restored payload (with
-    its persisted codegen artifacts) must evaluate identically through
-    both the tree-walk and the compiled path."""
+    """Cold analysis vs warm ``ModelCache`` hit: the restored payload (its
+    evaluator emitted again from the stored models) must evaluate
+    identically through both the tree-walk and the compiled path."""
     details = []
     res = case.result("concrete")
     cfg = case.program.config("concrete", case.base_config)

@@ -36,11 +36,10 @@ from .pycodegen import expr_to_python
 __all__ = ["CODEGEN_COUNTS", "CompiledExpr", "compile_expr",
            "reset_codegen_counters"]
 
-#: Observability counters for codegen work, keyed ``"<engine>_emit"`` (source
-#: was generated from the symbolic models) and ``"<engine>_exec"`` (generated
-#: source was exec'd into closures).  A warm cache hit restored from a
-#: persisted artifact execs without emitting; tests and the benchmark assert
-#: on exactly that distinction.
+#: Observability counters for codegen work, keyed ``"<engine>_emit"``: one
+#: per evaluator source generated from the symbolic models (and exec'd).  The
+#: model cache stores no code, so a restored result emits each engine it
+#: uses once; tests assert on exactly that.
 CODEGEN_COUNTS: Counter = Counter()
 
 

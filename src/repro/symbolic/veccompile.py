@@ -67,11 +67,10 @@ Fallback rules, as applied per chunk by the sweep engine:
    (automatic under ``engine="auto"``; surfaced under
    ``engine="vector"``).
 
-Compiled artifacts (generated source + codegen metadata) round-trip
-through :meth:`VecCompiledResult.to_artifact` /
-:meth:`~VecCompiledResult.from_artifact` so warm ``ModelCache`` hits skip
-re-emission entirely; :data:`~.compile.CODEGEN_COUNTS` distinguishes
-``vector_emit`` from ``vector_exec`` so tests can assert that.
+The model cache stores no generated code: a restored result emits its
+vector evaluator from the models on first use, and one render pass yields
+both the source and the Sum lowerings the int64 precheck walks.
+:data:`~.compile.CODEGEN_COUNTS` counts each emission as ``vector_emit``.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..errors import ModelError, SchemaError, SymbolicError, VectorizeError
+from ..errors import ModelError, SymbolicError, VectorizeError
 from .compile import CODEGEN_COUNTS, _mangle
 from .expr import Expr
 from .intervals import _mul_iv, interval_eval_within
@@ -307,21 +306,23 @@ def compile_expr_vector(e: Expr, params=None, *,
 # whole-model vector compilation
 # ---------------------------------------------------------------------------
 
-def _emit_vec_model(lines: list, consts: dict, m, models: dict,
-                    fname: str, name_map: dict) -> bool:
+def _emit_vec_model(lines: list, consts: dict, sum_lower: dict, m,
+                    models: dict, fname: str, name_map: dict) -> bool:
     """Emit one model's vector function; returns its uses_fraction flag.
 
     Structure mirrors the generated Fig. 5 module function exactly — one
     ``_vadd`` per cost-center term, one callee call plus ``_vmerge`` per
     call site, arguments bound by the same ``call_args`` rule — so values
-    agree with the scalar evaluator operation for operation."""
+    agree with the scalar evaluator operation for operation.  Every
+    rendered ``Sum`` adds its lowering to ``sum_lower`` (see
+    ``expr_to_numpy``), so the precheck walks what was emitted."""
     from ..core.model_generator import call_args
 
     frac = False
 
     def emit(e: Expr) -> str:
         nonlocal frac
-        src, f = expr_to_numpy(e, rename=_mangle)
+        src, f = expr_to_numpy(e, rename=_mangle, sum_lower=sum_lower)
         frac = frac or f
         return src
 
@@ -363,60 +364,31 @@ class VecCompiledResult:
     :meth:`int64_safe` decide when the int64 fast path is sound (see the
     module docstring for the full dtype discipline)."""
 
-    __slots__ = ("models", "source", "int64_capable", "_fns", "_consts",
-                 "_name_map", "_order", "_sum_lower", "_safe_memo")
+    __slots__ = ("models", "source", "int64_capable", "sum_lower", "_fns",
+                 "_safe_memo")
 
-    def __init__(self, models: dict, *, _artifact: dict | None = None) -> None:
+    def __init__(self, models: dict) -> None:
+        from ..core.metric_generator import topo_order
+
         self.models = models
-        self._sum_lower = None
         self._safe_memo: dict = {}
-        if _artifact is None:
-            from ..core.metric_generator import topo_order
-
-            order = topo_order(models)
-            name_map = {q: f"_mira_vfn_{i}" for i, q in enumerate(order)}
-            consts: dict = {}
-            lines: list[str] = []
-            frac = False
-            for q in order:
-                frac = _emit_vec_model(lines, consts, models[q], models,
-                                       name_map[q], name_map) or frac
-            self.source = "\n".join(lines)
-            self.int64_capable = not frac
-            CODEGEN_COUNTS["vector_emit"] += 1
-        else:
-            order = list(_artifact["order"])
-            name_map = dict(_artifact["names"])
-            consts = dict(_artifact["consts"])
-            if set(order) != set(models) or set(name_map) != set(models):
-                raise SchemaError(
-                    "vector artifact does not match the model set")
-            self.source = _artifact["source"]
-            self.int64_capable = bool(_artifact["int64_capable"])
-        self._order = order
-        self._name_map = name_map
-        self._consts = consts
+        order = topo_order(models)
+        name_map = {q: f"_mira_vfn_{i}" for i, q in enumerate(order)}
+        consts: dict = {}
+        #: Sum node -> lowered integer expression, for :meth:`int64_safe`.
+        self.sum_lower: dict = {}
+        lines: list[str] = []
+        frac = False
+        for q in order:
+            frac = _emit_vec_model(lines, consts, self.sum_lower, models[q],
+                                   models, name_map[q], name_map) or frac
+        self.source = "\n".join(lines)
+        self.int64_capable = not frac
+        CODEGEN_COUNTS["vector_emit"] += 1
         ns = _vec_runtime_namespace()
         ns.update(consts)
         exec(compile(self.source, "<mira-veccompiled-result>", "exec"), ns)
         self._fns = {q: ns[name_map[q]] for q in order}
-        CODEGEN_COUNTS["vector_exec"] += 1
-
-    # -- artifacts ---------------------------------------------------------
-
-    def to_artifact(self) -> dict:
-        """JSON-serializable codegen artifact (see ``CompiledResult``)."""
-        return {
-            "source": self.source,
-            "order": list(self._order),
-            "names": dict(self._name_map),
-            "consts": {k: dict(v) for k, v in self._consts.items()},
-            "int64_capable": self.int64_capable,
-        }
-
-    @classmethod
-    def from_artifact(cls, models: dict, artifact: dict) -> "VecCompiledResult":
-        return cls(models, _artifact=artifact)
 
     # -- evaluation --------------------------------------------------------
 
@@ -456,32 +428,6 @@ class VecCompiledResult:
 
     # -- int64 overflow precheck ------------------------------------------
 
-    def _check_lowerings(self) -> dict:
-        """Sum node → lowered integer expression, derived lazily.
-
-        Derivation re-runs the (pure) expression renderer; it is cheap,
-        happens at most once per compiled object, and deliberately does
-        not count as codegen — artifact-restored results keep their
-        zero-emit guarantee."""
-        if self._sum_lower is None:
-            from ..core.model_generator import call_args
-
-            sl: dict = {}
-            for q in self._order:
-                m = self.models[q]
-                for t in m.terms:
-                    if t.vector.as_dict():
-                        expr_to_numpy(t.count, sum_lower=sl)
-                for c in m.calls:
-                    try:
-                        args = call_args(self.models, m, c)
-                    except ModelError:
-                        continue
-                    for e in (c.count, *args):
-                        expr_to_numpy(e, sum_lower=sl)
-            self._sum_lower = sl
-        return self._sum_lower
-
     def int64_safe(self, qname: str, env_ivs) -> bool:
         """True iff no int64 intermediate can overflow for these ranges.
 
@@ -504,7 +450,7 @@ class VecCompiledResult:
             return False
         if self.models.get(qname) is None:
             return False
-        lower = self._check_lowerings().get
+        lower = self.sum_lower.get
         env_ivs = dict(env_ivs)
         bucket = {k: (_round_down(lo), _round_up(hi))
                   for k, (lo, hi) in env_ivs.items()}

@@ -297,6 +297,28 @@ def _assert_equivalent(a: AnalysisResult, b: AnalysisResult,
         assert ma.counts == mb.counts   # exact Fractions, not just rounded
 
 
+def _scale(doc) -> dict:
+    return doc["functions"]["scale"]
+
+
+def _call_with_args_list(doc):
+    _scale(doc)["calls"] = [{"callee": "scale", "line": 1, "args": [],
+                             "count": _scale(doc)["terms"][0]["count"]}]
+
+
+#: Documents whose members are not the objects the wire format requires.
+NON_OBJECT_MEMBERS = {
+    "arch-list": lambda doc: doc.update(arch=[]),
+    "arch-string": lambda doc: doc.update(arch="generic"),
+    "functions-list": lambda doc: doc.update(functions=[]),
+    "functions-int": lambda doc: doc.update(functions=3),
+    "stage-timings-list": lambda doc: doc.update(stage_timings=[]),
+    "stage-timings-string": lambda doc: doc.update(stage_timings="x"),
+    "term-vector-list": lambda doc: _scale(doc)["terms"][0].update(vector=[]),
+    "call-args-list": _call_with_args_list,
+}
+
+
 class TestAnalysisResultSerialization:
     def test_round_trip_metrics_identical(self):
         result = Pipeline().run(SCALE_SRC)
@@ -357,6 +379,15 @@ class TestAnalysisResultSerialization:
         doc["functions"]["scale"]["terms"][0]["count"] = ["bogus", 1]
         with pytest.raises(SchemaError):
             AnalysisResult.from_dict(doc)
+
+    @pytest.mark.parametrize("corrupt", sorted(NON_OBJECT_MEMBERS))
+    def test_non_object_member_rejected(self, corrupt):
+        doc = Pipeline().run(SCALE_SRC).to_dict()
+        NON_OBJECT_MEMBERS[corrupt](doc)
+        with pytest.raises(SchemaError):
+            AnalysisResult.from_dict(doc)
+        with pytest.raises(SchemaError):
+            AnalysisResult.from_json(json.dumps(doc))
 
     def test_unknown_category_rejected(self):
         doc = Pipeline().run(SCALE_SRC).to_dict()

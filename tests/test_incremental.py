@@ -50,6 +50,22 @@ def fresh_runs(stage: str = "model") -> set:
             if k.startswith(prefix) and n}
 
 
+def _each_term(key, value):
+    def corrupt(doc):
+        for term in doc["model"]["terms"]:
+            term[key] = value
+    return corrupt
+
+
+#: Ways to damage a function-tier entry; each must read as a miss.
+CORRUPT_ENTRIES = {
+    "vector-list": _each_term("vector", []),
+    "vector-unknown-category": _each_term("vector", {"Imaginary": 1}),
+    "count-list": _each_term("count", []),
+    "model-list": lambda doc: doc.update(model=[]),
+}
+
+
 @pytest.fixture
 def analyzer(tmp_path):
     cfg = AnalysisConfig(cache_dir=str(tmp_path / "cache"))
@@ -217,6 +233,25 @@ class TestFallbackAndEvents:
         assert all(e.stage == "model" for e in hits)
         assert "cache-hit" in res.stage_timings
         assert res.stage_timings["cache-hit"] >= 0
+
+    @pytest.mark.parametrize("corrupt", sorted(CORRUPT_ENTRIES))
+    def test_corrupt_function_entry_is_a_miss(self, tmp_path, corrupt):
+        cfg = AnalysisConfig(cache_dir=str(tmp_path / "cache"))
+        path = source_path("dgemm")
+        IncrementalAnalyzer(cfg).analyze_file(path)
+        fn_dir = tmp_path / "cache" / "fn"
+        entries = sorted(fn_dir.rglob("*.json"))
+        assert entries
+        for entry in entries:
+            doc = json.loads(entry.read_text())
+            CORRUPT_ENTRIES[corrupt](doc)
+            entry.write_text(json.dumps(doc))
+        # A fresh analyzer reads the disk tier: every entry is a miss, so
+        # every function is modeled again, as a cold run would.
+        warm = IncrementalAnalyzer(cfg).analyze_file(path)
+        assert warm.restored_functions == ()
+        assert strip_timings(warm) == strip_timings(
+            Pipeline(cfg).run_file(path))
 
     def test_units_topology(self):
         tu = parse_source(SRC, filename="t.c")

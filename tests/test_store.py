@@ -6,8 +6,8 @@ analyzer — goes through one :class:`ModelStore` with memory → disk → cold
 tiers; a cache entry that does not restore is a miss everywhere (never a
 raw exception), and sweep traffic reaches ``stats.json`` like everyone
 else's.  Payloads fill their summaries through the compiled models (the
-tree-walk is the fallback and the oracle) and carry the model source once,
-as the scalar codegen artifact.
+tree-walk is the fallback and the oracle) and store no generated code: a
+restored result emits each evaluator from its models on first use.
 """
 
 import json
@@ -23,7 +23,7 @@ from repro.core import result as result_mod
 from repro.core import store as store_mod
 from repro.core.store import ModelCache, ModelStore, restore
 from repro.core.sweep import SWEEP_STORE, sweep_source
-from repro.errors import MiraError, ModelError
+from repro.errors import MiraError, ModelError, VectorizeError
 from repro.serve import ModelRegistry
 from repro.symbolic import CODEGEN_COUNTS, reset_codegen_counters
 from repro.workloads import available, get_source, source_path
@@ -54,6 +54,8 @@ def _functions_as_list(p):
 
 
 def _compiled_as_string(p):
+    # Entries once carried generated code in a ``compiled`` block; one that
+    # still does is read as a hit and the block is ignored.
     p["compiled"] = "scalar"
     return p
 
@@ -97,6 +99,9 @@ def _via_sweep(config):
 
 PATHS = {"batch": _via_batch, "registry": _via_registry, "sweep": _via_sweep}
 
+#: Shapes that are not malformed but an older layout: still a hit.
+COMPATIBLE = {"compiled-string"}
+
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("path", sorted(PATHS))
@@ -112,13 +117,14 @@ def test_malformed_payload_is_a_miss(tmp_path, path, shape):
         json.dump(SHAPES[shape](json.loads(json.dumps(good))), fh)
     before = ModelCache(cache_dir).persisted_stats()
 
-    assert run(config)                             # re-analyzed cold
+    hit = shape in COMPATIBLE
+    assert run(config) is not hit                  # re-analyzed cold, or not
 
     after = ModelCache(cache_dir).persisted_stats()
-    assert after["hits"] - before["hits"] == 0
-    assert after["misses"] - before["misses"] == 1
-    assert after["stores"] - before["stores"] == 1
-    with open(entry_path) as fh:                   # the entry was rewritten
+    assert after["hits"] - before["hits"] == hit
+    assert after["misses"] - before["misses"] == (not hit)
+    assert after["stores"] - before["stores"] == (not hit)
+    with open(entry_path) as fh:          # rewritten, or a compatible hit
         assert restore(json.load(fh)) is not None
 
 
@@ -214,7 +220,7 @@ def test_incremental_function_tier_is_bounded(tmp_path, monkeypatch):
     assert first.fresh_functions() == []
 
 
-# -- payloads: summaries from the compiled models; the module is the artifact
+# -- payloads: summaries from the compiled models; no generated code stored
 
 def _tree_walk_summaries(result, config) -> dict:
     """The reference: concrete summaries from the tree-walk evaluator."""
@@ -237,6 +243,29 @@ def _payload_summaries(payload) -> dict:
             for q, f in payload["functions"].items() if not f["params"]}
 
 
+def _outcome(call):
+    """``call()``'s value, or the type and message of the MiraError it
+    raises (some corpus functions have no vector form)."""
+    try:
+        return call()
+    except MiraError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _evaluations(result) -> dict:
+    """Scalar evaluation and a two-point vector sweep of every function."""
+    out = {}
+    for qname in result.models:
+        params = result.parameters(qname)
+        out[qname] = (
+            _outcome(lambda: result.evaluate_compiled(
+                qname, {p: 5 for p in params}).as_dict()),
+            _outcome(lambda: result.sweep(
+                qname, [{p: b for p in params} for b in (3, 7)],
+                engine="vector").to_dict()))
+    return out
+
+
 @pytest.fixture
 def tree_walks(monkeypatch):
     """Counts calls of the tree-walk evaluator behind AnalysisResult."""
@@ -253,13 +282,22 @@ def tree_walks(monkeypatch):
 
 @pytest.mark.parametrize("name", available())
 def test_payload_summaries_equal_the_tree_walk(name, tree_walks):
+    """The payload is the model: summaries from the scalar evaluator, no
+    vector codegen and no stored code on the cold path, and a restored
+    result that emits, evaluates and sweeps exactly like the live one."""
     config = AnalysisConfig(use_cache=False)
     path = source_path(name)
     result = Pipeline(config).run(get_source(name), filename=path)
+    reset_codegen_counters()
     payload = store_mod.payload_from_result(config, result, path, 0.0)
     assert tree_walks == []                  # evaluated by the compiled models
-    assert payload["compiled"]["scalar"] is not None
+    assert "compiled" not in payload
+    assert CODEGEN_COUNTS["vector_emit"] == 0
     assert _payload_summaries(payload) == _tree_walk_summaries(result, config)
+
+    warm = restore(json.loads(json.dumps(payload)))
+    assert warm.python_source() == result.python_source()
+    assert _evaluations(warm) == _evaluations(result)
 
 
 def test_payload_summaries_fall_back_to_the_tree_walk(monkeypatch, tree_walks):
@@ -270,7 +308,7 @@ def test_payload_summaries_fall_back_to_the_tree_walk(monkeypatch, tree_walks):
     config = AnalysisConfig(use_cache=False)
     result = Pipeline(config).run(get_source("stream"))
     payload = store_mod.payload_from_result(config, result, "stream.c", 0.0)
-    assert payload["compiled"] is None
+    assert "compiled" not in payload
     summaries = _payload_summaries(payload)
     assert summaries["main"][2] > 0 and "main" in tree_walks
     assert summaries == _tree_walk_summaries(result, config)
@@ -306,26 +344,20 @@ def test_model_source_is_derived_for_cold_warm_and_old_layout_hits(tmp_path):
         if not f.params}
 
 
-def test_scalar_artifact_is_the_model_module():
+def test_restored_module_is_emitted_once():
     config = AnalysisConfig(use_cache=False)
     result = Pipeline(config).run(get_source("minife"), filename="minife.c")
     source = result.python_source()
     assert result.compiled().source == source
     payload = store_mod.payload_from_result(config, result, "minife.c", 0.0)
-    assert payload["compiled"]["scalar"] == {"source": source}
 
+    # The restored models emit the module once; the scalar evaluator execs
+    # that same text, and neither call emits it again.
     reset_codegen_counters()
     warm = restore(json.loads(json.dumps(payload)))
     assert warm.python_source() == source
     assert warm.compiled().source == source
-    assert CODEGEN_COUNTS["scalar_emit"] == 0
-    assert CODEGEN_COUNTS["scalar_exec"] == 1
-
-    # An artifact in the older order/names/consts layout is ignored, and
-    # the module is emitted again from the restored models.
-    payload["compiled"]["scalar"] = {"source": source, "order": [],
-                                     "names": {}, "consts": {}}
-    reset_codegen_counters()
-    old = restore(payload)
-    assert old.compiled().source == source
-    assert CODEGEN_COUNTS["scalar_emit"] == 1
+    assert warm.python_source() == source
+    assert CODEGEN_COUNTS == {"scalar_emit": 1}
+    with pytest.raises(VectorizeError):      # minife has no vector form
+        warm.compiled(engine="vector")

@@ -13,8 +13,8 @@ the columnar path of ``core.sweep``):
   ``Sum`` bodies) fall back automatically under ``engine="auto"`` and
   error loudly under ``engine="vector"``;
 * lazy ``SweepPoint`` materialization over columnar output;
-* compiled-object memoization per engine and warm-cache artifact
-  restoration with zero re-emission (``CODEGEN_COUNTS``);
+* compiled-object memoization per engine, and warm-cache restores that
+  emit each engine once from the models (``CODEGEN_COUNTS``);
 * the ``mira sweep --engine`` CLI and the ``_parse_sweep_spec``
   log-range dedupe regression.
 """
@@ -290,7 +290,7 @@ class TestDtypeDiscipline:
                 vec = result.compiled(engine="vector")
             except VectorizeError:
                 continue
-            lower = vec._check_lowerings().get
+            lower = vec.sum_lower.get
             for qname in result.models:
                 params = result.parameters(qname)
                 if not params:
@@ -341,7 +341,7 @@ class TestDtypeDiscipline:
         vec = dgemm.compiled(engine="vector")
         bucket = {"n": (Fraction(1), Fraction(2 ** 21))}
         assert vec._cats_iv("dgemm_kernel", bucket,
-                            vec._check_lowerings().get) is None
+                            vec.sum_lower.get) is None
         grid = [1, 2 ** 10, 2 ** 20 + 1]
         swept = dgemm.sweep("dgemm_kernel", {"n": grid}, engine="vector")
         assert swept.vector_stats["int64_chunks"] == 1
@@ -360,7 +360,7 @@ class TestDtypeDiscipline:
 
         monkeypatch.setattr(veccompile, "INT64_MEMO_SIZE", 2)
         vec = dgemm.compiled(engine="vector")
-        lower = vec._check_lowerings().get
+        lower = vec.sum_lower.get
         rng = random.Random(3)
         boxes = []
         for _ in range(48):
@@ -540,7 +540,7 @@ class TestColumnarPoints:
 
 
 # ---------------------------------------------------------------------------
-# per-engine memoization + warm-cache artifact restore
+# per-engine memoization + codegen on demand after a warm-cache restore
 # ---------------------------------------------------------------------------
 
 class TestCompiledMemoAndArtifacts:
@@ -553,30 +553,49 @@ class TestCompiledMemoAndArtifacts:
         with pytest.raises(ModelError):
             result.compiled(engine="nope")
 
-    def test_payload_artifacts_restore_without_emission(self):
+    def test_restore_emits_each_engine_once(self):
         from repro.core.batch import payload_from_result
 
         cfg = AnalysisConfig(use_cache=False)
         result = Pipeline(cfg).run(get_source("dgemm"), filename="dgemm")
         payload = payload_from_result(cfg, result, "dgemm", 0.0)
-        assert payload["compiled"]["scalar"]["source"]
-        assert payload["compiled"]["vector"]["int64_capable"]
+        assert "compiled" not in payload
         json.dumps(payload)  # the cache stores JSON
 
+        live = result.compiled(engine="vector")
         restored = AnalysisResult.from_dict(payload["result"])
-        restored.attach_compiled_artifacts(payload["compiled"])
         reset_codegen_counters()
         comp = restored.compiled()
         vec = restored.compiled(engine="vector")
-        assert CODEGEN_COUNTS["scalar_emit"] == 0
-        assert CODEGEN_COUNTS["vector_emit"] == 0
-        assert CODEGEN_COUNTS["scalar_exec"] == 1
-        assert CODEGEN_COUNTS["vector_exec"] == 1
+        assert restored.compiled() is comp
+        assert restored.compiled(engine="vector") is vec
+        restored.python_source()
+        assert CODEGEN_COUNTS == {"scalar_emit": 1, "vector_emit": 1}
         assert comp.source == result.compiled().source
-        assert vec.source == result.compiled(engine="vector").source
+        assert vec.source == live.source
+        # the precheck's lowerings come from the same single render pass
+        assert vec.int64_capable and vec.sum_lower == live.sum_lower
         swept = restored.sweep("dgemm_kernel", {"n": [16, 64]},
                                engine="vector")
         assert swept.fp_series() == [2 * n ** 3 + n ** 2 for n in (16, 64)]
+        assert swept.vector_stats["int64_chunks"] == 1
+        assert CODEGEN_COUNTS == {"scalar_emit": 1, "vector_emit": 1}
+
+    def test_emission_collects_the_sum_lowerings(self):
+        """A count that keeps a ``Sum`` node: the one render pass records
+        its lowering, so the precheck can prove a small range int64-safe
+        (a ``Sum`` without a lowering fails closed to object mode)."""
+        from repro.bridge.metrics import CategoryVector
+        from repro.core.metric_generator import FunctionModel, MetricTerm
+
+        s = Sum(Sym("k"), "k", Int(0), Sym("m"))
+        vector = CategoryVector.from_dict({"Logical instruction": 2})
+        result = AnalysisResult(models={"f": FunctionModel.restored(
+            "f", "f", terms=[MetricTerm(1, 1, vector, s)], params=["m"])})
+        assert set(result.compiled(engine="vector").sum_lower) == {s}
+        swept = result.sweep("f", {"m": [-3, 0, 5, 100]}, engine="vector")
+        assert swept.vector_stats["int64_chunks"] == 1
+        assert swept.totals() == [0, 0, 30, 10100]
 
     def test_warm_sweep_source_skips_pipeline_and_codegen(self, tmp_path):
         from repro.core import sweep as sweep_mod
@@ -591,8 +610,9 @@ class TestCompiledMemoAndArtifacts:
         assert cold.engine == "vector"
 
         # warm: in-process memo cleared, so the disk cache must serve the
-        # analysis *and* its compiled artifacts — no pipeline stage, no
-        # codegen emission, only an exec of the stored source.
+        # analysis — no pipeline stage.  The entry stores no code, so the
+        # sweep emits the vector evaluator once from the restored models,
+        # and the scalar one only when it is asked for.
         sweep_mod.SWEEP_STORE.clear()
         reset_codegen_counters()
         before = dict(STAGE_RUN_COUNTS)
@@ -603,13 +623,11 @@ class TestCompiledMemoAndArtifacts:
         assert warm.engine == "vector"
         assert STAGE_RUN_COUNTS["compile"] == before["compile"]
         assert CODEGEN_COUNTS["scalar_emit"] == 0
-        assert CODEGEN_COUNTS["vector_emit"] == 0
-        assert CODEGEN_COUNTS["vector_exec"] >= 1
+        assert CODEGEN_COUNTS["vector_emit"] == 1
         assert warm.fp_series() == cold.fp_series() == \
             [2 * n ** 3 + n ** 2 for n in (16, 32, 64)]
-        # the scalar closures restore from the same payload, emission-free
         warm.analysis.compiled()
-        assert CODEGEN_COUNTS["scalar_emit"] == 0
+        assert CODEGEN_COUNTS["scalar_emit"] == 1
 
 
 # ---------------------------------------------------------------------------
