@@ -16,19 +16,35 @@ classified through the polynomial layer:
   block on),
 * anything non-polynomial → a generic symbolic change.
 
+**The changed set.**  A function's own model changed when its two models
+differ in what the wire format writes for it (name, parameters, warnings,
+terms, call sites, assumptions; not the AST, which restored models lack).
+Identity is checked first: a watch loop's unchanged functions are the
+same objects, from the incremental analyzer's memo.  Every function whose
+own model changed, plus every function added or removed, marks all its
+transitive callers as changed too, because inclusive counts move with
+their callees.  A caller that changed only through its callees is
+reported with ``detail="via <callee>"`` (its changed direct callees) and
+its inclusive before/after; if those are equal after all, it is
+unchanged.  Inclusive counts are built only for the changed set.  A clean
+function's counts are taken from the other side, a clean call site's
+contribution from a bounded memo, and each result keeps what was built
+for it, so a watch loop's next diff starts warm.
+
 This module deliberately imports nothing from :mod:`repro.core` — it
 operates on the duck-typed ``AnalysisResult`` surface (``models``,
-``arch``, ``source_name``, ``to_dict``), which keeps the symbolic layer
-dependency-free.
+``arch``, ``source_name``) and never serializes a result, which keeps the
+symbolic layer dependency-free.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .expr import Expr, Int, Sym
-from .poly import expr_to_poly
+from .expr import ZERO, Add, Expr, Int, Sym
+from .poly import Polynomial, expr_to_poly
 
 __all__ = ["CategoryDelta", "FunctionDelta", "ResultDiff",
            "category_exprs", "classify_change", "diff_results"]
@@ -42,47 +58,99 @@ FP = "FP_INS"
 # inclusive per-category symbolic counts
 # ---------------------------------------------------------------------------
 
-def category_exprs(models: dict, qname: str,
-                   _memo: dict | None = None) -> dict[str, Expr]:
+#: Call-site contributions ``count × callee_expr.subs(bindings)``, keyed on
+#: the hash-consed callee expression, count and bindings: an unchanged call
+#: site costs one lookup on both sides of a diff and in every later diff.
+#: Bounded: cleared wholesale when full.
+_CONTRIBUTIONS: dict = {}
+_CONTRIBUTIONS_MAX = 1 << 12
+
+
+def _contribution(call, e: Expr) -> Expr:
+    """One call site's contribution of one callee category expression."""
+    sub = {}
+    for name in e.free_symbols():
+        bound = call.arg_exprs.get(name)
+        sub[name] = bound if bound is not None \
+            else Sym(f"{name}_{call.line}")
+    key = (e, call.count, frozenset(sub.items()))
+    out = _CONTRIBUTIONS.get(key)
+    if out is None:
+        out = call.count * e.subs(sub)
+        if len(_CONTRIBUTIONS) >= _CONTRIBUTIONS_MAX:
+            _CONTRIBUTIONS.clear()
+        _CONTRIBUTIONS[key] = out
+    return out
+
+
+#: Polynomial forms (None: not polynomial) of the expressions a diff sums
+#: and classifies, keyed on the hash-consed expression.  Bounded: cleared
+#: wholesale when full.
+_POLYS: dict = {}
+_POLYS_MAX = 1 << 12
+
+
+def _poly(e: Expr):
+    try:
+        return _POLYS[e]
+    except KeyError:
+        pass
+    if len(_POLYS) >= _POLYS_MAX:
+        _POLYS.clear()
+    p = _POLYS[e] = expr_to_poly(e)
+    return p
+
+
+def _sum(terms) -> Expr:
+    """The sum of ``terms`` in one pass: every polynomial part merged into
+    one polynomial, the lazy parts (sums, min/max) kept in order before
+    it."""
+    coeffs: dict = {}
+    rest = []
+    for e in terms:
+        lazy_sum = isinstance(e, Add) and _poly(e) is None
+        for part in e.args if lazy_sum else (e,):
+            p = _poly(part)
+            if p is None:
+                rest.append(part)
+                continue
+            for m, c in p.terms.items():
+                coeffs[m] = coeffs.get(m, 0) + c
+    poly = Polynomial(coeffs).to_expr()
+    # A lazy term first: Add.make then skips its polynomial attempt.
+    return Add.make((*rest, poly)) if rest else poly
+
+
+def category_exprs(models: dict, qname: str, _memo: dict | None = None,
+                   _active: frozenset = frozenset()) -> dict[str, Expr]:
     """Inclusive symbolic instruction count per category for ``qname``.
 
     Own metric terms contribute ``vector[cat] × count``; each call site
     contributes ``count × callee_expr`` with the callee's free symbols
     rewritten through the call's argument bindings (unbound parameters get
     the call-site line suffix, the same ``y_16`` rule the parameter and
-    assumption closures use).  Memoized per result; recursion-safe (a
-    cycle contributes nothing, matching the model layer's refusal to
-    model it)."""
+    assumption closures use).  Memoized per result (``_memo`` only ever
+    holds finished entries, so it can be shared); recursion-safe (a cycle
+    contributes nothing, matching the model layer's refusal to model
+    it)."""
     if _memo is None:
         _memo = {}
-    if qname in _memo:
-        return _memo[qname]
-    _memo[qname] = {}          # cycle guard: in-progress reads as empty
+    out = _memo.get(qname)
+    if out is not None:
+        return out
     model = models.get(qname)
-    if model is None:
-        return _memo[qname]
-    out: dict[str, Expr] = {}
-
-    def add(cat: str, e: Expr) -> None:
-        out[cat] = out.get(cat, Int(0)) + e
-
+    if model is None or qname in _active:
+        return {}
+    active = _active | {qname}
+    terms: dict[str, list] = {}
     for t in model.terms:
         for cat, n in t.vector.as_dict().items():
-            if n:
-                add(cat, Int(n) * t.count)
+            terms.setdefault(cat, []).append(Int(n) * t.count)
     for c in model.calls:
-        callee = category_exprs(models, c.callee, _memo)
-        if not callee:
-            continue
-        sub: dict[str, Expr] = {}
-        for cat, e in callee.items():
-            for name in e.free_symbols():
-                if name not in sub:
-                    bound = c.arg_exprs.get(name)
-                    sub[name] = bound if bound is not None \
-                        else Sym(f"{name}_{c.line}")
-            add(cat, c.count * e.subs(sub))
-    _memo[qname] = out
+        for cat, e in category_exprs(models, c.callee, _memo,
+                                     active).items():
+            terms.setdefault(cat, []).append(_contribution(c, e))
+    out = _memo[qname] = {cat: _sum(es) for cat, es in terms.items()}
     return out
 
 
@@ -93,7 +161,7 @@ def category_exprs(models: dict, qname: str,
 def _poly_profile(e: Expr):
     """(total degree, leading terms {monomial: coeff}) of a polynomial
     expression, or None when it has no polynomial form."""
-    p = expr_to_poly(e)
+    p = _poly(e)
     if p is None:
         return None
     terms = {m: c for m, c in p.terms.items() if c != 0}
@@ -118,7 +186,7 @@ def classify_change(before: Expr, after: Expr) -> str:
     if pa is None or pb is None:
         return "non-polynomial change"
     (da, la), (db, lb) = pa, pb
-    if expr_to_poly(before) == expr_to_poly(after):
+    if _poly(before) == _poly(after):
         return "equal after normalization"
     if da != db:
         return f"degree {da} → {db}"
@@ -238,20 +306,79 @@ class ResultDiff:
         return "\n".join(lines)
 
 
+#: Per-result inclusive counts (``{qname: {category: Expr}}``), keyed on
+#: ``id(result)`` and dropped with the result: a watch loop's next diff
+#: reuses what this one computed for its ``b`` side.
+_RESULT_MEMOS: dict = {}
+
+
+def _inclusive_memo(result) -> dict:
+    key = id(result)
+    entry = _RESULT_MEMOS.get(key)
+    if entry is None or entry[0]() is not result:
+        try:
+            ref = weakref.ref(result,
+                              lambda _r: _RESULT_MEMOS.pop(key, None))
+        except TypeError:      # not weak-referenceable: no reuse
+            return {}
+        entry = _RESULT_MEMOS[key] = (ref, {})
+    return entry[1]
+
+
+def _share(src: dict, dst: dict, clean) -> None:
+    """Copy ``src``'s inclusive counts of clean functions into ``dst``:
+    they are equal on both sides of the diff."""
+    for q in clean:
+        if q in src and q not in dst:
+            dst[q] = src[q]
+
+
 def _function_exprs(result, qname: str, memo: dict) -> dict[str, Expr]:
     """Per-category inclusive counts plus the synthetic TOTAL and FP_INS
     rows (FP per the result's own arch)."""
     cats = dict(category_exprs(result.models, qname, memo))
-    total = Int(0)
-    fp = Int(0)
     fp_cats = set(result.arch.fp_arith_categories)
-    for cat, e in cats.items():
-        total = total + e
-        if cat in fp_cats:
-            fp = fp + e
+    total = _sum(cats.values())
+    fp = _sum(e for cat, e in cats.items() if cat in fp_cats)
     cats[TOTAL] = total
     cats[FP] = fp
     return cats
+
+
+def _own_model(m) -> tuple:
+    """The fields of one function's own model that the wire format writes
+    (not the AST, which restored models do not have)."""
+    return (m.model_name, list(m.params), list(m.warnings),
+            [(t.line, t.col, t.desc, t.vector, t.count) for t in m.terms],
+            [(c.callee, c.line, c.count, c.arg_exprs) for c in m.calls],
+            list(m.assumptions))
+
+
+def _with_callers(seeds: set, *results) -> set:
+    """``seeds`` plus all their transitive callers in either result."""
+    callers: dict = {}
+    for r in results:
+        for q, m in r.models.items():
+            for c in m.calls:
+                callers.setdefault(c.callee, set()).add(q)
+    out = set(seeds)
+    todo = list(seeds)
+    while todo:
+        for caller in callers.get(todo.pop(), ()):
+            if caller not in out:
+                out.add(caller)
+                todo.append(caller)
+    return out
+
+
+def _deltas(ca: dict, cb: dict) -> list:
+    """The classified categories whose counts differ."""
+    out = []
+    for cat in sorted(set(ca) | set(cb)):
+        ea, eb = ca.get(cat, ZERO), cb.get(cat, ZERO)
+        if ea != eb:
+            out.append(CategoryDelta(cat, ea, eb, classify_change(ea, eb)))
+    return out
 
 
 def diff_results(a, b) -> ResultDiff:
@@ -260,55 +387,53 @@ def diff_results(a, b) -> ResultDiff:
     diff = ResultDiff(a_name=a.source_name, b_name=b.source_name,
                       arch_changed=(a.arch.fingerprint()
                                     != b.arch.fingerprint()))
-    a_doc = {q: m for q, m in a.to_dict()["functions"].items()}
-    b_doc = {q: m for q, m in b.to_dict()["functions"].items()}
-    memo_a: dict = {}
-    memo_b: dict = {}
+    removed = [q for q in a.models if q not in b.models]
+    added = [q for q in b.models if q not in a.models]
+    common = [q for q in b.models if q in a.models]
+    own = {q for q in common if a.models[q] is not b.models[q]
+           and _own_model(a.models[q]) != _own_model(b.models[q])}
+    changed = _with_callers(own | set(removed) | set(added), a, b)
+    clean = [q for q in common if q not in changed]
+    # a changed arch can move any function's FP row
+    dirty = set(common) if diff.arch_changed else changed.intersection(common)
 
-    for q in a_doc:
-        if q not in b_doc:
-            cats = _function_exprs(a, q, memo_a)
-            diff.removed.append(FunctionDelta(
-                qname=q, status="removed",
-                params_before=list(a.models[q].params),
-                categories=[CategoryDelta(c, e, None, "removed")
-                            for c, e in sorted(cats.items())
-                            if e != Int(0)]))
-    for q in b_doc:
-        if q not in a_doc:
-            cats = _function_exprs(b, q, memo_b)
-            diff.added.append(FunctionDelta(
-                qname=q, status="added",
-                params_after=list(b.models[q].params),
-                categories=[CategoryDelta(c, None, e, "added")
-                            for c, e in sorted(cats.items())
-                            if e != Int(0)]))
+    memo_a, memo_b = _inclusive_memo(a), _inclusive_memo(b)
+    _share(memo_b, memo_a, clean)
+    before = {q: _function_exprs(a, q, memo_a) for q in [*removed, *dirty]}
+    _share(memo_a, memo_b, clean)
+    after = {q: _function_exprs(b, q, memo_b) for q in [*added, *dirty]}
 
-    for q in b_doc:
-        if q not in a_doc:
-            continue
-        if a_doc[q] == b_doc[q] and not diff.arch_changed:
+    for q in removed:
+        diff.removed.append(FunctionDelta(
+            qname=q, status="removed",
+            params_before=list(a.models[q].params),
+            categories=[CategoryDelta(c, e, None, "removed")
+                        for c, e in sorted(before[q].items())
+                        if e != ZERO]))
+    for q in added:
+        diff.added.append(FunctionDelta(
+            qname=q, status="added",
+            params_after=list(b.models[q].params),
+            categories=[CategoryDelta(c, None, e, "added")
+                        for c, e in sorted(after[q].items())
+                        if e != ZERO]))
+
+    for q in common:
+        deltas = _deltas(before[q], after[q]) if q in dirty else []
+        if not deltas and q not in own:
+            # clean; or only the arch changed, or a callee's change left
+            # this function's inclusive counts as they were
             diff.unchanged.append(q)
             continue
-        ca = _function_exprs(a, q, memo_a)
-        cb = _function_exprs(b, q, memo_b)
-        deltas = []
-        for cat in sorted(set(ca) | set(cb)):
-            ea = ca.get(cat, Int(0))
-            eb = cb.get(cat, Int(0))
-            if ea == eb:
-                continue
-            deltas.append(CategoryDelta(cat, ea, eb,
-                                        classify_change(ea, eb)))
         delta = FunctionDelta(
             qname=q, status="changed", categories=deltas,
             params_before=list(a.models[q].params),
             params_after=list(b.models[q].params))
-        if not deltas and a_doc[q] == b_doc[q]:
-            # only the arch changed: this function's counts are identical
-            diff.unchanged.append(q)
-            continue
-        if not deltas:
-            delta.detail = "metadata-only change (warnings/terms layout)"
+        if q in own:
+            if not deltas:
+                delta.detail = "metadata-only change (warnings/terms layout)"
+        elif q in changed:
+            via = {c.callee for c in b.models[q].calls} & changed
+            delta.detail = "via " + ", ".join(sorted(via))
         diff.changed.append(delta)
     return diff

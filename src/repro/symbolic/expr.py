@@ -87,6 +87,15 @@ _INTERNING = True
 _MAKE_MEMO: dict = {}
 _MAKE_MEMO_MAX = 1 << 16
 
+#: Memos for ``Sum.evaluate``: values keyed on the (interned) sum and the
+#: values of its free symbols, and runs (the next index and the partial sum
+#: so far) keyed on body, index, lower bound and the body's other bindings.
+#: Bounded: both cleared wholesale when the first is full.
+_SUM_MEMO: dict = {}
+_SUM_RUNS: dict = {}
+_SUM_MEMO_MAX = 1 << 14
+_EXACT_TYPES = frozenset({int, Fraction})
+
 
 @contextmanager
 def interning_disabled():
@@ -664,10 +673,11 @@ class Sum(Expr):
     Used as a *numeric fallback* when no closed form exists (non-convex
     domains, parametric min/max bounds — DESIGN.md §6).  Evaluation iterates
     the range; an empty range contributes 0 (this clamps negative trip counts
-    exactly like real loop execution).
+    exactly like real loop execution).  Evaluation is memoized (see
+    :meth:`evaluate`), and a concrete :meth:`make` folds through it.
     """
 
-    __slots__ = ("body", "var", "lo", "hi")
+    __slots__ = ("body", "var", "lo", "hi", "_names")
 
     def __new__(cls, body: Expr, var: str, lo: Expr, hi: Expr) -> "Sum":
         return _interned(cls, ("Sum", body, var, lo, hi),
@@ -682,16 +692,9 @@ class Sum(Expr):
         if isinstance(lo, Int) and isinstance(hi, Int) and not (
             body.free_symbols() - {var}
         ):
-            # Fully concrete: fold immediately.  The first integer index is
-            # ceil(lo) — identical to `Sum.evaluate`, so folding and lazy
-            # evaluation agree on fractional lower bounds.
-            total = Fraction(0)
-            k = _ceil_fraction(lo.value)
-            hi_i = hi.value
-            while Fraction(k) <= hi_i:
-                total += body.evaluate({var: k})
-                k += 1
-            return Int(total)
+            # Fully concrete: fold immediately, through `Sum.evaluate`, so
+            # folding and lazy evaluation agree by construction.
+            return Int(Sum(body, var, lo, hi).evaluate())
         return Sum(body, var, lo, hi)
 
     def _free_symbols(self) -> frozenset:
@@ -702,21 +705,63 @@ class Sum(Expr):
         )
 
     def subs(self, mapping: Mapping[str, ExprLike]) -> Expr:
+        if self.free_symbols().isdisjoint(mapping):
+            return self        # e.g. an inner sum of a nest, under n -> 17
         inner = {k: v for k, v in mapping.items() if k != self.var}
         return Sum.make(
             self.body.subs(inner), self.var, self.lo.subs(mapping), self.hi.subs(mapping)
         )
 
     def evaluate(self, env: Mapping[str, Number] | None = None) -> Fraction:
-        env = dict(env or {})
-        lo = self.lo.evaluate(env)
-        hi = self.hi.evaluate(env)
-        k = _ceil_fraction(lo)
-        total = Fraction(0)
-        while Fraction(k) <= hi:
-            env[self.var] = k
-            total += self.body.evaluate(env)
-            k += 1
+        # A sum's value depends only on its own free symbols, so it is
+        # memoized on their values.  A sum of the same body from the same
+        # lower bound also continues the last such sum (a *run*) instead of
+        # starting over, so an outer index walking up adds one term per
+        # step: a depth-d triangular nest over n costs O(d·n) body
+        # evaluations instead of O(n^d).
+        try:
+            names, body_names = self._names
+        except AttributeError:
+            names = tuple(sorted(self.free_symbols()))
+            body_names = tuple(sorted(self.body.free_symbols() - {self.var}))
+            object.__setattr__(self, "_names", (names, body_names))
+        if env is None:
+            env = {}
+        values = tuple(map(env.get, names))
+        # Only exact bindings are memoized: an unbound symbol or a float
+        # must raise as it would without the memo.
+        exact = all(map(_EXACT_TYPES.__contains__, map(type, values)))
+        if exact:
+            key = (self, values)
+            hit = _SUM_MEMO.get(key)
+            if hit is not None:
+                return hit
+        inner = dict(env)
+        body, var = self.body, self.var
+        lo = _ceil_fraction(self.lo.evaluate(inner))
+        hi = _floor_fraction(self.hi.evaluate(inner))
+        start, whole, frac = lo, 0, Fraction(0)
+        if exact:
+            run = (body, var, lo, tuple(map(env.get, body_names)))
+            state = _SUM_RUNS.get(run)
+            if state is not None and state[0] <= hi + 1:
+                start, whole, frac = state
+        # Integer terms are summed as ints: Fraction addition dominates
+        # the fold otherwise.
+        for k in range(start, hi + 1):
+            inner[var] = k
+            v = body.evaluate(inner)
+            if v.denominator == 1:
+                whole += v.numerator
+            else:
+                frac += v
+        total = frac + whole
+        if exact:
+            if len(_SUM_MEMO) >= _SUM_MEMO_MAX:
+                _SUM_MEMO.clear()
+                _SUM_RUNS.clear()
+            _SUM_MEMO[key] = total
+            _SUM_RUNS[run] = (max(start, hi + 1), whole, frac)
         return total
 
     def __repr__(self) -> str:

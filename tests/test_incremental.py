@@ -370,8 +370,11 @@ class TestDiffCLI:
         assert proc.returncode == 0, err
         doc = json.loads(out.splitlines()[-1])
         assert doc["kind"] == "ModelDiff"
-        # f2's own model changed; f3/main re-analyzed (callers) but their
-        # exclusive models are identical
-        assert {d["function"] for d in doc["changed"]} == {"f2"}
+        # f2's own model changed; its callers f3/main keep their exclusive
+        # models but their inclusive counts changed through f2
+        changed = {d["function"]: d for d in doc["changed"]}
+        assert set(changed) == {"f2", "f3", "main"}
+        assert changed["f3"]["detail"] == "via f2"
+        assert changed["main"]["detail"] == "via f3"
         assert set(doc["incremental"]["fresh"]) == {"f2", "f3", "main"}
         assert set(doc["incremental"]["restored"]) == {"f0", "f1"}

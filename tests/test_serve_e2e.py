@@ -24,6 +24,8 @@ exercises the warm registry's statefulness across requests:
       ``points`` rows
 - [x] bodies are compact JSON (no indentation, no separator spaces)
 - [x] served diff of two stored models == direct result.diff
+- [x] a served diff of a leaf edit names the leaf's caller, with
+      ``"detail": "via <leaf>"``
 - [x] POST /v1/corpora batch-analyzes and registers every model warm
 - [x] DELETE evicts the warm tier; the disk tier re-serves (by design)
 - [x] unknown ids are 404, unknown routes 404, wrong methods 405,
@@ -300,6 +302,27 @@ def test_served_diff_matches_direct(client, handle):
         doc.pop(key, None)
     expected.pop("schema_version", None)
     assert doc == expected
+
+
+CHAIN_SRC = SRC_A + """\
+double outer(int m) {
+    double t = 0.0;
+    for (int j = 0; j < m; j++) t += kernel(m);
+    return t;
+}
+"""
+
+
+def test_served_diff_names_the_caller_via_its_callee(client):
+    a = client.submit(CHAIN_SRC, filename="chain.c")
+    b = client.submit(CHAIN_SRC.replace("i * 2.0", "i * i * 3.0"),
+                      filename="chain.c")
+    doc = client.diff(a["id"], b["id"])
+    changed = {d["function"]: d for d in doc["changed"]}
+    assert set(changed) == {"kernel", "outer"}
+    assert "detail" not in changed["kernel"]
+    assert changed["outer"]["detail"] == "via kernel"
+    assert changed["outer"]["categories"]
 
 
 # -- corpora ----------------------------------------------------------------------

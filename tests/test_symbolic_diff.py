@@ -1,10 +1,16 @@
 """Tests for symbolic model diffing (repro.symbolic.diff)."""
 
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from repro.core import AnalysisConfig, Pipeline
-from repro.symbolic import Int, Max, Sym, diff_results
+from repro.core import AnalysisConfig, AnalysisResult, Pipeline
+from repro.symbolic import (Int, Max, Sym, category_exprs, diff_results,
+                            expr_to_json)
 from repro.symbolic.diff import classify_change
+from repro.symbolic.poly import expr_to_poly
 from repro.workloads import available, source_path
 
 N = Sym("n")
@@ -155,10 +161,168 @@ class TestDiffResults:
         assert diff.changed
 
 
+# leaf <- top <- main; the edit doubles leaf's FP count
+CHAIN_A = """\
+double leaf(int n) {
+  double s = 0;
+  for (int i = 0; i < n; i++) s = s + 1.5;
+  return s;
+}
+double top(int m) {
+  double s = 0;
+  for (int j = 0; j < m; j++) s = s + leaf(m);
+  return s;
+}
+int main() { return top(40); }
+"""
+CHAIN_B = CHAIN_A.replace("s = s + 1.5;", "s = s + 1.5 + 2.5;")
+
+
+def fp_expr(result, qname):
+    """Inclusive FP_INS of ``qname`` as a polynomial, from category_exprs."""
+    cats = category_exprs(result.models, qname)
+    return sum((expr_to_poly(cats[c])
+                for c in result.arch.fp_arith_categories if c in cats),
+               expr_to_poly(Int(0)))
+
+
+class TestCallerChain:
+    def test_callers_change_through_their_callee(self):
+        a, b = analyze(CHAIN_A), analyze(CHAIN_B)
+        diff = a.diff(b)
+        changed = {d.qname: d for d in diff.changed}
+        assert list(changed) == ["leaf", "top", "main"]
+        assert not diff.unchanged
+        assert changed["leaf"].detail == ""
+        assert changed["top"].detail == "via leaf"
+        assert changed["main"].detail == "via top"
+        for q, d in changed.items():
+            fp = {c.category: c for c in d.categories}["FP_INS"]
+            assert expr_to_poly(fp.before) == fp_expr(a, q), q
+            assert expr_to_poly(fp.after) == fp_expr(b, q), q
+            if q != "main":
+                assert fp.change == "degree unchanged, leading coeff ×2", q
+        # main's inclusive FP: top(40) runs leaf(40) 40 times, plus one
+        # add of its own per iteration
+        fp = {c.category: c for c in changed["main"].categories}["FP_INS"]
+        assert (fp.before, fp.after) == (Int(40 * 40 + 40),
+                                         Int(2 * 40 * 40 + 40))
+        text = diff.format()
+        assert "~ main\n    via top" in text
+        assert "3 changed, 0 added, 0 removed, 0 unchanged" in text
+
+    def test_a_second_diff_of_the_same_results_agrees(self):
+        # the per-result memo serves the second diff
+        a, b = analyze(CHAIN_A), analyze(CHAIN_B)
+        assert a.diff(b).to_dict() == a.diff(b).to_dict()
+        # and the reverse diff mirrors the forward one
+        back = {d.qname: d for d in b.diff(a).changed}
+        assert back["main"].detail == "via top"
+        fwd = {c.category: c for c in
+               next(d for d in a.diff(b).changed
+                    if d.qname == "main").categories}
+        for c in back["main"].categories:
+            assert (c.before, c.after) == (fwd[c.category].after,
+                                           fwd[c.category].before)
+
+    def test_an_own_change_is_not_reported_as_via(self):
+        a, b = analyze(SRC_A), analyze(SRC_B)
+        diff = a.diff(b)
+        changed = {d.qname: d for d in diff.changed}
+        assert set(changed) == {"mid", "main"}
+        # main now also calls extra: its own model changed
+        assert changed["main"].detail == ""
+        # the callee of a changed function is not named
+        assert diff.unchanged == ["leaf"]
+
+    @pytest.mark.parametrize("field,extra", [
+        ("warnings", "an extra warning"),
+        ("assumptions", expr_to_json(Sym("n") - 1)),
+    ])
+    def test_metadata_only_change(self, field, extra):
+        a = analyze(CHAIN_A)
+        doc = a.to_dict()
+        doc["functions"]["leaf"].setdefault(field, []).append(extra)
+        b = AnalysisResult.from_dict(doc)
+        diff = a.diff(b)
+        assert [d.qname for d in diff.changed] == ["leaf"]
+        leaf = diff.changed[0]
+        assert leaf.detail == "metadata-only change (warnings/terms layout)"
+        assert leaf.categories == []
+        # the callers' inclusive counts did not move
+        assert diff.unchanged == ["top", "main"]
+
+    def test_call_sites_bind_the_callee_separately(self):
+        src = CHAIN_A.replace("int main() { return top(40); }",
+                              "int main() { return leaf(10) + leaf(20); }")
+        res = analyze(src)
+        # one FP add per leaf iteration, 10 + 20, and main's own add
+        assert fp_expr(res, "main") == expr_to_poly(Int(10 + 20 + 1))
+
+
+class TestConcurrentDiffs:
+    def test_threads_sharing_a_result_agree(self):
+        # A served diff runs on a server thread; every thread diffing a
+        # must see only finished entries of a's inclusive-count memo.
+        expected = analyze(CHAIN_A).diff(analyze(CHAIN_B)).to_dict()
+        a_json = analyze(CHAIN_A).to_json()
+        bs = [analyze(CHAIN_B) for _ in range(8)]
+        docs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(20):
+                    a = AnalysisResult.from_json(a_json)    # a cold memo
+                    docs += pool.map(lambda b: a.diff(b).to_dict(), bs,
+                                     timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(docs) == 20 * len(bs)
+        assert all(doc == expected for doc in docs)
+
+
+def triangular_nest(depth: int, n: int) -> str:
+    """``main`` calling a depth-``depth`` triangular loop nest ``work(n)``
+    (each loop runs to the index of the one around it)."""
+    loops = "\n".join(
+        "  " * (d + 1) + f"for (int i{d + 1} = 0; i{d + 1} < "
+        f"{'n' if d == 0 else f'i{d}'}; i{d + 1}++)" for d in range(depth))
+    terms = " + ".join(f"i{d + 1}" for d in range(depth))
+    return (f"int work(int n)\n{{\n  int s = 0;\n{loops}\n"
+            f"{'  ' * (depth + 1)}s = s + ({terms}) * 3;\n  return s;\n}}\n"
+            f"int main()\n{{\n  return work({n});\n}}\n")
+
+
+class TestDeepNest:
+    def test_editing_main_over_a_deep_nest_is_fast(self):
+        src = triangular_nest(10, 17)
+        a = analyze(src)
+        b = analyze(src.replace("  return work(17);",
+                                "  int z = 1;\n  return work(17);"))
+        t0 = time.perf_counter()
+        diff = a.diff(b)
+        elapsed = time.perf_counter() - t0
+        assert [d.qname for d in diff.changed] == ["main"]
+        assert diff.unchanged == ["work"]
+        # folding work(17) into main used to take tens of seconds (every
+        # inner sum recomputed for every outer index)
+        assert elapsed < 1.0, elapsed
+
+
 class TestCorpusSelfDiff:
     @pytest.mark.parametrize("name", available())
     def test_self_diff_empty_for_corpus(self, name):
         res = Pipeline(AnalysisConfig()).run_file(source_path(name))
         diff = res.diff(res)
+        assert diff.identical, name
+        assert set(diff.unchanged) == set(res.models)
+
+    @pytest.mark.parametrize("name", available())
+    def test_live_vs_restored_diff_empty_for_corpus(self, name):
+        # A restored model has no AST, so the equality rule must compare
+        # only what the wire format carries.
+        res = Pipeline(AnalysisConfig()).run_file(source_path(name))
+        diff = res.diff(AnalysisResult.from_json(res.to_json()))
         assert diff.identical, name
         assert set(diff.unchanged) == set(res.models)

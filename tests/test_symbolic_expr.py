@@ -1,6 +1,7 @@
 """Unit tests for the symbolic expression engine."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -237,6 +238,121 @@ class TestSum:
             folded = Sum.make(Sym("k"), "k", Int(lo), Int(4))
             lazy = Sum(Sym("k"), "k", Int(lo), Int(4))
             assert folded.evaluate({}) == lazy.evaluate({})
+
+
+def brute(e: Expr, env: dict) -> Fraction:
+    """Reference evaluator: every sum loops over its whole range, with no
+    memo and no shared partial sums."""
+    if isinstance(e, Sum):
+        lo, hi = brute(e.lo, env), brute(e.hi, env)
+        k = -((-lo.numerator) // lo.denominator)        # ceil
+        total = Fraction(0)
+        while k <= hi:
+            total += brute(e.body, {**env, e.var: k})
+            k += 1
+        return total
+    if isinstance(e, Int):
+        return e.value
+    if isinstance(e, Sym):
+        return Fraction(env[e.name])
+    if isinstance(e, Add):
+        return sum((brute(a, env) for a in e.args), Fraction(0))
+    if isinstance(e, Mul):
+        out = Fraction(1)
+        for a in e.args:
+            out *= brute(a, env)
+        return out
+    if isinstance(e, (Max, Min)):
+        pick = max if isinstance(e, Max) else min
+        return pick(brute(a, env) for a in e.args)
+    if isinstance(e, FloorDiv):
+        q = brute(e.num, env) / brute(e.den, env)
+        return Fraction(q.numerator // q.denominator)
+    if isinstance(e, Pow):
+        return brute(e.base, env) ** e.exp
+    raise TypeError(e)
+
+
+def nest(depth: int, body: Expr, top: Expr) -> Expr:
+    """A triangular nest: i1 in [0, top-1], i(d+1) in [0, i(d)-1]."""
+    e = body
+    for d in range(depth, 0, -1):
+        hi = (top if d == 1 else Sym(f"i{d - 1}")) - 1
+        e = Sum(e, f"i{d}", Int(0), hi)
+    return e
+
+
+I, J, N, M = Sym("i"), Sym("j"), Sym("n"), Sym("m")
+
+
+class TestSumMemo:
+    """``Sum.evaluate`` memoizes on its free symbols' values and continues
+    partial sums; each case is checked against :func:`brute`."""
+
+    CASES = [
+        # nested sums with Max bodies (the lazy fallback's usual shape)
+        nest(4, Max.make([Sym("i4") - N + 3, Int(0)]), N),
+        nest(3, Max.make([Sym("i3") * 2 - Sym("i1"), Int(1)]) * M, N),
+        # a body that uses an outer index and a parameter
+        Sum(Sum(Max.make([I - J, M]), "j", Int(0), I), "i", Int(0), N),
+        # fractional lower bounds, at both levels
+        Sum(Sum(J + 1, "j", I * Fraction(1, 2), N), "i",
+            Int(Fraction(-3, 2)), N - 1),
+        Sum(Min.make([I, M]), "i", N * Fraction(1, 3), N * 2),
+        # a lower bound above the upper one: empty ranges
+        Sum(Sum(Int(1), "j", I + 2, N), "i", Int(0), N + 3),
+    ]
+
+    BINDINGS = [
+        {"n": 6, "m": 2},
+        {"n": 3, "m": -1},            # smaller after larger: runs restart
+        {"n": 9, "m": 4},
+        {"n": Fraction(6), "m": 2},   # the same point as an int binding
+        {"n": Fraction(13, 2), "m": Fraction(1, 2)},
+        {"n": -4, "m": 1},            # negative: every range is empty
+        {"n": 0, "m": 0},
+    ]
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_matches_brute_force(self, case):
+        e = self.CASES[case]
+        for env in self.BINDINGS:
+            assert e.evaluate(env) == brute(e, env), (e, env)
+        # and again, now that every memo is warm
+        for env in reversed(self.BINDINGS):
+            assert e.evaluate(env) == brute(e, env), (e, env)
+
+    def test_int_and_fraction_bindings_agree(self):
+        e = nest(3, Max.make([Sym("i3"), Int(0)]), N)
+        assert e.evaluate({"n": 7}) == e.evaluate({"n": Fraction(7)}) \
+            == brute(e, {"n": 7})
+
+    def test_memo_never_hides_a_float_or_unbound_symbol(self):
+        e = Sum(I * N, "i", Int(0), N)
+        assert e.evaluate({"n": 3}) == 18
+        with pytest.raises(SymbolicError):
+            e.evaluate({"n": 3.0})
+        with pytest.raises(SymbolicError):
+            e.evaluate({})
+        with pytest.raises(SymbolicError):
+            e.evaluate(None)
+
+    def test_concrete_fold_is_the_memoized_evaluate(self):
+        # Sum.make folds a concrete sum through Sum.evaluate
+        e = nest(5, Max.make([Sym("i5"), Int(0)]), Int(12))
+        folded = Sum.make(e.body, e.var, e.lo, e.hi)
+        assert isinstance(folded, Int)
+        assert folded.value == brute(e, {})
+
+    def test_deep_triangular_fold_matches_its_closed_form(self):
+        # depth 10 over n = 17 sums the smallest index of every decreasing
+        # 10-tuple below 17: choose the other 9 above it.  A plain nested
+        # loop visits every decreasing tuple of every length up to 10
+        # (~10^5 body evaluations); the memoized one a few hundred.
+        e = nest(10, Max.make([Sym("i10"), Int(0)]), N)
+        want = sum(m * comb(16 - m, 9) for m in range(17))
+        assert e.subs({"n": 17}) == Int(want)
+        assert e.evaluate({"n": 17}) == want
 
 
 class TestAsExpr:
