@@ -9,10 +9,10 @@ exactly as the paper's ``y_16``.
 
 The module :func:`generate_model_source` writes is also the scalar
 evaluator: :class:`CompiledResult` execs exactly that text and calls its
-``MODEL_FUNCTIONS``.  The model cache stores the models, not this text: a
-restored result emits it again on first use.  :func:`evaluate_model`, a
-direct walk of the symbolic terms with no codegen, is the oracle the
-module is tested against.
+``MODEL_FUNCTIONS``, emitted on first use: the cache stores the models.
+:func:`evaluate_model`, a walk of the symbolic terms with no codegen,
+fills a cold analysis's summaries and is the oracle the module is tested
+against; both return equal counts of equal types.
 
 Three emission rules make the module fit to evaluate with:
 
@@ -31,14 +31,13 @@ from __future__ import annotations
 import io
 import keyword
 import re
-from fractions import Fraction
 
 from ..compiler.arch import ArchDescription
 from ..errors import ModelError, SymbolicError
 from ..symbolic import Expr, Sym, expr_to_python
 from ..symbolic.compile import CODEGEN_COUNTS
 from .metric_generator import CallTerm, FunctionModel, topo_order
-from .model_runtime import Metrics, handle_function_call
+from .model_runtime import Metrics, _mira_exact, handle_function_call
 
 __all__ = ["CompiledResult", "call_args", "compile_model", "evaluate_model",
            "generate_model_source", "model_entry_name"]
@@ -72,12 +71,12 @@ def evaluate_model(models: dict[str, FunctionModel], qname: str,
             f"required: {m.params}")
     out = Metrics()
     for t in m.terms:
-        out.add(t.vector.as_dict(), Fraction(t.count.evaluate(env)))
+        out.add(t.vector.as_dict(), _mira_exact(t.count.evaluate(env)))
     for c in m.calls:
         sub_env = _callee_env(models, c, env)
         callee_metrics = evaluate_model(models, c.callee, sub_env)
         handle_function_call(out, callee_metrics,
-                             Fraction(c.count.evaluate(env)))
+                             _mira_exact(c.count.evaluate(env)))
     return out
 
 

@@ -95,8 +95,8 @@ class Metrics:
         Fast path: while ``times`` and the accumulated values are ints, the
         sums stay machine ints (no per-statement ``Fraction`` boxing); exact
         ``Fraction`` arithmetic takes over automatically when a rational
-        count (branch-ratio model) enters.  Semantics are identical either
-        way — Python's numeric tower keeps int/Fraction mixtures exact.
+        count (branch-ratio model) enters.  Either way the sums are exact,
+        and an integral one is stored as an ``int``, whatever produced it.
         """
         if isinstance(times, float):
             times = Fraction(times)  # floats never enter exact accumulation
@@ -104,7 +104,8 @@ class Metrics:
             return
         counts = self.counts
         for cat, n in vector.items():
-            counts[cat] = counts.get(cat, 0) + n * times
+            v = counts.get(cat, 0) + n * times
+            counts[cat] = v if type(v) is int else _mira_exact(v)
 
     def merge(self, other: "Metrics", times=1) -> None:
         self.add(other.counts, times)

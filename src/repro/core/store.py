@@ -9,8 +9,8 @@ cheapest first: **memory** (a dict lookup), **disk** (a
 promoted into memory), **cold** (a :class:`~repro.core.pipeline.Pipeline`
 run whose :func:`payload_from_result` is stored).  :func:`restore` is the
 one decoder of payloads: a malformed one is a miss, never an error.
-A payload stores the model, not generated code: a restored result emits
-its scalar or vector evaluator on first use (codegen on demand).
+A payload stores the model and building one emits no code: a cold or
+restored result emits its scalar or vector evaluator on first use.
 """
 
 from __future__ import annotations
@@ -107,14 +107,14 @@ class ModelCache:
 
     def _read(self, path: str, decode=None):
         """The JSON document at ``path``, passed through ``decode`` when
-        given.  A missing or unreadable file, invalid JSON, and a document
-        ``decode`` turns into None all count as one miss."""
+        given.  A missing or unreadable file, invalid or too deep JSON, and a
+        document ``decode`` turns into None all count as one miss."""
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 value = json.load(fh)
             if decode is not None:
                 value = decode(value)
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):
             value = None
         if value is None:
             self.misses += 1
@@ -225,21 +225,18 @@ def payload_from_result(config: AnalysisConfig, result: AnalysisResult,
     versioned :class:`AnalysisResult` wire format, per-function summaries
     and loop coverage.
 
-    Concrete summaries are evaluated through the scalar evaluator (the
-    generated model module); the tree-walk evaluator is the fallback when
-    the models do not compile.  No generated code is stored.
+    Concrete summaries are evaluated by the tree walk
+    (:meth:`AnalysisResult.evaluate`), so building a payload emits no
+    code and none is stored: the result builds an evaluator on its first
+    ``evaluate_compiled`` or ``sweep``.
     """
-    try:
-        evaluate = result.compiled().evaluate
-    except (MiraError, RecursionError):
-        evaluate = result.evaluate
     functions = {}
     for qname, fm in result.function_models().items():
         params = result.parameters(qname)
         counts = total = fp = None
         if not params:
             try:
-                metrics = evaluate(qname)
+                metrics = result.evaluate(qname)
                 counts = metrics.as_dict()
                 total = metrics.total()
                 fp = metrics.fp_instructions(

@@ -232,6 +232,33 @@ class TestCompiledModels:
         assert any(Fraction(v).denominator > 1
                    for v in result.evaluate("f", {"n": 7}).counts.values())
 
+    def test_tree_walk_matches_compiled_values_and_types(self):
+        """On every corpus function and on a branch-ratio model the tree
+        walk returns the compiled module's counts, value for value and type
+        for type: integral counts as ``int``, rational ones as
+        ``Fraction``."""
+        def typed(metrics):
+            return {k: (v, type(v)) for k, v in metrics.counts.items()}
+
+        pipeline = Pipeline()
+        results = [pipeline.run_file(source_path(name))
+                   for name in available()]
+        results.append(pipeline.run(RATIO_SRC))
+        kinds = set()
+        for result in results:
+            for qname in result.models:
+                for binding in (4, 7):
+                    env = {p: binding for p in result.parameters(qname)}
+                    walked = result.evaluate(qname, env)
+                    assert typed(walked) == typed(
+                        result.evaluate_compiled(qname, env)), (qname, env)
+                    for v in walked.counts.values():
+                        assert type(v) is (
+                            int if Fraction(v).denominator == 1
+                            else Fraction)
+                        kinds.add(type(v))
+        assert kinds == {int, Fraction}
+
     def test_missing_parameter_error_parity(self):
         result = Pipeline().run(SCALE_SRC)
         with pytest.raises(ModelError) as interp:

@@ -5,9 +5,9 @@ The contract under test: every consumer that reuses a built model —
 analyzer — goes through one :class:`ModelStore` with memory → disk → cold
 tiers; a cache entry that does not restore is a miss everywhere (never a
 raw exception), and sweep traffic reaches ``stats.json`` like everyone
-else's.  Payloads fill their summaries through the compiled models (the
-tree-walk is the fallback and the oracle) and store no generated code: a
-restored result emits each evaluator from its models on first use.
+else's.  Payloads fill their summaries by the tree walk, emit no code and
+store none: a cold or restored result emits each evaluator from its
+models on first use.
 """
 
 import json
@@ -128,6 +128,27 @@ def test_malformed_payload_is_a_miss(tmp_path, path, shape):
         assert restore(json.load(fh)) is not None
 
 
+def test_too_deeply_nested_entry_is_a_miss(tmp_path):
+    """JSON nested past the parser's recursion limit, in either tier or
+    inside ``decode``, is a miss like any other malformed entry."""
+    cache = ModelCache(str(tmp_path / "cache"))
+    store = ModelStore(cache)
+    key = "ab" * 32
+    for path in (cache._path(key), cache._fn_path(key)):
+        os.makedirs(os.path.dirname(path))
+        with open(path, "w") as fh:
+            fh.write("[" * 100000 + "]" * 100000)
+    assert store.lookup(key) is None
+    assert store.lookup_function(key, "kernel") is None
+
+    def too_deep(payload):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    cache.put("cd" * 32, {"ok": True})
+    assert cache.get("cd" * 32, too_deep) is None
+    assert (cache.hits, cache.misses) == (0, 3)
+
+
 def test_restore_rejects_failure_records_and_foreign_values():
     for payload in (None, 3, "x", [], {}, {"ok": False, "error": "boom"}):
         assert restore(payload) is None
@@ -220,16 +241,17 @@ def test_incremental_function_tier_is_bounded(tmp_path, monkeypatch):
     assert first.fresh_functions() == []
 
 
-# -- payloads: summaries from the compiled models; no generated code stored
+# -- payloads: summaries from the tree walk; no code emitted or stored
 
-def _tree_walk_summaries(result, config) -> dict:
-    """The reference: concrete summaries from the tree-walk evaluator."""
+def _tree_walk_summaries(result, config, evaluate=None) -> dict:
+    """The reference: concrete summaries from the tree-walk evaluator, or
+    from ``evaluate`` when given."""
     out = {}
     for qname in result.models:
         if result.parameters(qname):
             continue
         try:
-            metrics = result.evaluate(qname)
+            metrics = (evaluate or result.evaluate)(qname)
         except (MiraError, RecursionError):
             out[qname] = (None, None, None)
             continue
@@ -281,26 +303,31 @@ def tree_walks(monkeypatch):
 
 
 @pytest.mark.parametrize("name", available())
-def test_payload_summaries_equal_the_tree_walk(name, tree_walks):
-    """The payload is the model: summaries from the scalar evaluator, no
-    vector codegen and no stored code on the cold path, and a restored
-    result that emits, evaluates and sweeps exactly like the live one."""
+def test_payload_summaries_equal_the_tree_walk(name):
+    """The payload is the model: summaries from the tree walk, no codegen
+    and no stored code on the cold path, summaries the scalar evaluator
+    agrees with, and a restored result that emits, evaluates and sweeps
+    exactly like the live one."""
     config = AnalysisConfig(use_cache=False)
     path = source_path(name)
     result = Pipeline(config).run(get_source(name), filename=path)
     reset_codegen_counters()
     payload = store_mod.payload_from_result(config, result, path, 0.0)
-    assert tree_walks == []                  # evaluated by the compiled models
+    assert not CODEGEN_COUNTS                # no evaluator was emitted
     assert "compiled" not in payload
-    assert CODEGEN_COUNTS["vector_emit"] == 0
-    assert _payload_summaries(payload) == _tree_walk_summaries(result, config)
+    summaries = _payload_summaries(payload)
+    assert summaries == _tree_walk_summaries(result, config)
+    assert summaries == _tree_walk_summaries(
+        result, config, result.compiled().evaluate)
 
     warm = restore(json.loads(json.dumps(payload)))
     assert warm.python_source() == result.python_source()
     assert _evaluations(warm) == _evaluations(result)
 
 
-def test_payload_summaries_fall_back_to_the_tree_walk(monkeypatch, tree_walks):
+def test_payload_builds_without_codegen(monkeypatch, tree_walks):
+    """The payload builds, with the tree walk's summaries, when the
+    models cannot be emitted at all."""
     def no_compile(*args):
         raise ModelError("scalar codegen unavailable")
 
@@ -361,3 +388,41 @@ def test_restored_module_is_emitted_once():
     assert CODEGEN_COUNTS == {"scalar_emit": 1}
     with pytest.raises(VectorizeError):      # minife has no vector form
         warm.compiled(engine="vector")
+
+
+# -- cold analyses emit no code ----------------------------------------------
+
+def _triangular_nest(depth: int = 10, n: int = 17) -> str:
+    """``main`` calls ``work(n)``, a depth-``depth`` triangular loop nest
+    whose model is a lazy nested ``Sum``."""
+    loops = "\n".join(
+        "  " * (d + 1) + f"for (int i{d + 1} = 0; i{d + 1} < "
+        f"{'n' if d == 0 else f'i{d}'}; i{d + 1}++)" for d in range(depth))
+    terms = " + ".join(f"i{d + 1}" for d in range(depth))
+    return (f"int work(int n)\n{{\n  int s = 0;\n{loops}\n"
+            f"{'  ' * (depth + 1)}s = s + ({terms}) * 3;\n"
+            f"  return s;\n}}\nint main()\n{{\n  return work({n});\n}}\n")
+
+
+@pytest.mark.parametrize("source", [get_source("dgemm"), _triangular_nest()],
+                         ids=["dgemm", "depth-10-nest"])
+def test_cold_analysis_emits_no_code(tmp_path, source):
+    """A cold batch op and a cold served submit emit no evaluator; the
+    first evaluation of the registered entry emits the scalar module, once,
+    and agrees with the summary the tree walk stored."""
+    config = AnalysisConfig(cache_dir=str(tmp_path / "cache"))
+    reset_codegen_counters()
+    (batched,) = BatchAnalyzer(config, jobs=1).analyze_sources(
+        {"k.c": source}).results
+    registry = ModelRegistry(config.with_changes(use_cache=False))
+    entry, origin = registry.submit(source)
+    assert batched.ok and not batched.from_cache and origin == "cold"
+    assert not CODEGEN_COUNTS
+
+    summary = entry.functions["main"]
+    assert batched.functions["main"].total == summary["total"] > 0
+    assert summary["total"] == entry.result.evaluate("main").total()
+    for _ in range(2):
+        metrics = entry.result.compiled().evaluate("main")
+        assert metrics.as_dict() == summary["counts"]
+    assert CODEGEN_COUNTS == {"scalar_emit": 1}

@@ -563,6 +563,7 @@ class TestCompiledMemoAndArtifacts:
         json.dumps(payload)  # the cache stores JSON
 
         live = result.compiled(engine="vector")
+        live_scalar = result.compiled()
         restored = AnalysisResult.from_dict(payload["result"])
         reset_codegen_counters()
         comp = restored.compiled()
@@ -571,7 +572,7 @@ class TestCompiledMemoAndArtifacts:
         assert restored.compiled(engine="vector") is vec
         restored.python_source()
         assert CODEGEN_COUNTS == {"scalar_emit": 1, "vector_emit": 1}
-        assert comp.source == result.compiled().source
+        assert comp.source == live_scalar.source
         assert vec.source == live.source
         # the precheck's lowerings come from the same single render pass
         assert vec.int64_capable and vec.sum_lower == live.sum_lower
@@ -603,11 +604,14 @@ class TestCompiledMemoAndArtifacts:
         config = AnalysisConfig(use_cache=True, cache_dir=str(tmp_path))
         grid = {"n": [16, 32, 64]}
         sweep_mod.SWEEP_STORE.clear()
+        reset_codegen_counters()
         cold = sweep_source(get_source("dgemm"), grid,
                             function="dgemm_kernel", config=config,
                             filename="dgemm")
         assert cold.mode == "parametric" and cold.analyses == 1
         assert cold.engine == "vector"
+        # the cold analysis emits nothing; the sweep emits its engine
+        assert CODEGEN_COUNTS == {"vector_emit": 1}
 
         # warm: in-process memo cleared, so the disk cache must serve the
         # analysis — no pipeline stage.  The entry stores no code, so the
