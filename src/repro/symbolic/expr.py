@@ -94,6 +94,8 @@ _MAKE_MEMO_MAX = 1 << 16
 _SUM_MEMO: dict = {}
 _SUM_RUNS: dict = {}
 _SUM_MEMO_MAX = 1 << 14
+#: The bound symbols of :meth:`Sum.closed_form`.
+SUM_LO, SUM_HI = "_mira_lo", "_mira_hi"
 _EXACT_TYPES = frozenset({int, Fraction})
 
 
@@ -671,13 +673,14 @@ class Sum(Expr):
     """A lazy summation ``sum(body for var in [lo, hi])``.
 
     Used as a *numeric fallback* when no closed form exists (non-convex
-    domains, parametric min/max bounds — DESIGN.md §6).  Evaluation iterates
-    the range; an empty range contributes 0 (this clamps negative trip counts
-    exactly like real loop execution).  Evaluation is memoized (see
-    :meth:`evaluate`), and a concrete :meth:`make` folds through it.
+    domains, parametric min/max bounds — DESIGN.md §6).  An empty range
+    contributes 0 (this clamps negative trip counts exactly like real loop
+    execution).  :meth:`evaluate` uses the :meth:`closed_form` of a
+    polynomial body and memoizes any other; a concrete :meth:`make` folds
+    through it.
     """
 
-    __slots__ = ("body", "var", "lo", "hi", "_names")
+    __slots__ = ("body", "var", "lo", "hi", "_names", "_closed")
 
     def __new__(cls, body: Expr, var: str, lo: Expr, hi: Expr) -> "Sum":
         return _interned(cls, ("Sum", body, var, lo, hi),
@@ -712,21 +715,49 @@ class Sum(Expr):
             self.body.subs(inner), self.var, self.lo.subs(mapping), self.hi.subs(mapping)
         )
 
+    def closed_form(self) -> Expr | None:
+        """The sum over ``SUM_LO..SUM_HI`` as a Faulhaber polynomial in those
+        symbols, or None for a non-polynomial body (or one using them).
+        Exact for integer bounds with ``SUM_LO <= SUM_HI + 1``: callers snap
+        the bounds and guard the empty range.  Memoized on the node."""
+        try:
+            return self._closed
+        except AttributeError:
+            pass
+        from .poly import expr_to_poly  # local import: avoid cycle
+        from .summation import sum_poly_closed_form
+        cf = None
+        body_p = expr_to_poly(self.body)
+        used = self.free_symbols() | {self.var}
+        if body_p is not None and SUM_LO not in used and SUM_HI not in used:
+            cf = sum_poly_closed_form(body_p, self.var, Sym(SUM_LO),
+                                      Sym(SUM_HI))
+        object.__setattr__(self, "_closed", cf)
+        return cf
+
     def evaluate(self, env: Mapping[str, Number] | None = None) -> Fraction:
-        # A sum's value depends only on its own free symbols, so it is
+        # A polynomial body is summed in O(1) by its closed form.  Any other
+        # sum's value depends only on its own free symbols, so it is
         # memoized on their values.  A sum of the same body from the same
         # lower bound also continues the last such sum (a *run*) instead of
         # starting over, so an outer index walking up adds one term per
         # step: a depth-d triangular nest over n costs O(d·n) body
         # evaluations instead of O(n^d).
+        if env is None:
+            env = {}
+        cf = self.closed_form()
+        if cf is not None:
+            lo = _ceil_fraction(self.lo.evaluate(env))
+            hi = _floor_fraction(self.hi.evaluate(env))
+            if lo > hi:
+                return Fraction(0)
+            return cf.evaluate({**env, SUM_LO: lo, SUM_HI: hi})
         try:
             names, body_names = self._names
         except AttributeError:
             names = tuple(sorted(self.free_symbols()))
             body_names = tuple(sorted(self.body.free_symbols() - {self.var}))
             object.__setattr__(self, "_names", (names, body_names))
-        if env is None:
-            env = {}
         values = tuple(map(env.get, names))
         # Only exact bindings are memoized: an unbound symbol or a float
         # must raise as it would without the memo.

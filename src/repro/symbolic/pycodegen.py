@@ -17,13 +17,10 @@ from __future__ import annotations
 
 from math import lcm
 
-from .expr import Add, Expr, FloorDiv, Int, Max, Min, Mul, Pow, Sum, Sym
+from .expr import (SUM_HI as _CF_HI, SUM_LO as _CF_LO, Add, Expr, FloorDiv,
+                   Int, Max, Min, Mul, Pow, Sum, Sym)
 
 __all__ = ["expr_to_python", "expr_to_numpy"]
-
-#: Reserved identifiers for the closed-form guard lambda.
-_CF_LO = "_mira_lo"
-_CF_HI = "_mira_hi"
 
 
 def expr_to_python(e: Expr, *, rename=None) -> str:
@@ -94,25 +91,14 @@ def _emit(e: Expr, rename) -> str:
 def _emit_sum_closed(e: Sum, rename) -> str | None:
     """Exact closed form of a Sum with a runtime empty-range guard, or None.
 
-    ``Sum.evaluate`` iterates ``k`` from ``ceil(lo)`` to ``floor(hi)`` and
-    an empty range contributes 0.  The emitted expression snaps the bounds
-    to that integer lattice first, applies Faulhaber only on non-empty
-    ranges (where it is exact), and returns 0 otherwise — so it agrees with
-    the interpreted Sum on every input.
+    ``Sum.evaluate`` sums ``k`` over ``ceil(lo)..floor(hi)`` and an empty
+    range contributes 0.  The emitted expression snaps the bounds to that
+    integer lattice first, applies :meth:`~repro.symbolic.expr.Sum.closed_form`
+    only on non-empty ranges (where it is exact), and returns 0 otherwise —
+    as ``Sum.evaluate`` does, so the two agree on every input.
     """
-    from ..errors import SymbolicError
-    from .poly import expr_to_poly  # local import: poly imports expr only
-    from .summation import sum_poly_closed_form
-
-    body_p = expr_to_poly(e.body)
-    if body_p is None:
-        return None
-    free = e.body.free_symbols() | e.lo.free_symbols() | e.hi.free_symbols()
-    if _CF_LO in free or _CF_HI in free:  # defensive: reserved names in use
-        return None
-    try:
-        cf = sum_poly_closed_form(body_p, e.var, Sym(_CF_LO), Sym(_CF_HI))
-    except SymbolicError:
+    cf = e.closed_form()
+    if cf is None:
         return None
     inner = _shadowed(_shadowed(rename, _CF_LO), _CF_HI)
     cf_src = _emit(cf, inner)
@@ -200,25 +186,16 @@ def _emit_np(e: Expr, rename, ctx: dict) -> str:
 
 
 def _emit_np_sum(e: Sum, rename, ctx: dict) -> str:
-    from ..errors import SymbolicError, VectorizeError
+    from ..errors import VectorizeError
     from .expr import as_expr
     from .poly import expr_to_poly
-    from .summation import sum_poly_closed_form
 
+    cf = e.closed_form()
+    if cf is None:
+        raise VectorizeError(
+            f"Sum over {e.var!r} has no closed form (a non-polynomial body, "
+            f"or one using {_CF_LO!r}/{_CF_HI!r}); use the scalar engine")
     body_p = expr_to_poly(e.body)
-    if body_p is None:
-        raise VectorizeError(
-            f"Sum over {e.var!r} has a non-polynomial body; "
-            "no vector closed form (use the scalar engine)")
-    free = e.body.free_symbols() | e.lo.free_symbols() | e.hi.free_symbols()
-    if _CF_LO in free or _CF_HI in free:
-        raise VectorizeError(
-            f"Sum uses reserved bound name {_CF_LO!r}/{_CF_HI!r}")
-    try:
-        cf = sum_poly_closed_form(body_p, e.var, Sym(_CF_LO), Sym(_CF_HI))
-    except SymbolicError as exc:
-        raise VectorizeError(f"Sum closed form failed: {exc}") from exc
-
     int_body = all(c.denominator == 1 for c in body_p.terms.values())
     inner = _shadowed(_shadowed(rename, _CF_LO), _CF_HI)
     if int_body:

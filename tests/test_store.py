@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -426,3 +427,47 @@ def test_cold_analysis_emits_no_code(tmp_path, source):
         metrics = entry.result.compiled().evaluate("main")
         assert metrics.as_dict() == summary["counts"]
     assert CODEGEN_COUNTS == {"scalar_emit": 1}
+
+
+BOUNDED = """\
+int below(int n, int m)
+{
+  int s = 0;
+  for (int j = 0; j < n; j++)
+    if (j < m)
+      for (int l = 0; l <= j; l++)
+        s = s + l * 2;
+  return s;
+}
+int above(int n, int m)
+{
+  int s = 0;
+  for (int j = 0; j < n; j++)
+    if (j >= m)
+      for (int l = 0; l <= j; l++)
+        s = s + l;
+  return s;
+}
+int main()
+{
+  return below(1000000000, 999999999) + above(1000000000, 7);
+}
+"""
+
+
+def test_cold_payload_sums_a_bounded_level_in_closed_form():
+    """A level clamped by a guard (a ``Min``/``Max`` bound) keeps a lazy
+    ``Sum`` with a polynomial body.  The tree walk sums it by the same
+    guarded closed form the scalar module emits, so a ``main`` calling it
+    with bounds near 1e9 builds its payload at once, not in 1e9 steps."""
+    config = AnalysisConfig(use_cache=False)
+    result = Pipeline(config).run(BOUNDED)
+    for qname in ("below", "above"):
+        assert any("Sum(" in repr(t.count)
+                   for t in result.function_models()[qname].terms), qname
+    start = time.perf_counter()
+    payload = store_mod.payload_from_result(config, result, "k.c", 0.0)
+    assert time.perf_counter() - start < 1.0
+    summary = payload["functions"]["main"]
+    assert summary["counts"] == result.compiled().evaluate("main").as_dict()
+    assert summary["total"] > 10 ** 18

@@ -301,6 +301,10 @@ class TestSumMemo:
         Sum(Min.make([I, M]), "i", N * Fraction(1, 3), N * 2),
         # a lower bound above the upper one: empty ranges
         Sum(Sum(Int(1), "j", I + 2, N), "i", Int(0), N + 3),
+        # a polynomial body with rational coefficients and a parameter,
+        # summed by its closed form, under a Min bound
+        Sum(I * I * Fraction(1, 3) - M * I, "i", N * Fraction(1, 2),
+            Min.make([N * 2 + 1, M + 5])),
     ]
 
     BINDINGS = [
@@ -343,6 +347,16 @@ class TestSumMemo:
         folded = Sum.make(e.body, e.var, e.lo, e.hi)
         assert isinstance(folded, Int)
         assert folded.value == brute(e, {})
+
+    def test_polynomial_body_is_summed_in_closed_form(self):
+        # the guarded closed form: O(1) over a range of 10^12 integers
+        e = Sum(I * M + 1, "i", Max.make([M, Int(0)]), N - 1)
+        assert e.closed_form() is not None
+        n, m = 10 ** 12, 5
+        want = m * (n * (n - 1) // 2 - m * (m - 1) // 2) + (n - m)
+        assert e.evaluate({"n": n, "m": m}) == want
+        assert e.evaluate({"n": 3, "m": 5}) == 0   # empty: not extrapolated
+        assert Sum(Max.make([I, M]), "i", Int(0), N).closed_form() is None
 
     def test_deep_triangular_fold_matches_its_closed_form(self):
         # depth 10 over n = 17 sums the smallest index of every decreasing
