@@ -12,7 +12,7 @@ import pytest
 
 from _common import rows_to_text, save_table
 
-from repro.core import Mira, arithmetic_intensity
+from repro.core import AnalysisConfig, Pipeline, arithmetic_intensity
 from repro.workloads import get_source
 
 N = 10000
@@ -20,7 +20,8 @@ DEFS = {"STREAM_ARRAY_SIZE": str(N)}
 
 
 def model_at(opt):
-    return Mira(opt_level=opt).analyze(get_source("stream"), predefined=DEFS)
+    return Pipeline(AnalysisConfig(opt_level=opt)).run(get_source("stream"),
+                                                       predefined=DEFS)
 
 
 @pytest.fixture(scope="module")

@@ -11,7 +11,7 @@ scalars promoted to registers), while Mira matches the dynamic measurement.
 from _common import error_pct, rows_to_text, save_table
 
 from repro.baselines import PBoundAnalyzer
-from repro.core import Mira
+from repro.core import AnalysisConfig, Pipeline
 from repro.dynamic import TauProfiler
 from repro.workloads import get_source
 
@@ -22,7 +22,8 @@ SRC_DEFS = {"STREAM_ARRAY_SIZE": str(N)}
 
 def build():
     src = get_source("stream")
-    model = Mira(opt_level=2).analyze(src, predefined=SRC_DEFS)
+    model = Pipeline(AnalysisConfig(opt_level=2)).run(src,
+                                                      predefined=SRC_DEFS)
     rep = TauProfiler(model.processed).profile("main")
     pb = PBoundAnalyzer(model.processed.tu)
     return model, rep, pb
@@ -76,7 +77,7 @@ def test_ablation_pbound_vs_mira(benchmark):
 def test_ablation_pbound_dgemm(benchmark):
     n = 64
     src = get_source("dgemm")
-    model = Mira(opt_level=2).analyze(
+    model = Pipeline(AnalysisConfig(opt_level=2)).run(
         src, predefined={"DGEMM_N": str(n), "DGEMM_NREP": "1"})
     pb = PBoundAnalyzer(model.processed.tu)
     pb_counts = benchmark(

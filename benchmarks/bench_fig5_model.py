@@ -13,9 +13,6 @@ import re
 
 from _common import analyze_workload, rows_to_text, save_table
 
-from repro.core import Mira
-from repro.workloads import get_source
-
 
 def test_fig5_generated_model(benchmark):
     model = benchmark(lambda: analyze_workload("fig5"))

@@ -18,7 +18,7 @@ import pytest
 from _common import fmt_sci, rows_to_text, save_table
 
 from repro.compiler import default_arch
-from repro.core import Mira
+from repro.core import AnalysisConfig, Pipeline
 from repro.dynamic import TauProfiler, preset_categories
 from repro.errors import MiraError
 from repro.workloads import get_source
@@ -30,7 +30,7 @@ def test_static_sweep_vs_dynamic_runs(benchmark):
     # static: generate once (any size; the kernel models are parametric),
     # then evaluate the kernel across the sweep.
     t0 = time.perf_counter()
-    model = Mira().analyze(get_source("stream"),
+    model = Pipeline().run(get_source("stream"),
                            predefined={"STREAM_ARRAY_SIZE": str(SWEEP[0])})
     gen_time = time.perf_counter() - t0
 
@@ -46,7 +46,7 @@ def test_static_sweep_vs_dynamic_runs(benchmark):
     dyn_times = []
     dyn_fp = []
     for n in SWEEP:
-        m = Mira().analyze(get_source("stream"),
+        m = Pipeline().run(get_source("stream"),
                            predefined={"STREAM_ARRAY_SIZE": str(n)})
         t0 = time.perf_counter()
         rep = TauProfiler(m.processed).profile("main")
@@ -82,8 +82,8 @@ def test_haswell_fp_counters_missing(benchmark):
         return True
 
     assert benchmark(attempt)
-    model = Mira(arch=arya).analyze(get_source("stream"),
-                                    predefined={"STREAM_ARRAY_SIZE": "1000"})
+    model = Pipeline(AnalysisConfig(arch=arya)).run(
+        get_source("stream"), predefined={"STREAM_ARRAY_SIZE": "1000"})
     # ... while the static model still reports FPI on that machine model
     assert model.fp_instructions("tuned_triad", {"n": 1000}) == 2000
 

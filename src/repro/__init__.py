@@ -17,17 +17,17 @@ Quick start::
     print(result.stage_timings)                   # per-stage wall time
     print(result.to_json())                       # versioned wire format
 
-(the historical ``Mira().analyze(...)`` facade still works and now returns
-the same :class:`AnalysisResult`.)
+``__all__`` below is the supported surface; each sub-package re-exports only
+the names imported through it, and everything else stays importable from
+its defining module.
 """
 
 from .baselines.pbound import PBoundAnalyzer, PBoundCounts
 from .compiler.arch import ArchDescription, default_arch, load_arch
 from .core import (
     AnalysisConfig, AnalysisResult, BatchAnalyzer, BatchReport, Metrics,
-    Mira, MiraModel, ModelCache, Pipeline, PipelineState, StageEvent,
-    arithmetic_intensity, instruction_distribution, loop_coverage_source,
-    roofline_estimate,
+    ModelCache, Pipeline, PipelineState, StageEvent, arithmetic_intensity,
+    instruction_distribution, loop_coverage_source, roofline_estimate,
 )
 from .dynamic import TauProfiler, TauReport
 from .errors import (BatchError, MiraError, PipelineError, SchemaError,
@@ -36,10 +36,10 @@ from ._version import __version__
 
 __all__ = [
     "AnalysisConfig", "AnalysisResult", "ArchDescription", "BatchAnalyzer",
-    "BatchError", "BatchReport", "Metrics", "Mira", "MiraError", "MiraModel",
-    "ModelCache", "PBoundAnalyzer", "PBoundCounts", "Pipeline",
-    "PipelineError", "PipelineState", "SchemaError", "ServeError",
-    "StageEvent", "TauProfiler", "TauReport", "__version__",
-    "arithmetic_intensity", "default_arch", "instruction_distribution",
-    "load_arch", "loop_coverage_source", "roofline_estimate",
+    "BatchError", "BatchReport", "Metrics", "MiraError", "ModelCache",
+    "PBoundAnalyzer", "PBoundCounts", "Pipeline", "PipelineError",
+    "PipelineState", "SchemaError", "ServeError", "StageEvent",
+    "TauProfiler", "TauReport", "__version__", "arithmetic_intensity",
+    "default_arch", "instruction_distribution", "load_arch",
+    "loop_coverage_source", "roofline_estimate",
 ]

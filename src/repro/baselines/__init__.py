@@ -1,5 +1,5 @@
 """Baseline analyzers the paper compares against (PBound)."""
 
-from .pbound import PBoundAnalyzer, PBoundCounts
+from .pbound import PBoundAnalyzer
 
-__all__ = ["PBoundAnalyzer", "PBoundCounts"]
+__all__ = ["PBoundAnalyzer"]

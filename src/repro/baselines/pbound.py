@@ -21,7 +21,7 @@ The ablation bench compares PBound / Mira / dynamic measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from ..core.metric_generator import GeneratorOptions

@@ -4,11 +4,7 @@ Substitutes for the ROSE binary frontend (DESIGN.md §2): consumes only
 object-file *bytes*.
 """
 
-from .ast_nodes import AsmFunction, AsmInstruction, AsmProgram
+from .ast_nodes import AsmProgram
 from .disasm import disassemble, format_listing
-from .dwarf_reader import LineTable, decode_line_program
 
-__all__ = [
-    "AsmFunction", "AsmInstruction", "AsmProgram", "LineTable",
-    "decode_line_program", "disassemble", "format_listing",
-]
+__all__ = ["AsmProgram", "disassemble", "format_listing"]

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from ..compiler.isa import Instruction
-
 __all__ = ["AsmInstruction", "AsmFunction", "AsmProgram"]
 
 
@@ -29,10 +27,6 @@ class AsmInstruction:
     size: int
     line: int = 0   # filled by the DWARF bridge
     col: int = 0
-
-    @staticmethod
-    def from_isa(ins: Instruction, size: int) -> "AsmInstruction":
-        return AsmInstruction(ins.address, ins.mnemonic, ins.operands, size)
 
     def __str__(self) -> str:
         ops = ", ".join(str(o) for o in self.operands)

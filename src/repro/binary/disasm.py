@@ -9,7 +9,7 @@ source coordinate from the decoded ``.debug_line`` table.
 from __future__ import annotations
 
 from ..compiler.isa import decode_instruction
-from ..compiler.objfile import ObjectFile, SYM_FUNC
+from ..compiler.objfile import ObjectFile
 from ..errors import DisasmError
 from .ast_nodes import AsmFunction, AsmInstruction, AsmProgram
 from .dwarf_reader import LineTable, decode_line_program

@@ -56,7 +56,3 @@ class LineTable:
             return self._by_addr[address]
         except KeyError:
             raise DisasmError(f"no line info for address {address:#x}") from None
-
-    def lines_for_range(self, start: int, end: int) -> set[int]:
-        """All source lines covered by [start, end) — per-function queries."""
-        return {line for addr, line, _ in self.rows if start <= addr < end}

@@ -1,9 +1,7 @@
 """Source↔binary association via line numbers (paper §III-A.2)."""
 
-from .linemap import CostCenter, FunctionBridge, build_bridge
-from .metrics import CategoryVector, NCAT, vector_for_center, vector_for_mnemonics
+from .linemap import FunctionBridge, build_bridge
+from .metrics import NCAT, CategoryVector, vector_for_center
 
-__all__ = [
-    "CategoryVector", "CostCenter", "FunctionBridge", "NCAT", "build_bridge",
-    "vector_for_center", "vector_for_mnemonics",
-]
+__all__ = ["CategoryVector", "FunctionBridge", "NCAT", "build_bridge",
+           "vector_for_center"]

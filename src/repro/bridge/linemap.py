@@ -13,10 +13,9 @@ maps to exactly one source coordinate (the paper's N:1 relationship).
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
-from ..binary.ast_nodes import AsmFunction, AsmProgram
+from ..binary.ast_nodes import AsmProgram
 
 __all__ = ["CostCenter", "FunctionBridge", "build_bridge"]
 

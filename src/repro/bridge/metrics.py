@@ -93,10 +93,6 @@ class CategoryVector:
         return sum(int(self.counts[_CAT_INDEX[c]])
                    for c in arch.fp_arith_categories)
 
-    def fp_data_movement(self, arch: ArchDescription) -> int:
-        return sum(int(self.counts[_CAT_INDEX[c]])
-                   for c in arch.fp_data_categories)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CategoryVector) and \
             bool((self.counts == other.counts).all())

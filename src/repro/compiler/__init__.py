@@ -5,25 +5,18 @@ AST is lowered to a realistic post-optimization x86-64-like instruction
 stream, encoded to bytes with a DWARF-style line table.
 """
 
-from .arch import (
-    ArchDescription, CATEGORY_NAMES, CAT_64BIT, CAT_INT_ARITH, CAT_INT_CTRL,
-    CAT_INT_DATA, CAT_MISC, CAT_SSE2_ARITH, CAT_SSE2_DATA, default_arch,
-    load_arch,
-)
+from .arch import (ArchDescription, CATEGORY_NAMES, CAT_INT_ARITH,
+                   CAT_INT_CTRL, CAT_SSE2_ARITH, CAT_SSE2_DATA, default_arch)
 from .driver import compile_tu
-from .isa import (
-    GP_REGS, Imm, Instruction, Label, Mem, MNEMONICS, Reg, XMM_REGS, Xmm,
-    decode_instruction, encode_instruction,
-)
-from .objfile import ObjectFile, SYM_FUNC, SYM_LABEL, SYM_OBJECT, Symbol
-from .optimizer import fold_constants, mark_vectorizable_loops, peephole
+from .isa import (Imm, Instruction, Label, Mem, MNEMONICS, Reg, Xmm,
+                  decode_instruction, encode_instruction)
+from .objfile import ObjectFile
+from .optimizer import fold_constants, mark_vectorizable_loops
 
 __all__ = [
-    "ArchDescription", "CATEGORY_NAMES", "CAT_64BIT", "CAT_INT_ARITH",
-    "CAT_INT_CTRL", "CAT_INT_DATA", "CAT_MISC", "CAT_SSE2_ARITH",
-    "CAT_SSE2_DATA", "GP_REGS", "Imm", "Instruction", "Label", "MNEMONICS",
-    "Mem", "ObjectFile", "Reg", "SYM_FUNC", "SYM_LABEL", "SYM_OBJECT",
-    "Symbol", "XMM_REGS", "Xmm", "compile_tu", "decode_instruction",
-    "default_arch", "encode_instruction", "fold_constants", "load_arch",
-    "mark_vectorizable_loops", "peephole",
+    "ArchDescription", "CATEGORY_NAMES", "CAT_INT_ARITH", "CAT_INT_CTRL",
+    "CAT_SSE2_ARITH", "CAT_SSE2_DATA", "Imm", "Instruction", "Label",
+    "MNEMONICS", "Mem", "ObjectFile", "Reg", "Xmm", "compile_tu",
+    "decode_instruction", "default_arch", "encode_instruction",
+    "fold_constants", "mark_vectorizable_loops",
 ]

@@ -197,14 +197,8 @@ class ArchDescription:
             raise MiraError(f"mnemonic {mnemonic!r} not classified by arch "
                             f"description {self.name!r}") from None
 
-    def category_index(self, category: str) -> int:
-        return CATEGORY_NAMES.index(category)
-
     def is_fp_arith(self, category: str) -> bool:
         return category in self.fp_arith_categories
-
-    def is_fp_data(self, category: str) -> bool:
-        return category in self.fp_data_categories
 
     def fingerprint(self) -> str:
         """Content hash of the full machine description.

@@ -21,7 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 
-from ..errors import CompileError, DisasmError
+from ..errors import DisasmError
 
 __all__ = ["Symbol", "ObjectFile", "SYM_FUNC", "SYM_OBJECT", "SYM_LABEL"]
 

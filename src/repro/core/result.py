@@ -1,6 +1,6 @@
 """AnalysisResult: the versioned, serializable product of an analysis.
 
-Replaces ``MiraModel`` as the richer pipeline product.  It carries the
+What a ``Pipeline`` run returns.  It carries the
 per-function parametric models, their warnings, per-stage wall times, and —
 crucially — a **versioned JSON wire format**: ``to_json``/``from_json``
 round-trip everything evaluation needs (symbolic counts included, exact),
@@ -15,11 +15,6 @@ evaluator from its models the first time it is used.
 ``processed`` (both ASTs + the bridge) is a live-run extra for tools that
 need the AST — the dynamic profiler, PBound — and is deliberately *not*
 serialized: the wire format is the model, not the compiler state.
-
-Back-compat: the full ``MiraModel`` surface (``evaluate``, ``parameters``,
-``warnings``, ``fp_instructions``, ``categorized_counts``,
-``python_source``, ``compiled_module``, ``save``) is preserved;
-``repro.MiraModel`` is an alias of this class.
 """
 
 from __future__ import annotations

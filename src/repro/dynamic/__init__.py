@@ -5,14 +5,13 @@ instruction vectors per cost center, plus library-internal costs the static
 model cannot see.
 """
 
-from .interp import ExecutionCounts, Interpreter
-from .libruntime import LIBRARY, LibFunction, printf_cost
-from .papi import PAPI_PRESETS, count_preset, preset_categories
-from .tau import FunctionProfile, TauProfiler, TauReport
-from .values import Obj, Ptr, c_div, c_mod
+from .interp import Interpreter
+from .libruntime import printf_cost
+from .papi import count_preset, preset_categories
+from .tau import TauProfiler, TauReport
+from .values import c_div, c_mod
 
 __all__ = [
-    "ExecutionCounts", "FunctionProfile", "Interpreter", "LIBRARY",
-    "LibFunction", "Obj", "PAPI_PRESETS", "Ptr", "TauProfiler", "TauReport",
-    "c_div", "c_mod", "count_preset", "preset_categories", "printf_cost",
+    "Interpreter", "TauProfiler", "TauReport", "c_div", "c_mod",
+    "count_preset", "preset_categories", "printf_cost",
 ]

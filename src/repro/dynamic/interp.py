@@ -127,10 +127,6 @@ class ExecutionCounts:
             vec = vec // rec.calls
         return self._vec_to_dict(vec)
 
-    def call_count(self, qname: str) -> int:
-        rec = self.records.get(qname)
-        return rec.calls if rec else 0
-
 
 class _CompiledFunction:
     __slots__ = ("qname", "nslots", "body", "frame_cid", "param_slots",

@@ -20,12 +20,10 @@ import math
 from ..compiler.arch import (CAT_INT_ARITH, CAT_INT_CTRL, CAT_INT_DATA,
                              CAT_MISC, CAT_SSE2_ARITH, CAT_SSE2_DATA)
 from ..errors import InterpError
-from .values import Ptr
 
 __all__ = ["LIBRARY", "LibFunction", "printf_cost"]
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 
 @dataclass

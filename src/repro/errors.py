@@ -29,11 +29,6 @@ class ParseError(MiraError):
         self.col = col
 
 
-class SemanticError(MiraError):
-    """Raised when the input program is syntactically valid but meaningless
-    for our analyses (unknown identifier, bad annotation, ...)."""
-
-
 class SymbolicError(MiraError):
     """Raised by the symbolic engine (non-polynomial summation, bad domain)."""
 

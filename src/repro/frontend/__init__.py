@@ -4,21 +4,11 @@ Stands in for the ROSE/EDG frontend the paper builds on (DESIGN.md §2).
 """
 
 from . import ast_nodes
-from .ast_nodes import TranslationUnit, FunctionDef, ClassDef, walk
+from .ast_nodes import TranslationUnit
 from .lexer import tokenize
-from .parser import Parser, parse_file, parse_source
-from .pragma import Annotation, parse_annotation
+from .parser import parse_source
 from .preprocessor import preprocess
-from .printer import dump_tree, unparse
-from .slicing import function_slice, slice_fingerprint, tu_context_slice
-from .traversal import BottomUpPass, TopDownPass, Visitor, postorder, preorder
-from .types import Type, BUILTIN_FUNCTIONS
+from .printer import unparse
 
-__all__ = [
-    "Annotation", "BUILTIN_FUNCTIONS", "BottomUpPass", "ClassDef",
-    "FunctionDef", "Parser", "TopDownPass", "TranslationUnit", "Type",
-    "Visitor", "ast_nodes", "dump_tree", "function_slice",
-    "parse_annotation", "parse_file", "parse_source", "postorder",
-    "preorder", "preprocess", "slice_fingerprint", "tokenize",
-    "tu_context_slice", "unparse", "walk",
-]
+__all__ = ["TranslationUnit", "ast_nodes", "parse_source", "preprocess",
+           "tokenize", "unparse"]

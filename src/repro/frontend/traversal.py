@@ -10,7 +10,7 @@ both traversal orders plus a generic visitor.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .ast_nodes import Node
 

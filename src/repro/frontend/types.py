@@ -7,7 +7,7 @@ instructions) and (b) size array storage for the dynamic substrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["Type", "BUILTIN_FUNCTIONS", "INT_TYPES", "FLOAT_TYPES"]
 
@@ -28,10 +28,6 @@ class Type:
     @property
     def is_void(self) -> bool:
         return self.name == "void" and self.pointer == 0
-
-    @property
-    def is_pointer(self) -> bool:
-        return self.pointer > 0
 
     @property
     def is_float(self) -> bool:

@@ -22,20 +22,6 @@ Every divergence between two paths is, by construction, a genuine bug in
 one of them.
 """
 
-from .generator import (BoundSpec, CallSpec, FunctionSpec, GeneratedProgram,
-                        GuardSpec, LoopSpec, ProgramSpec, RawProgram,
-                        StmtSpec, generate_program, render_program,
-                        spec_from_dict, spec_to_dict)
-from .oracles import (ORACLE_NAMES, CaseReport, OracleVerdict, run_oracles)
-from .runner import (FuzzReport, load_reproducer, run_campaign,
-                     save_reproducer)
-from .shrink import shrink_program
+from .runner import run_campaign
 
-__all__ = [
-    "BoundSpec", "CallSpec", "CaseReport", "FunctionSpec",
-    "FuzzReport", "GeneratedProgram", "GuardSpec", "LoopSpec",
-    "ORACLE_NAMES", "OracleVerdict", "ProgramSpec", "RawProgram",
-    "StmtSpec", "generate_program", "load_reproducer", "render_program",
-    "run_campaign", "run_oracles", "save_reproducer", "shrink_program",
-    "spec_from_dict", "spec_to_dict",
-]
+__all__ = ["run_campaign"]

@@ -35,7 +35,7 @@ warnings to decide when exactness is required.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..core.config import AnalysisConfig
 from ..errors import MiraError

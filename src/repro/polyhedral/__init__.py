@@ -5,13 +5,12 @@ Loop SCoPs become :class:`NestLevel` rows; branch conditions become
 lattice-point counts.
 """
 
-from .affine import AffineExpr, Constraint, affine_from_symbolic
-from .counting import count_nest, count_residue
+from .affine import AffineExpr, Constraint
 from .polyhedron import LoopNest, NestLevel
-from .scop import ScopError, condition_to_constraints, expr_to_symbolic, extract_level
+from .scop import (ScopError, condition_to_constraints, expr_to_symbolic,
+                   extract_level)
 
 __all__ = [
     "AffineExpr", "Constraint", "LoopNest", "NestLevel", "ScopError",
-    "affine_from_symbolic", "condition_to_constraints", "count_nest",
-    "count_residue", "expr_to_symbolic", "extract_level",
+    "condition_to_constraints", "expr_to_symbolic", "extract_level",
 ]

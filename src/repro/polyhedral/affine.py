@@ -9,12 +9,12 @@ the constraint forms Mira extracts from loop SCoPs and ``if`` conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
 from ..errors import PolyhedralError
-from ..symbolic import Add, Expr, Int, Mul, Pow, Sym, as_expr
+from ..symbolic import Expr, Int, Sym
 from ..symbolic.poly import expr_to_poly
 
 Number = Union[int, Fraction]

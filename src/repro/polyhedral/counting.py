@@ -24,7 +24,6 @@ from fractions import Fraction
 
 from ..errors import PolyhedralError
 from ..symbolic import Expr, FloorDiv, Int, Max, Min, Sum, as_expr, sum_expr
-from ..symbolic.summation import range_size
 from .affine import AffineExpr, Constraint, affine_from_symbolic
 from .polyhedron import LoopNest, NestLevel
 

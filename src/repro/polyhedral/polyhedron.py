@@ -14,12 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from ..errors import PolyhedralError
-from ..symbolic import Expr, Int, Max, Min, Sum, as_expr
-from ..symbolic.expr import FloorDiv
-from .affine import AffineExpr, Constraint
+from ..symbolic import Expr, Max, Min, as_expr
+from .affine import Constraint
 
 __all__ = ["NestLevel", "LoopNest"]
 
@@ -89,10 +88,6 @@ class LoopNest:
         if level.var in names:
             raise PolyhedralError(f"duplicate loop variable {level.var!r}")
         self.levels.append(level)
-        return self
-
-    def add_constraint(self, c: Constraint) -> "LoopNest":
-        self.constraints.append(c)
         return self
 
     def with_constraint(self, c: Constraint) -> "LoopNest":

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from ..errors import PolyhedralError
 from ..frontend import ast_nodes as A
 from ..symbolic import Expr, FloorDiv, Int, Max, Min, Sym, as_expr
-from .affine import AffineExpr, Constraint, affine_from_symbolic
+from .affine import Constraint, affine_from_symbolic
 from .polyhedron import NestLevel
 
 __all__ = ["ScopError", "extract_level", "expr_to_symbolic", "condition_to_constraints"]

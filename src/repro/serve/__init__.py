@@ -22,14 +22,8 @@ Route map (all JSON, all stamped with ``schema_version`` + ``version``)::
     POST   /v1/corpora                     batch submission (BatchAnalyzer)
 """
 
-from .app import HTTPError, MiraServer, Request, Response, ServerContext
-from .client import (DEFAULT_URL, ClientConnectionError, HTTPStatusError,
-                     MiraClient, ServeResponse)
-from .registry import DEFAULT_CAPACITY, ModelRegistry, RegistryEntry
+from .app import MiraServer
+from .client import HTTPStatusError, MiraClient
+from .registry import ModelRegistry
 
-__all__ = [
-    "DEFAULT_CAPACITY", "DEFAULT_URL", "ClientConnectionError",
-    "HTTPError", "HTTPStatusError", "MiraClient", "MiraServer",
-    "ModelRegistry", "RegistryEntry", "Request", "Response",
-    "ServeResponse", "ServerContext",
-]
+__all__ = ["HTTPStatusError", "MiraClient", "MiraServer", "ModelRegistry"]

@@ -57,7 +57,6 @@ __all__ = [
     "ZERO",
     "ONE",
     "interning_disabled",
-    "intern_table_size",
 ]
 
 
@@ -117,11 +116,6 @@ def interning_disabled():
     finally:
         _INTERNING = prev
         _MAKE_MEMO.clear()
-
-
-def intern_table_size() -> int:
-    """Number of live interned nodes (observability / benchmarks)."""
-    return len(_INTERN)
 
 
 def _interned(cls, key: tuple, attrs: tuple):
@@ -214,18 +208,8 @@ class Expr:
         """Exactly evaluate with the given variable bindings."""
         raise NotImplementedError
 
-    def evaluate_int(self, env: Mapping[str, Number] | None = None) -> int:
-        """Evaluate and require an integer result."""
-        v = self.evaluate(env)
-        if v.denominator != 1:
-            raise SymbolicError(f"expected integer value, got {v}")
-        return v.numerator
-
     def is_constant(self) -> bool:
         return not self.free_symbols()
-
-    def sort_key(self) -> tuple:
-        return (type(self).__name__, str(self))
 
     def __eq__(self, other: object) -> bool:  # pragma: no cover - per subclass
         raise NotImplementedError

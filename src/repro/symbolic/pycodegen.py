@@ -32,8 +32,8 @@ def expr_to_python(e: Expr, *, rename=None) -> str:
     all are exported by :mod:`repro.core.model_runtime`).
 
     ``rename`` optionally maps symbol names to emitted identifiers (the
-    model generator and :mod:`.compile` use it to turn model parameters
-    into collision-free Python names); it must be injective.  Summation
+    model generator uses it to turn model parameters into collision-free
+    Python names); it must be injective.  Summation
     variables are renamed too, and bound by the emitted lambda itself,
     mirroring how ``Sum.evaluate`` shadows the environment.
     """

@@ -1,4 +1,4 @@
-"""Array-vectorized compilation of symbolic expressions and model sets.
+"""Array-vectorized compilation of symbolic model sets.
 
 Where the generated Fig. 5 module (the scalar evaluator, see
 :mod:`repro.core.model_generator`) evaluates an analysis point by point,
@@ -86,9 +86,7 @@ from .expr import Expr
 from .intervals import _mul_iv, interval_eval_within
 from .pycodegen import expr_to_numpy
 
-__all__ = ["INT64_BOUND", "VecCompiledExpr",
-           "VecCompiledResult", "compile_expr_vector",
-           "compile_result_vector"]
+__all__ = ["INT64_BOUND", "VecCompiledResult", "compile_result_vector"]
 
 #: Largest magnitude any int64-mode intermediate may reach.  Symmetric on
 #: purpose: it forgoes -2**63 itself, which only makes the precheck more
@@ -230,76 +228,15 @@ def _vfull(v, n: int):
     return out
 
 
-def _reject_floats(env, params=None) -> None:
+def _reject_floats(env, params) -> None:
     """Float bindings are never exact.  Scalars are rejected only for the
     model's own parameters (matching ``CompiledResult.evaluate``); a
     float-dtype array is rejected wherever it appears."""
     for k, v in env.items():
         if isinstance(v, np.ndarray) and v.dtype.kind == "f":
             raise SymbolicError(f"float binding for {k!r}; use int/Fraction")
-        if isinstance(v, float) and (params is None or k in params):
+        if isinstance(v, float) and k in params:
             raise SymbolicError(f"float binding for {k!r}; use int/Fraction")
-
-
-# ---------------------------------------------------------------------------
-# single-expression vector compilation
-# ---------------------------------------------------------------------------
-
-class VecCompiledExpr:
-    """A compiled :class:`~.expr.Expr` over numpy arrays.
-
-    Call with an env mapping symbols to equal-length arrays (or exact
-    scalars); broadcasting follows numpy rules.  ``uses_fraction`` is True
-    when the emitted source contains ``Fraction`` literals, i.e. the
-    expression is only evaluable in object dtype."""
-
-    __slots__ = ("params", "source", "fn", "uses_fraction")
-
-    def __init__(self, params: tuple, source: str, fn,
-                 uses_fraction: bool) -> None:
-        self.params = params
-        self.source = source
-        self.fn = fn
-        self.uses_fraction = uses_fraction
-
-    def __call__(self, env=None):
-        env = env or {}
-        args = []
-        for p in self.params:
-            try:
-                v = env[p]
-            except KeyError:
-                raise SymbolicError(f"unbound symbol {p!r}") from None
-            args.append(v)
-        _reject_floats(dict(zip(self.params, args)))
-        return self.fn(*args)
-
-    def __repr__(self) -> str:
-        return (f"VecCompiledExpr(params={list(self.params)}, "
-                f"uses_fraction={self.uses_fraction})")
-
-
-def compile_expr_vector(e: Expr, params=None, *,
-                        name: str = "_mira_vexpr") -> VecCompiledExpr:
-    """Compile one expression into a numpy-elementwise closure.
-
-    Raises :class:`~repro.errors.VectorizeError` when the expression has no
-    vector form (non-polynomial ``Sum`` body)."""
-    if params is None:
-        params = tuple(sorted(e.free_symbols()))
-    else:
-        params = tuple(params)
-        missing = e.free_symbols() - set(params)
-        if missing:
-            raise SymbolicError(
-                f"compile_expr_vector: free symbols {sorted(missing)} "
-                "not in params")
-    body, frac = expr_to_numpy(e, rename=_mangle)
-    args = ", ".join(_mangle(p) for p in params)
-    source = f"def {name}({args}):\n    return {body}\n"
-    ns = _vec_runtime_namespace()
-    exec(compile(source, f"<mira-veccompiled:{name}>", "exec"), ns)
-    return VecCompiledExpr(params, source, ns[name], frac)
 
 
 # ---------------------------------------------------------------------------

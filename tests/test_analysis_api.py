@@ -8,8 +8,8 @@ import pytest
 from repro.cli import main as cli_main
 from repro.core import (
     CONFIG_SCHEMA_VERSION, RESULT_SCHEMA_VERSION, AnalysisConfig,
-    AnalysisResult, BatchAnalyzer, IncrementalAnalyzer, Mira, MiraModel,
-    Pipeline, StageEvent,
+    AnalysisResult, BatchAnalyzer, IncrementalAnalyzer, Pipeline,
+    StageEvent,
 )
 from repro.core.pipeline import STAGES
 from repro.errors import MiraError, PipelineError, SchemaError
@@ -193,11 +193,6 @@ class TestPipeline:
         cfg = AnalysisConfig(predefined={"STREAM_ARRAY_SIZE": "50"})
         result = Pipeline(cfg).run(get_source("stream"), filename="stream")
         assert result.fp_instructions("tuned_triad", {"n": 50}) == 100
-
-    def test_facade_returns_analysis_result(self):
-        model = Mira().analyze(SCALE_SRC)
-        assert isinstance(model, AnalysisResult)
-        assert MiraModel is AnalysisResult
 
     def test_per_call_predefines_stringified_like_config_ones(self):
         # int values must behave identically whether they arrive via the

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core import Mira
+from repro.core import Pipeline
 from repro.core.batch import BatchAnalyzer, BatchItem, ModelCache
 from repro.errors import BatchError
 from repro.workloads import available, source_path
@@ -60,7 +60,7 @@ class TestCorpusBatch:
     def test_matches_per_file_mira_analyze(self):
         report = BatchAnalyzer(jobs=2, use_cache=False).analyze_corpus()
         for name in ("dgemm", "stream", "fig5"):
-            model = Mira().analyze_file(source_path(name))
+            model = Pipeline().run_file(source_path(name))
             assert report[name].model_source == model.python_source()
 
     def test_aggregate_counts(self):

@@ -1,4 +1,4 @@
-"""Compiled model evaluation: hash-consing, closure compilation, sweeps.
+"""Compiled model evaluation: hash-consing, scalar emission, sweeps.
 
 The acceptance surface of the compiled-evaluation subsystem:
 
@@ -25,8 +25,8 @@ from repro.core.model_runtime import (Metrics, _mira_ceil, _mira_exact,
 from repro.core.sweep import _grid_columns
 from repro.cli import main as cli_main
 from repro.errors import ModelError, SymbolicError
-from repro.symbolic import (FloorDiv, Int, Max, Min, Sum, Sym, compile_expr,
-                            expr_from_json, expr_to_json)
+from repro.symbolic import (FloorDiv, Int, Max, Min, Sum, Sym, expr_from_json,
+                            expr_to_json, expr_to_python)
 from repro.symbolic.expr import interning_disabled
 from repro.workloads import available, get_source, source_path
 
@@ -105,65 +105,64 @@ class TestHashConsing:
 
 
 # ---------------------------------------------------------------------------
-# compiled expressions
+# scalar emission of single expressions
 # ---------------------------------------------------------------------------
+
+def run_emitted(e, env):
+    """Evaluate ``e`` as the generated model module does: rendered by the
+    scalar emitter and run with the runtime helpers the module imports.
+    Returns ``(value, source)``."""
+    source = expr_to_python(e, rename=lambda p: "v_" + p)
+    ns = {"Fraction": Fraction, "_mira_sum": _mira_sum,
+          "_mira_ceil": _mira_ceil, "_mira_floor": _mira_floor,
+          "_mira_exact": _mira_exact}
+    ns.update({"v_" + k: v for k, v in env.items()})
+    return eval(source, ns), source
+
 
 class TestCompileExpr:
     def test_polynomial_exact(self):
         n = Sym("n")
         e = 2 * n ** 3 + Int(Fraction(1, 2)) * n + 7
-        ce = compile_expr(e)
         for v in (0, 1, 13, 10 ** 6, Fraction(5, 2)):
-            assert Fraction(ce({"n": v})) == e.evaluate({"n": v})
+            got, _ = run_emitted(e, {"n": v})
+            assert Fraction(got) == e.evaluate({"n": v})
 
     def test_integer_fast_path_returns_int(self):
         n = Sym("n")
-        ce = compile_expr(2 * n ** 3 + n)
-        assert type(ce({"n": 9})) is int
+        got, _ = run_emitted(2 * n ** 3 + n, {"n": 9})
+        assert type(got) is int
 
     def test_closed_form_sum_matches_lazy_sum(self):
         n, m = Sym("n"), Sym("m")
         s = Sum(n * Sym("k") + 1, "k", Int(0), m)
-        ce = compile_expr(s)
         for env in ({"n": 3, "m": 5}, {"n": 3, "m": 0}, {"n": 3, "m": -1},
                     {"n": 3, "m": -10}, {"n": 2, "m": Fraction(7, 2)}):
-            assert Fraction(ce(env)) == s.evaluate(env), env
+            got, source = run_emitted(s, env)
+            assert "_mira_sum" not in source
+            assert Fraction(got) == s.evaluate(env), env
 
     def test_fractional_lower_bound(self):
         m = Sym("m")
         s = Sum(Sym("k"), "k", Int(Fraction(3, 2)), m)
-        ce = compile_expr(s)
         for mm in (5, 2, 1, 0, Fraction(9, 2)):
-            assert Fraction(ce({"m": mm})) == s.evaluate({"m": mm}), mm
+            got, _ = run_emitted(s, {"m": mm})
+            assert Fraction(got) == s.evaluate({"m": mm}), mm
 
     def test_non_polynomial_body_loop_fallback(self):
         n, m = Sym("n"), Sym("m")
         s = Sum(Max.make((Int(0), n - Sym("k"))), "k", Int(0), m)
-        ce = compile_expr(s)
-        assert "_mira_sum" in ce.source
         for env in ({"n": 4, "m": 9}, {"n": 0, "m": -3}):
-            assert Fraction(ce(env)) == s.evaluate(env)
+            got, source = run_emitted(s, env)
+            assert "_mira_sum" in source
+            assert Fraction(got) == s.evaluate(env)
 
     def test_loop_fallback_binds_a_keyword_summation_variable(self):
         s = Sum(FloorDiv(Sym("in") * Sym("n"), Int(3)), "in", Int(0),
                 Sym("n"))
-        ce = compile_expr(s)
-        assert "_mira_sum" in ce.source
-        assert Fraction(ce({"n": 10})) == s.evaluate({"n": 10})
-
-    def test_unbound_symbol_raises(self):
-        ce = compile_expr(Sym("n") + 1)
-        with pytest.raises(SymbolicError):
-            ce({})
-
-    def test_float_binding_rejected(self):
-        ce = compile_expr(Sym("n") + 1)
-        with pytest.raises(SymbolicError):
-            ce({"n": 1.5})
-
-    def test_params_must_cover_free_symbols(self):
-        with pytest.raises(SymbolicError):
-            compile_expr(Sym("n") + Sym("m"), params=("n",))
+        got, source = run_emitted(s, {"n": 10})
+        assert "_mira_sum" in source
+        assert Fraction(got) == s.evaluate({"n": 10})
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +265,23 @@ class TestCompiledModels:
         with pytest.raises(ModelError) as comp:
             result.evaluate_compiled("scale", {})
         assert str(interp.value) == str(comp.value)
+
+    @pytest.mark.parametrize("engine, env, error", [
+        ("scalar", {"n": 8.0}, SymbolicError),
+        ("scalar", {}, ModelError),
+        ("vector", {"n": 8.0}, SymbolicError),
+        ("vector", {"n": np.array([8.0, 9.0])}, SymbolicError),
+        ("vector", {}, ModelError),
+    ])
+    def test_evaluator_rejects_bad_binding(self, engine, env, error):
+        """Each engine's evaluator checks its own bindings: a float is never
+        exact, and every model parameter must be bound."""
+        compiled = Pipeline().run(SCALE_SRC).compiled(engine=engine)
+        run = (compiled.evaluate if engine == "scalar"
+               else compiled.evaluate_grid)
+        run("scale", {"n": 8})
+        with pytest.raises(error):
+            run("scale", env)
 
     def test_compiled_result_is_cached(self):
         result = Pipeline().run(SCALE_SRC)

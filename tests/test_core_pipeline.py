@@ -4,8 +4,8 @@ the generated-Python path, annotations, and derived analyses."""
 import pytest
 
 from repro.core import (
-    Mira, arithmetic_intensity, compile_model, evaluate_model,
-    instruction_distribution, loop_coverage_source, roofline_estimate,
+    AnalysisConfig, Pipeline, arithmetic_intensity, instruction_distribution,
+    loop_coverage_source, roofline_estimate,
 )
 from repro.core.model_runtime import Metrics, handle_function_call
 from repro.errors import ModelError
@@ -24,7 +24,7 @@ int main() { scale(a, b, 3.0, 64); return 0; }
 
 @pytest.fixture(scope="module")
 def scale_model():
-    return Mira().analyze(SCALE_SRC)
+    return Pipeline().run(SCALE_SRC)
 
 
 class TestModelBasics:
@@ -92,7 +92,7 @@ class TestClassAndAnnotations:
 
     @pytest.fixture(scope="class")
     def fig5(self):
-        return Mira().analyze(self.FIG5)
+        return Pipeline().run(self.FIG5)
 
     def test_member_model_name(self, fig5):
         assert fig5.function_models()["A::foo"].model_name == "A_foo_2"
@@ -126,7 +126,7 @@ class TestClassAndAnnotations:
           }
         }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         m = model.evaluate("f", {"n": 10})
         # only one of the two statements is modeled (10 adds + 10 incs +
         # 11 cmps + 1 prologue sub = 32; with both statements it would be 42)
@@ -146,7 +146,7 @@ class TestClassAndAnnotations:
         double data[16];
         int main() { f(data, 16); return 0; }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         m = model.evaluate("f", {"n": 100})
         # then-branch body: 1 addsd × 0.25 × 100 = 25
         assert m.fp_instructions(model.arch.fp_arith_categories) == 25
@@ -165,7 +165,7 @@ class TestClassAndAnnotations:
           }
         }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         assert "row_nnz" in model.parameters("f")
         fp = model.fp_instructions("f", {"n": 10, "row_nnz": 27})
         assert fp == 270
@@ -183,7 +183,7 @@ class TestClassAndAnnotations:
         double d[8];
         int main() { f(d, 8); return 0; }
         """
-        model = Mira(default_branch_ratio=0.5).analyze(src)
+        model = Pipeline(AnalysisConfig(default_branch_ratio=0.5)).run(src)
         assert any("ratio" in w for w in model.warnings("f"))
         # cond itself: 1 FP compare operand load path, body: addsd × 50
         m = model.evaluate("f", {"n": 100})
@@ -201,7 +201,7 @@ class TestBranchModeling:
                 acc = acc + 1;
         }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         m = model.evaluate("f")
         assert m.as_dict()["Integer arithmetic instruction"] >= 8
 
@@ -215,7 +215,7 @@ class TestBranchModeling:
           }
         }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         m = model.evaluate("f", {"n": 30}).as_dict()
         # 10 then-increments + 20 else-increments + 30 i-increments + cond
         assert m["Integer arithmetic instruction"] >= 60
@@ -229,7 +229,7 @@ class TestBranchModeling:
               acc = acc + 1;
         }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         m8 = model.evaluate("f", {"n": 8}).as_dict()
         m7 = model.evaluate("f", {"n": 7}).as_dict()
         # 8 iterations: 6 not divisible by 4; 7 iterations: 6
@@ -253,7 +253,7 @@ class TestBranchModeling:
         double q;
         int main() { f(q); return 0; }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         (p,) = [x for x in model.parameters("f") if x.startswith("iters_")]
         fp = model.fp_instructions("f", {p: 10})
         # body: mulsd + addsd per iteration (ucomisd compares are not
@@ -334,7 +334,7 @@ class TestRecursionGuard:
     def test_recursion_rejected(self):
         src = "int f(int n) { return f(n - 1); }"
         with pytest.raises(ModelError):
-            Mira().analyze(src)
+            Pipeline().run(src)
 
 
 class TestValidityAssumptions:
@@ -353,18 +353,18 @@ class TestValidityAssumptions:
     """
 
     def test_parametric_extent_is_assumed(self):
-        model = Mira().analyze(self.SRC % "9")
+        model = Pipeline().run(self.SRC % "9")
         (a,) = model.assumptions("f")
         # extent of [2, m-1] is m - 2: exact only where m >= 2
         assert a.evaluate({"m": 9}) == 7
         assert a.evaluate({"m": 1}) == -1
 
     def test_violating_call_warns(self):
-        model = Mira().analyze(self.SRC % "1")
+        model = Pipeline().run(self.SRC % "1")
         assert not model.warnings("f")
         assert any("validity domain" in w for w in model.warnings("main"))
         # the satisfied variant stays warning-free and exact
-        ok = Mira().analyze(self.SRC % "4")
+        ok = Pipeline().run(self.SRC % "4")
         assert not ok.warnings()
         assert ok.fp_instructions("main") == 2
         assert not ok.assumptions("main")
@@ -379,7 +379,7 @@ class TestValidityAssumptions:
         void g(int n) { f(n); }
         int main() { g(5); return 0; }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         assert any(a.evaluate({"n": 1}) < 0 and a.evaluate({"n": 5}) >= 0
                    for a in model.assumptions("g"))
         # g(5) satisfies it, so main carries no residue
@@ -389,7 +389,7 @@ class TestValidityAssumptions:
     def test_assumptions_serialize(self):
         from repro.core.result import AnalysisResult
 
-        model = Mira().analyze(self.SRC % "9")
+        model = Pipeline().run(self.SRC % "9")
         restored = AnalysisResult.from_json(model.to_json())
         assert restored.to_dict() == model.to_dict()
         assert [str(a) for a in restored.assumptions("f")] == \

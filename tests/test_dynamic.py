@@ -3,17 +3,17 @@ interfaces, and static-vs-dynamic agreement on analyzable programs."""
 
 import pytest
 
-from repro.core import Mira
+from repro.compiler import default_arch
+from repro.core import Pipeline
 from repro.dynamic import (Interpreter, TauProfiler, c_div, c_mod,
                            count_preset, preset_categories, printf_cost)
-from repro.dynamic.values import Obj, Ptr, alloc_array
+from repro.dynamic.values import Ptr, alloc_array
 from repro.errors import InterpError, MiraError
-from repro.frontend import parse_source
 from repro.frontend.types import Type
 
 
 def run_program(src: str, entry: str = "main"):
-    model = Mira().analyze(src)
+    model = Pipeline().run(src)
     interp = Interpreter(model.processed)
     rv = interp.run(entry)
     return model, interp, rv
@@ -188,7 +188,7 @@ class TestCounting:
         }
         int main() { axpy(x, y, 2.0, 200); return 0; }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         rep = TauProfiler(model.processed).profile("main")
         static = model.evaluate("main").as_dict()
         dynamic = rep.function("main").categories
@@ -204,7 +204,7 @@ class TestCounting:
         }
         int main() { f(8); return 0; }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         rep = TauProfiler(model.processed).profile("main")
         static = model.evaluate("main").as_dict()
         dynamic = rep.function("main").categories
@@ -215,7 +215,7 @@ class TestCounting:
         double v;
         int main() { v = sqrt(2.0); return 0; }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         rep = TauProfiler(model.processed).profile("main")
         s = model.evaluate("main")
         static_fp = s.fp_instructions(model.arch.fp_arith_categories)
@@ -228,7 +228,7 @@ class TestCounting:
         void inc() { g++; }
         int main() { for (int i = 0; i < 12; i++) inc(); return 0; }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         rep = TauProfiler(model.processed).profile("main")
         assert rep.function("inc").calls == 12
 
@@ -239,7 +239,7 @@ class TestCounting:
         void mid(int n) { leaf(n); leaf(n); }
         int main() { mid(50); return 0; }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         rep = TauProfiler(model.processed).profile("main")
         assert rep.fp_ins("mid") == 100
         assert rep.fp_ins("leaf") == 50  # mean per call
@@ -261,7 +261,7 @@ class TestCounting:
           return acc;
         }
         """
-        model = Mira().analyze(src)
+        model = Pipeline().run(src)
         rep = TauProfiler(model.processed).profile("main")
         assert rep.return_value == 8
         # static with annotation est=2: 4*2 = 8 — matches by luck of avg;
@@ -273,25 +273,23 @@ class TestCounting:
 
 class TestPapi:
     def test_fp_ins_preset(self):
-        arch = Mira().arch
+        arch = default_arch()
         cats = preset_categories("PAPI_FP_INS", arch)
         assert "SSE2 packed arithmetic instruction" in cats
 
     def test_tot_ins_preset(self):
-        arch = Mira().arch
+        arch = default_arch()
         assert preset_categories("PAPI_TOT_INS", arch) is None
         assert count_preset({"a": 3, "b": 4}, "PAPI_TOT_INS", arch) == 7
 
     def test_haswell_has_no_fp_counters(self):
-        from repro.compiler import default_arch
-
         arya = default_arch("arya")
         with pytest.raises(MiraError):
             preset_categories("PAPI_FP_INS", arya)
 
     def test_unknown_preset(self):
         with pytest.raises(MiraError):
-            preset_categories("PAPI_MADE_UP", Mira().arch)
+            preset_categories("PAPI_MADE_UP", default_arch())
 
     def test_printf_cost_scales_with_conversions(self):
         c1 = printf_cost("%f\n")

@@ -5,7 +5,7 @@ they run in every test invocation.
 
 import pytest
 
-from repro.core import Mira, arithmetic_intensity
+from repro.core import AnalysisConfig, Pipeline, arithmetic_intensity
 from repro.dynamic import TauProfiler
 from repro.workloads import get_source
 
@@ -15,7 +15,7 @@ class TestFig5Artifact:
 
     @pytest.fixture(scope="class")
     def model(self):
-        return Mira().analyze(get_source("fig5"), filename="fig5")
+        return Pipeline().run(get_source("fig5"), filename="fig5")
 
     def test_function_naming(self, model):
         src = model.python_source()
@@ -53,7 +53,7 @@ class TestErrorDirections:
     """Tables III-V: TAU >= Mira, with the documented mechanisms."""
 
     def test_stream_gap_is_library_fp(self):
-        model = Mira().analyze(get_source("stream"),
+        model = Pipeline().run(get_source("stream"),
                                predefined={"STREAM_ARRAY_SIZE": "1000"})
         rep = TauProfiler(model.processed).profile("main")
         gap = rep.fp_ins("main") - model.fp_instructions("main")
@@ -69,7 +69,7 @@ class TestErrorDirections:
         assert gap == lib_fp
 
     def test_minife_error_sign_controlled_by_annotation(self):
-        model = Mira().analyze(get_source("minife"),
+        model = Pipeline().run(get_source("minife"),
                                predefined={"NX": "4", "CG_MAX_ITER": "3"})
         rep = TauProfiler(model.processed).profile("main")
         tau = rep.fp_ins("operator()")
@@ -97,13 +97,13 @@ class TestOptimizationVisibility:
         # x*0.0 + 0.0: +0.0 folds away; x*0.0 cannot (x could be NaN in
         # real C, but our folder only removes *1.0/+0.0) — check the model
         # counts match the *binary*, not the source
-        model = Mira().analyze(self.SRC)
+        model = Pipeline().run(self.SRC)
         rep = TauProfiler(model.processed).profile("main")
         assert model.fp_instructions("k", {"n": 512}) == rep.fp_ins("k")
 
     def test_mix_changes_with_opt_level_dynamically_consistent(self):
         for opt in (0, 1, 2):
-            model = Mira(opt_level=opt).analyze(self.SRC)
+            model = Pipeline(AnalysisConfig(opt_level=opt)).run(self.SRC)
             rep = TauProfiler(model.processed).profile("main")
             static = model.evaluate("k", {"n": 512}).as_dict()
             dynamic = rep.function("k").categories
@@ -114,7 +114,7 @@ class TestParametricSweep:
     """IV-D.1: one model, many inputs, no executions."""
 
     def test_model_generated_once_evaluates_everywhere(self):
-        model = Mira().analyze(get_source("dgemm"),
+        model = Pipeline().run(get_source("dgemm"),
                                predefined={"DGEMM_N": "8",
                                            "DGEMM_NREP": "1"})
         results = [model.fp_instructions("dgemm_kernel", {"n": n})
@@ -126,7 +126,7 @@ class TestParametricSweep:
         import subprocess
         import sys
 
-        model = Mira().analyze(get_source("dgemm"),
+        model = Pipeline().run(get_source("dgemm"),
                                predefined={"DGEMM_N": "8",
                                            "DGEMM_NREP": "1"})
         path = tmp_path / "dgemm_model.py"
@@ -140,10 +140,9 @@ class TestParametricSweep:
 class TestVectorizationExtension:
     def test_o3_halves_fp_instructions(self):
         src = get_source("stream")
-        m2 = Mira(opt_level=2).analyze(src,
-                                       predefined={"STREAM_ARRAY_SIZE": "64"})
-        m3 = Mira(opt_level=3).analyze(src,
-                                       predefined={"STREAM_ARRAY_SIZE": "64"})
+        defs = {"STREAM_ARRAY_SIZE": "64"}
+        m2 = Pipeline(AnalysisConfig(opt_level=2)).run(src, predefined=defs)
+        m3 = Pipeline(AnalysisConfig(opt_level=3)).run(src, predefined=defs)
         n = 10000
         fp2 = m2.fp_instructions("tuned_triad", {"n": n})
         fp3 = m3.fp_instructions("tuned_triad", {"n": n})
@@ -153,7 +152,7 @@ class TestVectorizationExtension:
     def test_ai_constant_under_vectorization(self):
         src = get_source("stream")
         for opt in (2, 3):
-            model = Mira(opt_level=opt).analyze(
+            model = Pipeline(AnalysisConfig(opt_level=opt)).run(
                 src, predefined={"STREAM_ARRAY_SIZE": "64"})
             m = model.evaluate("tuned_triad", {"n": 10000})
             ai = arithmetic_intensity(m, model.arch)

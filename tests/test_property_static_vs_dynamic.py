@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Mira
+from repro.core import Pipeline
 from repro.dynamic import TauProfiler
 from repro.fuzz.generator import (BoundSpec, CallSpec, FunctionSpec,
                                   GuardSpec, LoopSpec, ProgramSpec, StmtSpec,
@@ -26,7 +26,7 @@ from repro.fuzz.generator import (BoundSpec, CallSpec, FunctionSpec,
 
 
 def run_both(src: str) -> tuple[dict, dict]:
-    model = Mira().analyze(src)
+    model = Pipeline().run(src)
     rep = TauProfiler(model.processed).profile("main")
     return (model.evaluate("main").as_dict(),
             rep.function("main").categories)

@@ -7,7 +7,7 @@ static/dynamic sides must agree wherever the program is fully analyzable.
 
 import pytest
 
-from repro.core import Mira, loop_coverage_source
+from repro.core import Pipeline, loop_coverage_source
 from repro.dynamic import TauProfiler
 from repro.workloads import (EVALUATION_APPS, PAPER_EXAMPLES, SURVEY_APPS,
                              available, get_source, source_path)
@@ -21,7 +21,7 @@ TINY_DEFS = {
 
 
 def _analyze(name: str):
-    return Mira().analyze(get_source(name), filename=name,
+    return Pipeline().run(get_source(name), filename=name,
                           predefined=TINY_DEFS.get(name, {}))
 
 
@@ -66,7 +66,7 @@ class TestEveryWorkload:
 class TestStream:
     @pytest.fixture(scope="class")
     def model(self):
-        return Mira().analyze(get_source("stream"),
+        return Pipeline().run(get_source("stream"),
                               predefined={"STREAM_ARRAY_SIZE": "2000"})
 
     def test_kernel_fp_per_element(self, model):
@@ -93,7 +93,7 @@ class TestStream:
 class TestDgemm:
     @pytest.fixture(scope="class")
     def model(self):
-        return Mira().analyze(get_source("dgemm"),
+        return Pipeline().run(get_source("dgemm"),
                               predefined={"DGEMM_N": "8", "DGEMM_NREP": "2"})
 
     def test_kernel_closed_form(self, model):
@@ -119,7 +119,7 @@ class TestMinife:
 
     @pytest.fixture(scope="class")
     def model(self):
-        return Mira().analyze(get_source("minife"), predefined={
+        return Pipeline().run(get_source("minife"), predefined={
             "NX": str(self.NX), "CG_MAX_ITER": str(self.ITERS)})
 
     @pytest.fixture(scope="class")
@@ -172,7 +172,7 @@ class TestMinife:
 class TestListings:
     @pytest.fixture(scope="class")
     def model(self):
-        return Mira().analyze(get_source("listings"))
+        return Pipeline().run(get_source("listings"))
 
     def test_dynamic_acc_matches_lattice_counts(self, model):
         rep = TauProfiler(model.processed).profile("main")
