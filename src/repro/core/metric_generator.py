@@ -716,8 +716,8 @@ class MetricGenerator:
 def topo_order(models: dict[str, FunctionModel]) -> list[str]:
     """Callees before callers; raises on recursion.
 
-    The one call-graph order: the metric generator, the Fig. 5 emitter,
-    the vector emitter and ``AnalysisResult.from_dict`` all use it."""
+    The one call-graph order: the metric generator, the Fig. 5 emitter
+    and ``AnalysisResult.from_dict`` all use it."""
     out: list[str] = []
     state: dict[str, int] = {}
 

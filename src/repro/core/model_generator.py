@@ -7,12 +7,14 @@ sites are combined with ``handle_function_call``; unknown quantities are
 function parameters, with call-site-specific parameters named ``<var>_<line>``
 exactly as the paper's ``y_16``.
 
-The module :func:`generate_model_source` writes is also the scalar
-evaluator: :class:`CompiledResult` execs exactly that text and calls its
-``MODEL_FUNCTIONS``, emitted on first use: the cache stores the models.
-:func:`evaluate_model`, a walk of the symbolic terms with no codegen,
-fills a cold analysis's summaries and is the oracle the module is tested
-against; both return equal counts of equal types.
+The module :func:`generate_model_source` writes is the one text both
+evaluators run: :class:`CompiledResult` execs it as it is (the scalar
+evaluator), and :class:`~repro.symbolic.veccompile.VecCompiledResult`
+execs it with numpy helpers bound over its runtime names (the vector
+evaluator).  It is emitted on first use, once per result: the cache stores
+the models.  :func:`evaluate_model`, a walk of the symbolic terms with no
+codegen, fills a cold analysis's summaries and is the oracle the module is
+tested against; all three return equal counts of equal types.
 
 Three emission rules make the module fit to evaluate with:
 
@@ -39,15 +41,23 @@ from ..symbolic.compile import CODEGEN_COUNTS
 from .metric_generator import CallTerm, FunctionModel, topo_order
 from .model_runtime import Metrics, _mira_exact, handle_function_call
 
-__all__ = ["CompiledResult", "call_args", "compile_model", "evaluate_model",
-           "generate_model_source", "model_entry_name"]
+__all__ = ["CompiledResult", "bound_model", "call_args", "compile_model",
+           "evaluate_model", "generate_model_source"]
 
 
-def model_entry_name(models: dict[str, FunctionModel], qname: str) -> str:
+def bound_model(models: dict[str, FunctionModel], qname: str,
+                env) -> FunctionModel:
+    """The model of ``qname``, checked to have every parameter bound in
+    ``env``: the binding check all three evaluators share."""
     m = models.get(qname)
     if m is None:
         raise ModelError(f"no model for function {qname!r}")
-    return m.model_name
+    missing = [p for p in m.params if p not in env]
+    if missing:
+        raise ModelError(
+            f"model {m.model_name} missing parameter(s) {missing}; "
+            f"required: {m.params}")
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -61,14 +71,7 @@ def evaluate_model(models: dict[str, FunctionModel], qname: str,
     Call-site parameters (``y_16``) are looked up in the same ``env``.
     """
     env = dict(env or {})
-    m = models.get(qname)
-    if m is None:
-        raise ModelError(f"no model for function {qname!r}")
-    missing = [p for p in m.params if p not in env]
-    if missing:
-        raise ModelError(
-            f"model {m.model_name} missing parameter(s) {missing}; "
-            f"required: {m.params}")
+    m = bound_model(models, qname, env)
     out = Metrics()
     for t in m.terms:
         out.add(t.vector.as_dict(), _mira_exact(t.count.evaluate(env)))
@@ -105,15 +108,16 @@ def _callee_env(models: dict[str, FunctionModel], c: CallTerm,
 
 def call_args(models: dict[str, FunctionModel], caller: FunctionModel,
               c: CallTerm) -> list[Expr]:
-    """The call-binding rule of the emitted evaluators (scalar and vector).
+    """The call-binding rule of the emitted module (both evaluators).
 
     One expression over ``caller``'s parameters per callee parameter, in
     the callee's ``params`` order: the bound argument expression, else the
     caller's call-site parameter ``<p>_<line>``, else a caller parameter
     named ``<p>`` (the order :func:`evaluate_model` looks them up in).
     Raises the :class:`ModelError` that :func:`evaluate_model` raises at
-    this call; the emitters turn it into code that raises it when the
-    call is evaluated.
+    this call; the emitter turns it into code that raises it when the
+    call is evaluated.  The vector engine's int64 precheck binds callee
+    parameters by the same rule.
     """
     callee = models.get(c.callee)
     if callee is None:
@@ -200,15 +204,20 @@ def _text(s: str) -> str:
 
 def generate_model_source(models: dict[str, FunctionModel],
                           arch: ArchDescription,
-                          source_name: str = "<input>") -> str:
-    """Render the full Python model module (paper Fig. 5)."""
+                          source_name: str = "<input>", *,
+                          uses: set | None = None) -> str:
+    """Render the full Python model module (paper Fig. 5).
+
+    ``uses``, when a set, collects what the model functions need beyond
+    plain arithmetic (see :func:`~repro.symbolic.expr_to_python`)."""
     order = topo_order(models)
     fn_names = _function_names(models, order)
     py = _param_namer(set(fn_names.values()))
     vectors: dict = {}                   # vector items -> constant name
     body = io.StringIO()
     for qname in order:
-        _emit_function(body.write, models, qname, fn_names, py, vectors)
+        _emit_function(body.write, models, qname, fn_names, py, vectors,
+                       uses)
 
     out = io.StringIO()
     w = out.write
@@ -221,7 +230,8 @@ def generate_model_source(models: dict[str, FunctionModel],
     w('"""\n\n')
     w("from fractions import Fraction\n")
     w("from repro.core.model_runtime import (Metrics, handle_function_call,\n"
-      "    _mira_ceil, _mira_error, _mira_exact, _mira_floor, _mira_sum)\n\n")
+      "    _mira_ceil, _mira_error, _mira_exact, _mira_floor, _mira_scaled,\n"
+      "    _mira_sum, _mira_where)\n\n")
     w(f"MIRA_FP_CATEGORIES = {arch.fp_arith_categories!r}\n")
     w(f"MIRA_FP_DATA_CATEGORIES = {arch.fp_data_categories!r}\n\n")
     for items, cname in vectors.items():
@@ -238,16 +248,16 @@ def generate_model_source(models: dict[str, FunctionModel],
         w(f"    {qname!r}: {models[qname].params!r},\n")
     w("}\n\n")
     w(_MAIN_STUB)
-    CODEGEN_COUNTS["scalar_emit"] += 1
+    CODEGEN_COUNTS["module_emit"] += 1
     return out.getvalue()
 
 
 def _emit_function(w, models: dict, qname: str, fn_names: dict, py,
-                   vectors: dict) -> None:
+                   vectors: dict, uses) -> None:
     m = models[qname]
 
     def count(e: Expr) -> str:
-        return expr_to_python(e, rename=py)
+        return expr_to_python(e, rename=py, uses=uses)
 
     w(f"def {fn_names[qname]}({', '.join(map(py, m.params))}):\n")
     doc = f"Model of {qname!r}"
@@ -318,15 +328,8 @@ class CompiledResult:
 
     def evaluate(self, qname: str, params=None) -> Metrics:
         """Evaluate one function's model; returns ``Metrics``."""
-        m = self.models.get(qname)
-        if m is None:
-            raise ModelError(f"no model for function {qname!r}")
         env = params or {}
-        missing = [p for p in m.params if p not in env]
-        if missing:
-            raise ModelError(
-                f"model {m.model_name} missing parameter(s) {missing}; "
-                f"required: {m.params}")
+        m = bound_model(self.models, qname, env)
         args = [env[p] for p in m.params]
         for p, v in zip(m.params, args):
             if isinstance(v, float):

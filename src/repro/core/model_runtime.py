@@ -21,8 +21,8 @@ from typing import Callable, Mapping
 from ..errors import ModelError
 
 __all__ = ["Metrics", "handle_function_call", "_mira_sum",
-           "_mira_ceil", "_mira_floor", "_mira_exact", "_mira_error",
-           "run_model_script"]
+           "_mira_ceil", "_mira_floor", "_mira_exact", "_mira_scaled",
+           "_mira_where", "_mira_error", "run_model_script"]
 
 
 def _mira_ceil(x) -> int:
@@ -52,6 +52,25 @@ def _mira_exact(x):
     if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
+
+
+def _mira_scaled(x, d: int):
+    """``x / d`` exactly, where ``x`` is ``d`` times the closed form of a
+    sum whose body has integer coefficients.
+
+    On an int, ``//``: at integer bindings that closed form is an integer
+    (the true sum of integers), so ``x`` is a multiple of ``d``.  A rational
+    binding makes ``x`` a ``Fraction``, divided exactly.
+    """
+    if isinstance(x, Fraction):
+        return _mira_exact(x / d)
+    return x // d
+
+
+def _mira_where(cond, value, other):
+    """``value`` if ``cond`` else ``other``: a closed-form sum's empty-range
+    guard, as a call so that the vector runtime can bind ``np.where``."""
+    return value if cond else other
 
 
 def _mira_error(message: str):

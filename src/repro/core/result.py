@@ -7,10 +7,12 @@ round-trip everything evaluation needs (symbolic counts included, exact),
 so models can be cached, diffed, and served without re-running the
 compiler.  A restored result evaluates to bit-identical metrics and
 regenerates byte-identical Python model source.  The model source (paper
-Fig. 5) is also the scalar evaluator: :meth:`AnalysisResult.compiled`
-execs exactly the text :meth:`AnalysisResult.python_source` returns.  The
-wire format carries no generated code: a restored result emits each
-evaluator from its models the first time it is used.
+Fig. 5) is one text with two runtimes: :meth:`AnalysisResult.compiled`
+execs exactly the text :meth:`AnalysisResult.python_source` returns, as it
+is for the scalar engine and with numpy helpers bound over its runtime
+names for the vector engine.  The wire format carries no generated code:
+a restored result emits the module from its models the first time it is
+used, once for both engines.
 
 ``processed`` (both ASTs + the bridge) is a live-run extra for tools that
 need the AST — the dynamic profiler, PBound — and is deliberately *not*
@@ -134,7 +136,7 @@ class AnalysisResult:
     #: Functions restored from the per-function cache by an incremental run
     #: (run metadata, like stage_timings: not part of the wire format).
     restored_functions: tuple = ()
-    _source_cache: str | None = None
+    _source_cache: tuple | None = None                 # (text, uses)
     _compiled_cache: dict | None = None                # engine -> compiled
 
     # -- evaluation ---------------------------------------------------------------
@@ -153,11 +155,12 @@ class AnalysisResult:
         """The compiled models, memoized per codegen engine.
 
         ``engine="scalar"`` returns a
-        :class:`repro.core.model_generator.CompiledResult` (the exec'd
-        :meth:`python_source` module); ``engine="vector"`` a
-        :class:`repro.symbolic.veccompile.VecCompiledResult` (numpy
-        columns) or raises :class:`~repro.errors.VectorizeError` when the
-        models have no vector form.  Either way the build happens at most
+        :class:`repro.core.model_generator.CompiledResult`, the exec'd
+        :meth:`python_source` module; ``engine="vector"`` a
+        :class:`repro.symbolic.veccompile.VecCompiledResult`, the same
+        module run over numpy columns, or raises
+        :class:`~repro.errors.VectorizeError` when the models have no
+        vector form.  Either way the build happens at most
         once per result — repeated ``.sweep()``/``mira sweep`` calls reuse
         the cached object (a non-vectorizable verdict is cached too).
         """
@@ -185,11 +188,12 @@ class AnalysisResult:
         return cache
 
     def _build_compiled(self, engine: str):
+        text, uses = self._module()
         if engine == "vector":
-            from ..symbolic.veccompile import compile_result_vector
+            from ..symbolic.veccompile import VecCompiledResult
 
-            return compile_result_vector(self.models)
-        return CompiledResult(self.models, self.python_source())
+            return VecCompiledResult(self.models, text, uses)
+        return CompiledResult(self.models, text)
 
     def evaluate_compiled(self, function: str,
                           params: dict | None = None) -> Metrics:
@@ -245,13 +249,20 @@ class AnalysisResult:
 
     # -- code generation ------------------------------------------------------------
     def python_source(self) -> str:
-        """The generated model module (paper Fig. 5), which is also the
-        scalar evaluator's source; emitted once from the models."""
+        """The generated model module (paper Fig. 5), which is also both
+        evaluators' source; emitted once from the models."""
+        return self._module()[0]
+
+    def _module(self) -> tuple:
+        """``(text, uses)``: the module and what its functions need (see
+        :func:`~repro.symbolic.expr_to_python`)."""
         if self._source_cache is None:
             name = (self.processed.tu.filename
                     if self.processed is not None else self.source_name)
-            self._source_cache = generate_model_source(
-                self.models, self.arch, name)
+            uses: set = set()
+            text = generate_model_source(self.models, self.arch, name,
+                                         uses=uses)
+            self._source_cache = (text, frozenset(uses))
         return self._source_cache
 
     def compiled_module(self) -> dict:

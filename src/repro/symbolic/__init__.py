@@ -3,7 +3,7 @@
 See :mod:`repro.symbolic.expr` for the expression nodes,
 :mod:`repro.symbolic.poly` for polynomial canonicalization and Faulhaber
 power sums, :mod:`repro.symbolic.summation` for symbolic summation,
-:mod:`repro.symbolic.pycodegen` for Python and numpy code emission,
+:mod:`repro.symbolic.pycodegen` for Python code emission,
 :mod:`repro.symbolic.compile` for the codegen counters, and
 :mod:`repro.symbolic.veccompile` for numpy array-vectorized evaluation.
 

@@ -11,9 +11,12 @@ the counter falls back to the paper's well-formed-loop assumption.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Optional
 
-from .expr import Add, Expr, FloorDiv, Int, Max, Min, Mul, Pow, Sum, Sym
+from .expr import (SUM_HI, SUM_LO, Add, Expr, FloorDiv, Int, Max, Min, Mul,
+                   Pow, Sum, Sym)
+from .pycodegen import sum_lowering
 
 __all__ = ["interval_eval", "interval_eval_within", "Interval"]
 
@@ -98,8 +101,23 @@ def interval_eval(e: Expr, env: Mapping[str, Interval]) -> Optional[Interval]:
     return None
 
 
+@lru_cache(maxsize=4096)
+def _lowered(s: Sum) -> Optional[Expr]:
+    """The scaled closed form ``s`` is emitted as, over its own bounds."""
+    lowering = sum_lowering(s)
+    if lowering is None:
+        return None
+    return lowering[0].subs({SUM_LO: s.lo, SUM_HI: s.hi})
+
+
+def _fits(iv: Optional[Interval], bound) -> Optional[Interval]:
+    if iv is None or iv[0] < -bound or iv[1] > bound:
+        return None
+    return iv
+
+
 def interval_eval_within(e: Expr, env: Mapping[str, Interval],
-                         bound, *, lower_sum=None) -> Optional[Interval]:
+                         bound) -> Optional[Interval]:
     """Interval of ``e`` with an *every-intermediate-value* magnitude check.
 
     Like :func:`interval_eval`, but returns None unless the interval of
@@ -111,24 +129,12 @@ def interval_eval_within(e: Expr, env: Mapping[str, Interval],
     *silently*, so the only safe strategy is proving in advance that no
     intermediate can leave the representable range.
 
-    ``lower_sum``, when given, maps a ``Sum`` node to the lowered integer
-    expression its vector closed form computes (see
-    :func:`~.pycodegen.expr_to_numpy`); the lowered expression is checked
-    recursively and the result is widened with 0, because the emitted
-    ``_vwhere`` mask evaluates the closed form even on empty-range points.
-    A ``Sum`` with no lowering — or any unknown symbol — yields None.
+    A ``Sum`` is checked through the expression its emitted closed form
+    computes (:func:`~.pycodegen.sum_lowering`, with its bounds in), and
+    the result is widened with 0, because the emitted ``_mira_where`` guard
+    evaluates the closed form even on empty-range points.  A ``Sum`` with
+    no closed form — or any unknown symbol — yields None.
     """
-    iv = _iv_within(e, env, bound, lower_sum)
-    return iv
-
-
-def _fits(iv: Optional[Interval], bound) -> Optional[Interval]:
-    if iv is None or iv[0] < -bound or iv[1] > bound:
-        return None
-    return iv
-
-
-def _iv_within(e: Expr, env, bound, lower_sum) -> Optional[Interval]:
     if isinstance(e, Int):
         return _fits((e.value, e.value), bound)
     if isinstance(e, Sym):
@@ -136,7 +142,7 @@ def _iv_within(e: Expr, env, bound, lower_sum) -> Optional[Interval]:
     if isinstance(e, Add):
         acc: Optional[Interval] = None
         for a in e.args:
-            iv = _iv_within(a, env, bound, lower_sum)
+            iv = interval_eval_within(a, env, bound)
             if iv is None:
                 return None
             acc = iv if acc is None else _fits(
@@ -147,7 +153,7 @@ def _iv_within(e: Expr, env, bound, lower_sum) -> Optional[Interval]:
     if isinstance(e, Mul):
         acc = None
         for a in e.args:
-            iv = _iv_within(a, env, bound, lower_sum)
+            iv = interval_eval_within(a, env, bound)
             if iv is None:
                 return None
             acc = iv if acc is None else _fits(_mul_iv(acc, iv), bound)
@@ -155,7 +161,7 @@ def _iv_within(e: Expr, env, bound, lower_sum) -> Optional[Interval]:
                 return None
         return acc
     if isinstance(e, Pow):
-        base = _iv_within(e.base, env, bound, lower_sum)
+        base = interval_eval_within(e.base, env, bound)
         if base is None:
             return None
         # numpy ** is repeated squaring, but bounding the naive product
@@ -172,8 +178,8 @@ def _iv_within(e: Expr, env, bound, lower_sum) -> Optional[Interval]:
             acc = (Fraction(1), Fraction(1))
         return acc
     if isinstance(e, FloorDiv):
-        num = _iv_within(e.num, env, bound, lower_sum)
-        den = _iv_within(e.den, env, bound, lower_sum)
+        num = interval_eval_within(e.num, env, bound)
+        den = interval_eval_within(e.den, env, bound)
         if num is None or den is None:
             return None
         if den[0] <= 0 <= den[1]:
@@ -184,7 +190,7 @@ def _iv_within(e: Expr, env, bound, lower_sum) -> Optional[Interval]:
         los = []
         his = []
         for a in e.args:
-            iv = _iv_within(a, env, bound, lower_sum)
+            iv = interval_eval_within(a, env, bound)
             if iv is None:
                 return None
             los.append(iv[0])
@@ -192,14 +198,12 @@ def _iv_within(e: Expr, env, bound, lower_sum) -> Optional[Interval]:
         pick = max if isinstance(e, Max) else min
         return (pick(los), pick(his))
     if isinstance(e, Sum):
-        if lower_sum is None:
-            return None
-        lowered = lower_sum(e)
+        lowered = _lowered(e)
         if lowered is None:
             return None
-        iv = _iv_within(lowered, env, bound, lower_sum)
+        iv = interval_eval_within(lowered, env, bound)
         if iv is None:
             return None
-        # the emitted _vwhere mask replaces empty ranges with 0
+        # the emitted _mira_where guard replaces empty ranges with 0
         return (min(iv[0], Fraction(0)), max(iv[1], Fraction(0)))
     return None

@@ -1,14 +1,16 @@
-"""Array-vectorized compilation of symbolic model sets.
+"""The vector evaluator: the generated Fig. 5 module over numpy columns.
 
-Where the generated Fig. 5 module (the scalar evaluator, see
-:mod:`repro.core.model_generator`) evaluates an analysis point by point,
-this module turns it into functions over **numpy arrays** of parameter
-values: a million-point sweep becomes a handful of ufunc operations per
-cost-center term instead of a million closure calls.  The emission
-machinery is shared with :mod:`.pycodegen` (``expr_to_numpy``), including
-the Faulhaber closed forms for polynomial-body ``Sum`` nodes — which
-vectorize trivially, as pure arithmetic under a ``np.where`` empty-range
-mask.
+One text, two runtimes.  The module :mod:`repro.core.model_generator`
+writes (``AnalysisResult.python_source()``) is exec'd as it is by the
+scalar evaluator, which calls it point by point.  Here the same text is
+exec'd with numpy helpers bound over its runtime names (``Metrics``,
+``handle_function_call``, ``max``/``min``, the ``_mira_where`` empty-range
+guard, ``_mira_ceil``/``_mira_floor`` and ``_mira_scaled``), so its model
+functions take **numpy arrays** of parameter values: a million-point sweep
+becomes a handful of ufunc operations per cost-center term instead of a
+million calls.  The Faulhaber closed forms of polynomial-body ``Sum``
+nodes vectorize as pure arithmetic under a ``np.where`` guard; a ``Sum``
+the emitter had to write as a ``_mira_sum`` loop has no vector form.
 
 Exactness contract — the dtype discipline
 -----------------------------------------
@@ -37,8 +39,9 @@ strict fallback ladder:
   is not provably safe, the exact box is checked as well, so bucketing
   never costs a chunk the int64 path.
   Integer-body ``Sum`` closed forms stay integral via the scaled form
-  ``(D * cf) // D`` (``D`` = lcm of the Faulhaber coefficient
-  denominators), which is exact because the true sum — and the Faulhaber
+  ``_mira_scaled(D * cf, D)`` (``D`` = lcm of the Faulhaber coefficient
+  denominators; see :func:`~.pycodegen.sum_lowering`), a ``//`` on int64
+  columns, which is exact because the true sum — and the Faulhaber
   polynomial at *every* integer point, masked region included — is an
   integer.
 
@@ -47,12 +50,14 @@ strict fallback ladder:
   emitted source evaluates with Python's unbounded exact arithmetic,
   elementwise under numpy broadcasting.  Slower, but still columnar, and
   exact for arbitrarily large values and rational (branch-ratio) counts.
+  ``_mira_scaled`` divides a ``Fraction`` cell exactly, so a rational
+  binding of an integer-body ``Sum`` is exact too.
 
 * **scalar fallback**.  Anything that cannot be vectorized at all — a
-  ``Sum`` whose body is not polynomial in its loop variable (no closed
-  form exists; vector emission raises
-  :class:`~repro.errors.VectorizeError`) — is handled by the caller
-  (``core.sweep``) falling back to the per-point scalar evaluator.
+  ``Sum`` whose body is not polynomial in its loop variable, which the
+  module runs as a ``_mira_sum`` loop (building the vector evaluator
+  raises :class:`~repro.errors.VectorizeError`) — is handled by the
+  caller (``core.sweep``) falling back to the per-point scalar evaluator.
 
 Fallback rules, as applied per chunk by the sweep engine:
 
@@ -68,9 +73,9 @@ Fallback rules, as applied per chunk by the sweep engine:
    ``engine="vector"``).
 
 The model cache stores no generated code: a restored result emits its
-vector evaluator from the models on first use, and one render pass yields
-both the source and the Sum lowerings the int64 precheck walks.
-:data:`~.compile.CODEGEN_COUNTS` counts each emission as ``vector_emit``.
+module from the models on first use, once for both evaluators
+(:data:`~.compile.CODEGEN_COUNTS` counts it as ``module_emit``), and
+emitting it reports whether it wrote a ``Fraction`` literal or a loop.
 """
 
 from __future__ import annotations
@@ -80,13 +85,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from ..core.model_runtime import _mira_ceil, _mira_floor, _mira_scaled
 from ..errors import ModelError, SymbolicError, VectorizeError
-from .compile import CODEGEN_COUNTS, _mangle
-from .expr import Expr
 from .intervals import _mul_iv, interval_eval_within
-from .pycodegen import expr_to_numpy
 
-__all__ = ["INT64_BOUND", "VecCompiledResult", "compile_result_vector"]
+__all__ = ["INT64_BOUND", "VecCompiledResult"]
 
 #: Largest magnitude any int64-mode intermediate may reach.  Symmetric on
 #: purpose: it forgoes -2**63 itself, which only makes the precheck more
@@ -143,68 +146,60 @@ def _vwhere(cond, a, b):
     return a if cond else b
 
 
-_obj_ufuncs = None
-
-
-def _obj_snap():
-    """``frompyfunc`` wrappers of the exact ceil/floor (object arrays)."""
-    global _obj_ufuncs
-    if _obj_ufuncs is None:
-        from ..core.model_runtime import _mira_ceil, _mira_floor
-        _obj_ufuncs = (np.frompyfunc(_mira_ceil, 1, 1),
-                       np.frompyfunc(_mira_floor, 1, 1))
-    return _obj_ufuncs
+_obj_ceil = np.frompyfunc(_mira_ceil, 1, 1)
+_obj_floor = np.frompyfunc(_mira_floor, 1, 1)
+_obj_scaled = np.frompyfunc(_mira_scaled, 2, 1)
 
 
 def _vceil(x):
     if isinstance(x, np.ndarray):
         if x.dtype == object:
-            return _obj_snap()[0](x)
+            return _obj_ceil(x)
         return x  # int64 values are already integral
-    from ..core.model_runtime import _mira_ceil
     return _mira_ceil(x)
 
 
 def _vfloor(x):
     if isinstance(x, np.ndarray):
         if x.dtype == object:
-            return _obj_snap()[1](x)
+            return _obj_floor(x)
         return x
-    from ..core.model_runtime import _mira_floor
     return _mira_floor(x)
 
 
-def _vadd(totals, vec, count):
-    """Columnar ``Metrics.add``: accumulate ``vec × count`` per category."""
-    for cat, w in vec.items():
-        add = count if w == 1 else w * count
-        cur = totals.get(cat)
-        totals[cat] = add if cur is None else cur + add
+def _vscaled(x, d: int):
+    """Elementwise ``_mira_scaled``: ``//`` on an int64 column, the exact
+    helper cell by cell on an object one (whose cells may be Fractions)."""
+    if isinstance(x, np.ndarray):
+        if x.dtype == object:
+            return _obj_scaled(x, d)
+        return x // d
+    return _mira_scaled(x, d)
 
 
-def _vmerge(totals, callee, times):
-    """Columnar ``handle_function_call``: callee columns × call count."""
-    for cat, v in callee.items():
-        add = v * times
-        cur = totals.get(cat)
-        totals[cat] = add if cur is None else cur + add
+class _Columns:
+    """The vector runtime's ``Metrics``: category -> count column."""
+
+    __slots__ = ("counts",)
+
+    def __init__(self) -> None:
+        self.counts: dict = {}
+
+    def add(self, vector, times) -> None:
+        """Accumulate ``vector × times`` (one model statement)."""
+        for cat, w in vector.items():
+            self._acc(cat, times if w == 1 else w * times)
+
+    def _acc(self, cat: str, column) -> None:
+        cur = self.counts.get(cat)
+        self.counts[cat] = column if cur is None else cur + column
 
 
-def _vec_runtime_namespace() -> dict:
-    from ..core.model_runtime import _mira_error
-
-    return {
-        "Fraction": Fraction,
-        "np": np,
-        "_vmax": _vmax,
-        "_vmin": _vmin,
-        "_vwhere": _vwhere,
-        "_vceil": _vceil,
-        "_vfloor": _vfloor,
-        "_vadd": _vadd,
-        "_vmerge": _vmerge,
-        "_mira_error": _mira_error,
-    }
+def _vmerge(caller: _Columns, callee: _Columns, times) -> None:
+    """The vector runtime's ``handle_function_call``: callee columns ×
+    call count."""
+    for cat, v in callee.counts.items():
+        caller._acc(cat, v * times)
 
 
 def _vfull(v, n: int):
@@ -240,59 +235,35 @@ def _reject_floats(env, params) -> None:
 
 
 # ---------------------------------------------------------------------------
-# whole-model vector compilation
+# the vector evaluator: the Fig. 5 module over numpy columns
 # ---------------------------------------------------------------------------
 
-def _emit_vec_model(lines: list, consts: dict, sum_lower: dict, m,
-                    models: dict, fname: str, name_map: dict) -> bool:
-    """Emit one model's vector function; returns its uses_fraction flag.
-
-    Structure mirrors the generated Fig. 5 module function exactly — one
-    ``_vadd`` per cost-center term, one callee call plus ``_vmerge`` per
-    call site, arguments bound by the same ``call_args`` rule — so values
-    agree with the scalar evaluator operation for operation.  Every
-    rendered ``Sum`` adds its lowering to ``sum_lower`` (see
-    ``expr_to_numpy``), so the precheck walks what was emitted."""
-    from ..core.model_generator import call_args
-
-    frac = False
-
-    def emit(e: Expr) -> str:
-        nonlocal frac
-        src, f = expr_to_numpy(e, rename=_mangle, sum_lower=sum_lower)
-        frac = frac or f
-        return src
-
-    lines.append(f"def {fname}(env):")
-    lines.append(f"    # vector-compiled model of {m.qualified_name!r}")
-    for p in m.params:
-        lines.append(f"    {_mangle(p)} = env[{p!r}]")
-    lines.append("    _t = {}")
-    for i, t in enumerate(m.terms):
-        vec = t.vector.as_dict()
-        if not vec:
-            continue
-        cname = f"_VC_{fname}_{i}"
-        consts[cname] = vec
-        lines.append(f"    _vadd(_t, {cname}, {emit(t.count)})")
-    for j, c in enumerate(m.calls):
-        try:
-            args = call_args(models, m, c)
-        except ModelError as exc:
-            lines.append(f"    _mira_error({str(exc)!r})")
-            continue
-        parts = [f"{p!r}: {emit(a)}"
-                 for p, a in zip(models[c.callee].params, args)]
-        lines.append(f"    _c{j} = {name_map[c.callee]}"
-                     f"({{{', '.join(parts)}}})")
-        lines.append(f"    _vmerge(_t, _c{j}, {emit(c.count)})")
-    lines.append("    return _t")
-    lines.append("")
-    return frac
+#: What the vector runtime binds over the generated module's names.  The
+#: module's own ``_mira_exact`` and ``_mira_error`` stay: the first passes a
+#: column through unchanged, the second raises as it does in the scalar
+#: runtime.
+_VECTOR_RUNTIME = {
+    "Metrics": _Columns,
+    "handle_function_call": _vmerge,
+    "max": _vmax,
+    "min": _vmin,
+    "_mira_where": _vwhere,
+    "_mira_ceil": _vceil,
+    "_mira_floor": _vfloor,
+    "_mira_scaled": _vscaled,
+}
 
 
 class VecCompiledResult:
-    """Every function model of an analysis compiled over numpy arrays.
+    """Every function model of an analysis, evaluated over numpy arrays.
+
+    ``source`` is the generated Fig. 5 module (``python_source()``), and
+    ``uses`` what emitting it reported: a ``Fraction`` literal rules out
+    the int64 fast path, and a ``_mira_sum`` loop rules out the vector
+    engine (:class:`~repro.errors.VectorizeError`).  The module is exec'd
+    with :data:`_VECTOR_RUNTIME` bound over its runtime names, so each
+    model function computes per-category count columns operation for
+    operation as the scalar evaluator computes counts.
 
     ``evaluate_grid(qname, env, n)`` takes parameter *columns* and returns
     per-category count columns — same parameter checking and errors as
@@ -301,31 +272,22 @@ class VecCompiledResult:
     :meth:`int64_safe` decide when the int64 fast path is sound (see the
     module docstring for the full dtype discipline)."""
 
-    __slots__ = ("models", "source", "int64_capable", "sum_lower", "_fns",
-                 "_safe_memo")
+    __slots__ = ("models", "source", "int64_capable", "_fns", "_safe_memo")
 
-    def __init__(self, models: dict) -> None:
-        from ..core.metric_generator import topo_order
+    def __init__(self, models: dict, source: str, uses) -> None:
+        from ..core.model_generator import compile_model
 
+        if "_mira_sum" in uses:
+            raise VectorizeError(
+                "a Sum has no closed form (a non-polynomial body); "
+                "use the scalar engine")
         self.models = models
+        self.source = source
+        self.int64_capable = "Fraction" not in uses
         self._safe_memo: dict = {}
-        order = topo_order(models)
-        name_map = {q: f"_mira_vfn_{i}" for i, q in enumerate(order)}
-        consts: dict = {}
-        #: Sum node -> lowered integer expression, for :meth:`int64_safe`.
-        self.sum_lower: dict = {}
-        lines: list[str] = []
-        frac = False
-        for q in order:
-            frac = _emit_vec_model(lines, consts, self.sum_lower, models[q],
-                                   models, name_map[q], name_map) or frac
-        self.source = "\n".join(lines)
-        self.int64_capable = not frac
-        CODEGEN_COUNTS["vector_emit"] += 1
-        ns = _vec_runtime_namespace()
-        ns.update(consts)
-        exec(compile(self.source, "<mira-veccompiled-result>", "exec"), ns)
-        self._fns = {q: ns[name_map[q]] for q in order}
+        ns = compile_model(source)
+        ns.update(_VECTOR_RUNTIME)
+        self._fns = ns["MODEL_FUNCTIONS"]
 
     # -- evaluation --------------------------------------------------------
 
@@ -340,15 +302,10 @@ class VecCompiledResult:
         ``FloatingPointError`` (the sweep engine's cue to retry the chunk
         in object mode, where ``ZeroDivisionError`` matches the scalar
         engine)."""
-        m = self.models.get(qname)
-        if m is None:
-            raise ModelError(f"no model for function {qname!r}")
-        env = dict(env or {})
-        missing = [p for p in m.params if p not in env]
-        if missing:
-            raise ModelError(
-                f"model {m.model_name} missing parameter(s) {missing}; "
-                f"required: {m.params}")
+        from ..core.model_generator import bound_model
+
+        env = env or {}
+        m = bound_model(self.models, qname, env)
         _reject_floats(env, m.params)
         if npoints is None:
             npoints = 1
@@ -356,12 +313,13 @@ class VecCompiledResult:
                 if isinstance(v, np.ndarray) and v.ndim == 1:
                     npoints = v.shape[0]
                     break
+        args = [env[p] for p in m.params]
         if guard_divide:
             with np.errstate(divide="raise", over="raise"):
-                raw = self._fns[qname](env)
+                raw = self._fns[qname](*args)
         else:
-            raw = self._fns[qname](env)
-        return {cat: _vfull(v, npoints) for cat, v in raw.items()}
+            raw = self._fns[qname](*args)
+        return {cat: _vfull(v, npoints) for cat, v in raw.counts.items()}
 
     # -- int64 overflow precheck ------------------------------------------
 
@@ -387,20 +345,19 @@ class VecCompiledResult:
             return False
         if self.models.get(qname) is None:
             return False
-        lower = self.sum_lower.get
         env_ivs = dict(env_ivs)
         bucket = {k: (_round_down(lo), _round_up(hi))
                   for k, (lo, hi) in env_ivs.items()}
         key = (qname, tuple(sorted(bucket.items())))
         safe = self._safe_memo.get(key)
         if safe is None:
-            safe = self._cats_iv(qname, bucket, lower) is not None
+            safe = self._cats_iv(qname, bucket) is not None
             if len(self._safe_memo) >= INT64_MEMO_SIZE:
                 self._safe_memo.clear()
             self._safe_memo[key] = safe
-        return safe or self._cats_iv(qname, env_ivs, lower) is not None
+        return safe or self._cats_iv(qname, env_ivs) is not None
 
-    def _cats_iv(self, qname: str, env_ivs: dict, lower):
+    def _cats_iv(self, qname: str, env_ivs: dict):
         from ..core.model_generator import call_args
 
         bound = INT64_BOUND
@@ -422,8 +379,7 @@ class VecCompiledResult:
             vec = t.vector.as_dict()
             if not vec:
                 continue
-            civ = interval_eval_within(t.count, env_ivs, bound,
-                                       lower_sum=lower)
+            civ = interval_eval_within(t.count, env_ivs, bound)
             if civ is None:
                 return None
             for cat, w in vec.items():
@@ -442,15 +398,14 @@ class VecCompiledResult:
                 continue
             sub_ivs: dict = {}
             for p, a in zip(self.models[c.callee].params, args):
-                iv = interval_eval_within(a, env_ivs, bound, lower_sum=lower)
+                iv = interval_eval_within(a, env_ivs, bound)
                 if iv is None:
                     return None
                 sub_ivs[p] = iv
-            callee_cats = self._cats_iv(c.callee, sub_ivs, lower)
+            callee_cats = self._cats_iv(c.callee, sub_ivs)
             if callee_cats is None:
                 return None
-            cciv = interval_eval_within(c.count, env_ivs, bound,
-                                        lower_sum=lower)
+            cciv = interval_eval_within(c.count, env_ivs, bound)
             if cciv is None:
                 return None
             for cat, iv in callee_cats.items():
@@ -464,8 +419,3 @@ class VecCompiledResult:
     def __repr__(self) -> str:
         return (f"VecCompiledResult({len(self.models)} function(s), "
                 f"int64_capable={self.int64_capable})")
-
-
-def compile_result_vector(models: dict) -> VecCompiledResult:
-    """Vector-compile every FunctionModel in ``models`` (qname -> model)."""
-    return VecCompiledResult(models)

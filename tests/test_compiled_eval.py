@@ -21,7 +21,8 @@ import pytest
 from repro.core import (AnalysisConfig, AnalysisResult, Pipeline,
                         STAGE_RUN_COUNTS, evaluate_model, sweep_source)
 from repro.core.model_runtime import (Metrics, _mira_ceil, _mira_exact,
-                                      _mira_floor, _mira_sum)
+                                      _mira_floor, _mira_scaled, _mira_sum,
+                                      _mira_where)
 from repro.core.sweep import _grid_columns
 from repro.cli import main as cli_main
 from repro.errors import ModelError, SymbolicError
@@ -115,7 +116,8 @@ def run_emitted(e, env):
     source = expr_to_python(e, rename=lambda p: "v_" + p)
     ns = {"Fraction": Fraction, "_mira_sum": _mira_sum,
           "_mira_ceil": _mira_ceil, "_mira_floor": _mira_floor,
-          "_mira_exact": _mira_exact}
+          "_mira_exact": _mira_exact, "_mira_scaled": _mira_scaled,
+          "_mira_where": _mira_where}
     ns.update({"v_" + k: v for k, v in env.items()})
     return eval(source, ns), source
 
@@ -215,6 +217,10 @@ class TestRuntimeFastPaths:
         assert _mira_exact(Fraction(6, 2)) == 3 and \
             type(_mira_exact(Fraction(6, 2))) is int
         assert _mira_exact(Fraction(1, 2)) == Fraction(1, 2)
+        assert _mira_scaled(12, 4) == 3 and type(_mira_scaled(12, 4)) is int
+        assert _mira_scaled(Fraction(3), 2) == Fraction(3, 2)
+        assert type(_mira_scaled(Fraction(6), 2)) is int
+        assert _mira_where(True, 5, 0) == 5 and _mira_where(False, 5, 0) == 0
 
 
 # ---------------------------------------------------------------------------

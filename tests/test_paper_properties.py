@@ -136,6 +136,21 @@ class TestParametricSweep:
             capture_output=True, text=True, check=True)
         assert str(2 * 64 ** 3 + 64 ** 2) in proc.stdout
 
+        # A model that keeps a guarded closed form of a lazy Sum needs the
+        # runtime's guard and scaled-division helpers as a script too.
+        from test_store import BOUNDED
+
+        model = Pipeline().run(BOUNDED)
+        path = tmp_path / "bounded_model.py"
+        model.save(str(path))
+        assert "_mira_where(" in path.read_text()
+        assert "_mira_scaled(" in path.read_text()
+        proc = subprocess.run(
+            [sys.executable, str(path), "below", "n=50", "m=20"],
+            capture_output=True, text=True, check=True)
+        total = model.evaluate("below", {"n": 50, "m": 20}).total()
+        assert f"{total:>16}  TOTAL" in proc.stdout.splitlines()
+
 
 class TestVectorizationExtension:
     def test_o3_halves_fp_instructions(self):

@@ -13,8 +13,11 @@ the columnar path of ``core.sweep``):
   ``Sum`` bodies) fall back automatically under ``engine="auto"`` and
   error loudly under ``engine="vector"``;
 * lazy ``SweepPoint`` materialization over columnar output;
-* compiled-object memoization per engine, and warm-cache restores that
-  emit each engine once from the models (``CODEGEN_COUNTS``);
+* one text, two runtimes: the vector evaluator runs the generated Fig. 5
+  module, and a result emits that module once whichever engines evaluate
+  it (``CODEGEN_COUNTS``), warm-cache restores included;
+* rational bindings of an integer-body ``Sum`` are exact in every
+  engine;
 * the ``mira sweep --engine`` CLI and the ``_parse_sweep_spec``
   log-range dedupe regression.
 """
@@ -29,13 +32,14 @@ import pytest
 from repro.cli import _parse_sweep_spec, main as cli_main
 from repro.core import (AnalysisConfig, Pipeline, STAGE_RUN_COUNTS,
                         sweep_source)
+from repro.bridge.metrics import CategoryVector
+from repro.core.metric_generator import FunctionModel, MetricTerm
 from repro.core.result import AnalysisResult
 from repro.core.sweep import _axis_column, _ColumnarPoints, run_model_sweep
 from repro.errors import ModelError, VectorizeError
-from repro.symbolic import (CODEGEN_COUNTS, Int, Max, Sum, Sym,
-                            reset_codegen_counters)
-from repro.symbolic.pycodegen import expr_to_numpy
-from repro.symbolic.veccompile import _vec_runtime_namespace
+from repro.symbolic import (CODEGEN_COUNTS, Int, Max, Min, Sum, Sym,
+                            expr_to_python, reset_codegen_counters)
+from repro.symbolic.pycodegen import sum_lowering
 from repro.workloads import available, get_source, source_path
 
 RATIO_SRC = """
@@ -90,14 +94,25 @@ def assert_sweep_matches_interpreted(result, qname, swept):
 # expression-level vector compilation
 # ---------------------------------------------------------------------------
 
+def one_term_result(count, params, weight=1):
+    """An analysis of one function ``f(*params)`` whose model is one
+    ``Logical instruction`` term of ``weight`` × ``count``."""
+    vector = CategoryVector.from_dict({"Logical instruction": weight})
+    return AnalysisResult(models={"f": FunctionModel.restored(
+        "f", "f", terms=[MetricTerm(1, 1, vector, count)], params=params)})
+
+
 def run_emitted_vector(e, env):
-    """Evaluate ``e`` as the vector evaluator does: rendered by the numpy
-    emitter and run with the vector runtime helpers.  Returns
+    """Evaluate ``e`` as the vector evaluator does: the count of a one-term
+    model, rendered by ``expr_to_python`` into the generated module and run
+    with the vector runtime bound over the scalar helpers.  Returns
     ``(value, uses_fraction)``."""
-    source, uses_fraction = expr_to_numpy(e, rename=lambda p: "v_" + p)
-    ns = _vec_runtime_namespace()
-    ns.update({"v_" + k: v for k, v in env.items()})
-    return eval(source, ns), uses_fraction
+    result = one_term_result(e, sorted(e.free_symbols()))
+    vec = result.compiled(engine="vector")
+    assert vec.source == result.python_source()
+    assert expr_to_python(e) in vec.source
+    (value,) = vec.evaluate_grid("f", env).values()
+    return value, not vec.int64_capable
 
 
 class TestCompileExprVector:
@@ -250,6 +265,37 @@ class TestDtypeDiscipline:
         assert any(isinstance(v, Fraction) and v.denominator > 1
                    for v in swept.points[1].metrics.counts.values())
 
+    def test_rational_binding_of_integer_body_sum_is_exact(self):
+        """An integer-coefficient ``Sum`` bound to a ``Fraction``: its
+        scaled closed form ``2*cf`` is 3 at this point, and flooring it by
+        2 gave 1.  Every engine must give the exact 3/2."""
+        s = Sum.make(Sym("k") * Sym("m"), "k", 0,
+                     Min.make([Sym("n"), Sym("c")]))
+        result = one_term_result(s, ["n", "c", "m"])
+        point = {"n": 2, "c": 5, "m": Fraction(1, 2)}
+        want = {"Logical instruction": Fraction(3, 2)}
+        assert result.evaluate("f", point).counts == want
+        assert result.compiled().evaluate("f", point).counts == want
+        swept = result.sweep("f", [point])
+        assert swept.engine == "vector"
+        assert swept.vector_stats["object_chunks"] == 1
+        assert swept.points[0].metrics.counts == want
+
+        grid = {"n": [-1, 0, 2, 9], "c": [5],
+                "m": [Fraction(1, 2), Fraction(-2, 3), 3]}
+        swept = result.sweep("f", grid)
+        assert swept.engine == "vector"
+        assert swept.vector_stats["object_chunks"] == 1
+        assert_sweep_matches_interpreted(result, "f", swept)
+        assert any(isinstance(v, Fraction)
+                   for p in swept for v in p.metrics.counts.values())
+
+        grid = {"n": [-1, 0, 2, 9], "c": [5, 100], "m": [1, -3, 7]}
+        swept = result.sweep("f", grid)
+        assert swept.vector_stats == \
+            {"chunks": 1, "int64_chunks": 1, "object_chunks": 0}
+        assert_sweep_matches_interpreted(result, "f", swept)
+
     def test_int64_ndarray_axis_and_base_binding(self):
         result = Pipeline().run(MULTI_SRC)
         xs = np.arange(3, 40, 7, dtype=np.int64)
@@ -289,7 +335,6 @@ class TestDtypeDiscipline:
                 vec = result.compiled(engine="vector")
             except VectorizeError:
                 continue
-            lower = vec.sum_lower.get
             for qname in result.models:
                 params = result.parameters(qname)
                 if not params:
@@ -302,7 +347,7 @@ class TestDtypeDiscipline:
                         hi = lo + rng.randint(0, scale)
                         ivs[p] = (Fraction(lo), Fraction(hi))
                     exact = vec.int64_capable and \
-                        vec._cats_iv(qname, dict(ivs), lower) is not None
+                        vec._cats_iv(qname, dict(ivs)) is not None
                     assert vec.int64_safe(qname, ivs) is exact, \
                         (name, qname, ivs)
                     verdicts.add(exact)
@@ -339,8 +384,7 @@ class TestDtypeDiscipline:
         # exact box is still provably safe, so the chunk stays int64.
         vec = dgemm.compiled(engine="vector")
         bucket = {"n": (Fraction(1), Fraction(2 ** 21))}
-        assert vec._cats_iv("dgemm_kernel", bucket,
-                            vec.sum_lower.get) is None
+        assert vec._cats_iv("dgemm_kernel", bucket) is None
         grid = [1, 2 ** 10, 2 ** 20 + 1]
         swept = dgemm.sweep("dgemm_kernel", {"n": grid}, engine="vector")
         assert swept.vector_stats["int64_chunks"] == 1
@@ -359,13 +403,12 @@ class TestDtypeDiscipline:
 
         monkeypatch.setattr(veccompile, "INT64_MEMO_SIZE", 2)
         vec = dgemm.compiled(engine="vector")
-        lower = vec.sum_lower.get
         rng = random.Random(3)
         boxes = []
         for _ in range(48):
             lo = rng.randint(1, 2 ** 20)
             ivs = {"n": (Fraction(lo), Fraction(lo + rng.randint(0, 2 ** 20)))}
-            exact = vec._cats_iv("dgemm_kernel", dict(ivs), lower) is not None
+            exact = vec._cats_iv("dgemm_kernel", dict(ivs)) is not None
             boxes.append((ivs, exact))
         assert {exact for _, exact in boxes} == {True, False}
         wrong = []
@@ -570,29 +613,29 @@ class TestCompiledMemoAndArtifacts:
         assert restored.compiled() is comp
         assert restored.compiled(engine="vector") is vec
         restored.python_source()
-        assert CODEGEN_COUNTS == {"scalar_emit": 1, "vector_emit": 1}
-        assert comp.source == live_scalar.source
-        assert vec.source == live.source
-        # the precheck's lowerings come from the same single render pass
-        assert vec.int64_capable and vec.sum_lower == live.sum_lower
+        # one emission serves both engines: each execs the module text
+        assert CODEGEN_COUNTS == {"module_emit": 1}
+        assert comp.source == vec.source == restored.python_source()
+        assert vec.source == live.source == live_scalar.source
+        assert vec.int64_capable and live.int64_capable
         swept = restored.sweep("dgemm_kernel", {"n": [16, 64]},
                                engine="vector")
         assert swept.fp_series() == [2 * n ** 3 + n ** 2 for n in (16, 64)]
         assert swept.vector_stats["int64_chunks"] == 1
-        assert CODEGEN_COUNTS == {"scalar_emit": 1, "vector_emit": 1}
+        assert CODEGEN_COUNTS == {"module_emit": 1}
 
     def test_emission_collects_the_sum_lowerings(self):
-        """A count that keeps a ``Sum`` node: the one render pass records
-        its lowering, so the precheck can prove a small range int64-safe
-        (a ``Sum`` without a lowering fails closed to object mode)."""
-        from repro.bridge.metrics import CategoryVector
-        from repro.core.metric_generator import FunctionModel, MetricTerm
-
+        """A count that keeps a ``Sum`` node: the module writes its closed
+        form as the scaled lowering ``sum_lowering`` gives, with no
+        ``Fraction``, and the precheck bounds that same lowering, so it can
+        prove a small range int64-safe."""
         s = Sum(Sym("k"), "k", Int(0), Sym("m"))
-        vector = CategoryVector.from_dict({"Logical instruction": 2})
-        result = AnalysisResult(models={"f": FunctionModel.restored(
-            "f", "f", terms=[MetricTerm(1, 1, vector, s)], params=["m"])})
-        assert set(result.compiled(engine="vector").sum_lower) == {s}
+        result = one_term_result(s, ["m"], weight=2)
+        scaled, d = sum_lowering(s)
+        assert d == 2
+        vec = result.compiled(engine="vector")
+        assert f"_mira_scaled({expr_to_python(scaled)}, 2)" in vec.source
+        assert vec.int64_capable
         swept = result.sweep("f", {"m": [-3, 0, 5, 100]}, engine="vector")
         assert swept.vector_stats["int64_chunks"] == 1
         assert swept.totals() == [0, 0, 30, 10100]
@@ -609,13 +652,13 @@ class TestCompiledMemoAndArtifacts:
                             filename="dgemm")
         assert cold.mode == "parametric" and cold.analyses == 1
         assert cold.engine == "vector"
-        # the cold analysis emits nothing; the sweep emits its engine
-        assert CODEGEN_COUNTS == {"vector_emit": 1}
+        # the cold analysis emits nothing; the sweep emits the module
+        assert CODEGEN_COUNTS == {"module_emit": 1}
 
         # warm: in-process memo cleared, so the disk cache must serve the
         # analysis — no pipeline stage.  The entry stores no code, so the
-        # sweep emits the vector evaluator once from the restored models,
-        # and the scalar one only when it is asked for.
+        # sweep emits the module once from the restored models, and the
+        # scalar evaluator, asked for later, execs that same text.
         sweep_mod.SWEEP_STORE.clear()
         reset_codegen_counters()
         before = dict(STAGE_RUN_COUNTS)
@@ -625,12 +668,12 @@ class TestCompiledMemoAndArtifacts:
         assert warm.analyses == 0
         assert warm.engine == "vector"
         assert STAGE_RUN_COUNTS["compile"] == before["compile"]
-        assert CODEGEN_COUNTS["scalar_emit"] == 0
-        assert CODEGEN_COUNTS["vector_emit"] == 1
+        assert CODEGEN_COUNTS == {"module_emit": 1}
         assert warm.fp_series() == cold.fp_series() == \
             [2 * n ** 3 + n ** 2 for n in (16, 32, 64)]
-        warm.analysis.compiled()
-        assert CODEGEN_COUNTS["scalar_emit"] == 1
+        assert warm.analysis.compiled().source == \
+            warm.analysis.compiled(engine="vector").source
+        assert CODEGEN_COUNTS == {"module_emit": 1}
 
 
 # ---------------------------------------------------------------------------
