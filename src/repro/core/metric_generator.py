@@ -59,6 +59,8 @@ def var_class(tu: A.TranslationUnit, name: str,
               fn: A.FunctionDef) -> str | None:
     """The class of a named variable visible in ``fn`` (local, parameter,
     or global), or None when it is not of class type."""
+    if not tu.classes:
+        return None
     class_names = {c.name for c in tu.classes}
     for node in A.walk(fn.body):
         if isinstance(node, A.DeclStmt):

@@ -108,7 +108,9 @@ class StageEvent:
     ``phase`` is ``"start"``/``"end"`` for executed stages; warm cache
     restores emit synthetic ``"cache-hit"`` events (with ``function`` set
     on per-function hits) so timing consumers see the restore instead of
-    misreading a hit as a zero-cost run."""
+    misreading a hit as a zero-cost run.  The incremental analyzer's
+    ``"parse"`` end event names the one function it re-parsed, when it
+    spliced that function into the file's previous TU."""
 
     stage: str
     phase: str            # "start" | "end" | "cache-hit"
@@ -217,7 +219,8 @@ class Pipeline:
             self.notify(StageEvent(name, "start", i))
             t0 = time.perf_counter()
             try:
-                getattr(self, f"_stage_{name}")(state)
+                # A stage narrowed to one function returns its name.
+                function = getattr(self, f"_stage_{name}")(state)
             except RecursionError:
                 raise too_deep(name) from None
             dt = time.perf_counter() - t0
@@ -228,7 +231,8 @@ class Pipeline:
                     else function_names(state.tu)
                 for q in built:
                     FUNC_STAGE_RUN_COUNTS[f"{name}:{q}"] += 1
-            self.notify(StageEvent(name, "end", i, elapsed=dt))
+            self.notify(StageEvent(name, "end", i, elapsed=dt,
+                                   function=function))
         if state.models is not None:
             state.result = AnalysisResult(
                 models=state.models,

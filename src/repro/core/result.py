@@ -136,8 +136,11 @@ class AnalysisResult:
     #: Functions restored from the per-function cache by an incremental run
     #: (run metadata, like stage_timings: not part of the wire format).
     restored_functions: tuple = ()
-    _source_cache: tuple | None = None                 # (text, uses)
-    _compiled_cache: dict | None = None                # engine -> compiled
+    # Memos of the module emitted from ``models``; derived, so not compared.
+    _source_cache: tuple | None = field(default=None, compare=False,
+                                        repr=False)    # (text, uses)
+    _compiled_cache: dict | None = field(default=None, compare=False,
+                                         repr=False)   # engine -> compiled
 
     # -- evaluation ---------------------------------------------------------------
     def evaluate(self, function: str, params: dict | None = None) -> Metrics:

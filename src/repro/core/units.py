@@ -24,6 +24,15 @@ callee fingerprints bottom-up.  Recursive call graphs raise
 :class:`~repro.errors.ModelError` — the model stage cannot handle them
 either, and the incremental analyzer falls back to the cold pipeline for
 the identical error surface.
+
+When the incremental analyzer splices one re-parsed function into the
+previous TU, ``build_units(..., reuse=previous_units)`` slices only that
+function: every other function is the *same node* as before, so it keeps
+its unit's slice hash and callee list, and the TU context hash carries
+over.  Reuse by node identity is not only faster but required: compiling a
+TU constant-folds its nodes in place, so a kept node no longer slices as
+its source does.  Every fingerprint is still recomputed, since a callee's
+new fingerprint changes its callers'.
 """
 
 from __future__ import annotations
@@ -50,20 +59,37 @@ class FunctionUnit:
     fingerprint: str          # content-addressed cache key
     slice_hash: str           # hash of the function slice alone
     callees: tuple            # direct callee qnames, first-call order
+    context_hash: str         # hash of the TU context slice
 
 
 def build_units(tu: A.TranslationUnit, config: AnalysisConfig,
-                predefined: dict | None = None) -> dict[str, FunctionUnit]:
+                predefined: dict | None = None,
+                reuse: dict | None = None) -> dict[str, FunctionUnit]:
     """Per-function units for a parsed TU, callees before callers.
+
+    ``reuse`` holds the units of the TU this one was spliced from (same
+    context and functions, but for re-parsed ones): a function that is the
+    same node as a reused unit's keeps that unit's slice hash and callees.
 
     Raises :class:`ModelError` on recursive call graphs (fingerprints of a
     cycle are not well-founded; neither is the model)."""
     config_id = config.identity_fingerprint(predefined)
-    context_hash = slice_fingerprint(tu_context_slice(tu))
+    # AST nodes hash and compare by identity.
+    kept = {u.fn: u for u in (reuse or {}).values()}
+    if kept:
+        context_hash = next(iter(kept.values())).context_hash
+    else:
+        context_hash = slice_fingerprint(tu_context_slice(tu))
     fns = {f.qualified_name: f for f in tu.all_functions()
            if not f.info.get("prototype_only")}
-    callees = {q: tuple(c for c in direct_callees(tu, f) if c in fns)
-               for q, f in fns.items()}
+    slices, callees = {}, {}
+    for q, f in fns.items():
+        old = kept.get(f)
+        if old is not None:
+            slices[q], callees[q] = old.slice_hash, old.callees
+        else:
+            slices[q] = slice_fingerprint(function_slice(f))
+            callees[q] = tuple(c for c in direct_callees(tu, f) if c in fns)
 
     order: list[str] = []
     state: dict[str, int] = {}
@@ -86,18 +112,18 @@ def build_units(tu: A.TranslationUnit, config: AnalysisConfig,
 
     units: dict[str, FunctionUnit] = {}
     for q in order:
-        slice_hash = slice_fingerprint(function_slice(fns[q]))
         material = "\n".join([
             "mira-function-unit",
             config_id,
             context_hash,
-            slice_hash,
+            slices[q],
             *sorted(units[c].fingerprint for c in callees[q]),
         ])
         units[q] = FunctionUnit(
             qname=q, fn=fns[q],
             fingerprint=hashlib.sha256(
                 material.encode("utf-8")).hexdigest(),
-            slice_hash=slice_hash,
-            callees=callees[q])
+            slice_hash=slices[q],
+            callees=callees[q],
+            context_hash=context_hash)
     return units

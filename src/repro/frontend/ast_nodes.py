@@ -49,10 +49,18 @@ class Node:
 
 
 def walk(node: Node) -> Iterator[Node]:
-    """Pre-order traversal of the subtree rooted at ``node``."""
-    yield node
-    for c in node.children():
-        yield from walk(c)
+    """Pre-order traversal of the subtree rooted at ``node``.
+
+    Iterative, so a deep tree costs one generator resume per node rather
+    than one per node and level."""
+    stack = [node]
+    pop, push = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        yield node
+        kids = list(node.children())
+        kids.reverse()
+        push(kids)
 
 
 # ---------------------------------------------------------------------------

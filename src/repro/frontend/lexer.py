@@ -54,13 +54,21 @@ _TOKEN_RE = re.compile("|".join(f"(?P<{name}>{pattern})"
                                 for name, pattern in _RULES))
 
 
-def tokenize(source: str) -> list[Token]:
-    """Convert source text into a token list ending with an ``eof`` token."""
+def tokenize(source: str, start: int = 0,
+             end: int | None = None) -> list[Token]:
+    """Convert source text into a token list ending with an ``eof`` token.
+
+    ``start``/``end`` lex only ``source[start:end]``, each token at the
+    line and column it has in the whole text (the incremental analyzer
+    re-lexes one function definition this way)."""
+    if end is None:
+        end = len(source)
     toks: list[Token] = []
     append = toks.append
-    line = 1
-    line_start = 0          # offset of the first character of ``line``
-    for m in _TOKEN_RE.finditer(source):
+    line = source.count("\n", 0, start) + 1
+    # offset of the first character of ``line``
+    line_start = source.rfind("\n", 0, start) + 1
+    for m in _TOKEN_RE.finditer(source, start, end):
         kind = m.lastgroup
         text = m.group()
         if kind == "punct":
@@ -112,10 +120,10 @@ def tokenize(source: str) -> list[Token]:
         elif kind == "open_string":
             # The body stops at EOF, at a newline, or at a backslash that
             # escapes a newline or nothing at all.
-            if source.startswith(("\n", "\\\n"), m.end()):
+            if source.startswith(("\n", "\\\n"), m.end(), end):
                 raise LexError("newline in string literal", line, col)
             raise LexError("unterminated string literal", line, col)
         else:
             raise LexError(f"unexpected character {text!r}", line, col)
-    append(Token("eof", "", line, len(source) - line_start + 1))
+    append(Token("eof", "", line, end - line_start + 1))
     return toks

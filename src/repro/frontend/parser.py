@@ -69,6 +69,9 @@ class Parser:
         self.pos = 0
         self.filename = filename
         self.class_names: set[str] = set()
+        #: One entry per ``tu.functions`` element: its first and last
+        #: token and the class names in scope where it starts.
+        self.function_spans: list[tuple[Token, Token, frozenset]] = []
 
     # -- token helpers -----------------------------------------------------
     @property
@@ -185,9 +188,12 @@ class Parser:
                     and self.peek(2).is_punct("{"):
                 tu.classes.append(self.parse_class())
                 continue
+            first, classes = self.cur, frozenset(self.class_names)
             decl = self.parse_top_level_decl()
             if isinstance(decl, A.FunctionDef):
                 tu.functions.append(decl)
+                self.function_spans.append(
+                    (first, self.toks[self.pos - 1], classes))
             elif isinstance(decl, A.DeclStmt):
                 if pending_annotations:
                     decl.annotations.extend(pending_annotations)

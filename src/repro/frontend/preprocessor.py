@@ -126,6 +126,15 @@ def _expand(line: str, table: MacroTable, depth: int = 0,
     return "".join(out)
 
 
+def _expand_line(line: str, table: MacroTable) -> str:
+    """``_expand(line, table)``, without the scan when no word of the line
+    (string literals included) names a defined macro: such a line is its
+    own expansion."""
+    if table.macros.keys().isdisjoint(_WORD.findall(line)):
+        return line
+    return _expand(line, table)
+
+
 def preprocess(source: str, *, predefined: dict[str, str] | None = None) -> str:
     """Run the preprocessor; returns text with identical line numbering."""
     table = MacroTable()
@@ -187,7 +196,7 @@ def preprocess(source: str, *, predefined: dict[str, str] | None = None) -> str:
         if skipping:
             out_lines.append("")
             continue
-        out_lines.append(_expand(raw, table))
+        out_lines.append(_expand_line(raw, table))
     if skip_stack:
         raise ParseError("unterminated #if block")
     return "\n".join(out_lines)

@@ -307,22 +307,27 @@ def oracle_incremental(case: FuzzCase) -> OracleVerdict:
     function of the spec, re-analyze incrementally (warm-starting from the
     unmutated functions' cache entries), and demand the result equals a
     cold ``Pipeline`` run of the mutated source on everything but
-    ``stage_timings``."""
+    ``stage_timings``.  A mutation that keeps the line count must be
+    spliced: the front end re-parses only the mutated function."""
     from ..core.incremental import IncrementalAnalyzer
     from .generator import render_program
 
     spec = case.program.spec
-    if len(spec.functions) < 2:
+    if not spec.functions:
         return OracleVerdict("incremental", True, skipped=True,
-                             detail="needs a multi-function program")
+                             detail="needs a generated function to edit")
     mutated = _mutate_spec(spec)
     src_a = render_program(spec, "concrete")
     src_b = render_program(mutated, "concrete")
     cfg = case.program.config("concrete", case.base_config)
+    reparsed = []
     with tempfile.TemporaryDirectory(prefix="mira-fuzz-incr-") as tmp:
         inc = IncrementalAnalyzer(cfg.with_changes(cache_dir=tmp,
                                                    use_cache=True))
         inc.analyze(src_a, filename="<fuzz-concrete>")
+        inc.add_observer(lambda e: reparsed.append(e.function)
+                         if e.stage == "parse" and e.phase == "end"
+                         else None)
         warm = inc.analyze(src_b, filename="<fuzz-concrete>")
     cold = Pipeline(cfg).run(src_b, filename="<fuzz-concrete>")
     details = []
@@ -330,6 +335,9 @@ def oracle_incremental(case: FuzzCase) -> OracleVerdict:
     if target not in warm.fresh_functions():
         details.append(f"mutated function {target!r} was not re-analyzed "
                        f"(fresh: {warm.fresh_functions()})")
+    if src_a.count("\n") == src_b.count("\n") and reparsed != [target]:
+        details.append(f"a same-line-count edit of {target!r} re-parsed "
+                       f"{reparsed} (None: the whole file)")
     dw, dc = warm.to_dict(), cold.to_dict()
     dw.pop("stage_timings", None)
     dc.pop("stage_timings", None)

@@ -327,6 +327,15 @@ class TestAnalysisResultSerialization:
         _assert_equivalent(result, back, binding=100)
         assert back.fp_instructions("f", {"n": 100}) == 25
 
+    def test_emitted_module_memo_is_not_state(self):
+        text = Pipeline().run_file(source_path("dgemm")).to_json()
+        a, b = AnalysisResult.from_json(text), AnalysisResult.from_json(text)
+        assert a == b
+        a.python_source()
+        a.compiled()
+        assert a == b
+        assert repr(a) == repr(b)
+
     def test_round_trip_python_source_identical(self):
         result = Pipeline().run(SCALE_SRC, filename="scale.c")
         back = AnalysisResult.from_json(result.to_json())

@@ -9,6 +9,7 @@ import reference_lexer
 from repro.core import AnalysisConfig, Pipeline
 from repro.errors import LexError, MiraError, ParseError
 from repro.frontend import parse_source, preprocess, tokenize
+from repro.frontend import preprocessor
 from repro.fuzz.generator import generate_program
 from repro.workloads import available, get_source
 
@@ -315,3 +316,42 @@ class TestPreprocessor:
     def test_macro_wrong_arity(self):
         with pytest.raises(ParseError):
             preprocess("#define F(a,b) a+b\nint x = F(1);")
+
+
+def _preprocess_every_line(monkeypatch, source, predefined=None):
+    """``preprocess`` with every line through the ``_expand`` scan."""
+    with monkeypatch.context() as m:
+        m.setattr(preprocessor, "_expand_line",
+                  lambda line, table: preprocessor._expand(line, table))
+        return preprocess(source, predefined=predefined)
+
+
+class TestPreprocessorFastPath:
+    """A line naming no defined macro is copied, not scanned: the output
+    must be byte-identical to scanning every line."""
+
+    @pytest.mark.parametrize("name", available())
+    def test_corpus_program(self, name, monkeypatch):
+        source = get_source(name)
+        for predefined in (None, {"N": "N", "STREAM_ARRAY_SIZE": "64"}):
+            assert preprocess(source, predefined=predefined) == \
+                _preprocess_every_line(monkeypatch, source, predefined)
+
+    @pytest.mark.parametrize("mode", ["concrete", "runtime", "symbolic"])
+    def test_fuzz_generator_programs(self, mode, monkeypatch):
+        for seed in range(25):
+            source = generate_program(seed).source(mode)
+            assert preprocess(source) == \
+                _preprocess_every_line(monkeypatch, source)
+
+    @pytest.mark.parametrize("line, literal", [
+        ('printf("N = %d", N);', '"N = %d"'), ('puts("N");', '"N"'),
+        ("char c = 'N';", "'N'"),
+        ('puts("F(1)"); int y = F(N, 2);', '"F(1)"'),
+        ('puts("unterminated N', '"unterminated N'),
+    ])
+    def test_macro_name_in_a_literal(self, line, literal, monkeypatch):
+        source = f"#define N 10\n#define F(a, b) a*b\n{line}\n"
+        out = preprocess(source)
+        assert out == _preprocess_every_line(monkeypatch, source)
+        assert literal in out

@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import ParseError
 from repro.frontend import ast_nodes as A
-from repro.frontend import parse_source, unparse
+from repro.frontend import parse_source, preprocess, tokenize, unparse
+from repro.frontend.parser import Parser
+from repro.workloads import available, get_source
 
 
 def parse_stmt(body: str):
@@ -303,3 +305,46 @@ class TestUnparse:
         text = unparse(tu)
         tu2 = parse_source(text)
         assert unparse(tu2) == text
+
+
+def _walk_recursive(node):
+    """The definition ``A.walk`` must match: pre-order, children in
+    ``children()`` order."""
+    yield node
+    for c in node.children():
+        yield from _walk_recursive(c)
+
+
+class TestWalkAndSpans:
+    @pytest.mark.parametrize("name", available())
+    def test_walk_is_the_recursive_pre_order(self, name):
+        tu = parse_source(get_source(name))
+        assert [id(n) for n in A.walk(tu)] == \
+            [id(n) for n in _walk_recursive(tu)]
+
+    @pytest.mark.parametrize("name", available())
+    def test_function_spans_relex_to_the_same_tokens(self, name):
+        text = preprocess(get_source(name))
+        toks = tokenize(text)
+        parser = Parser(toks)
+        tu = parser.parse_translation_unit()
+        assert len(parser.function_spans) == len(tu.functions)
+        starts = [0]
+        for line in text.split("\n"):
+            starts.append(starts[-1] + len(line) + 1)
+        for (first, last, classes), fn in zip(parser.function_spans,
+                                              tu.functions):
+            assert classes == {c.name for c in tu.classes
+                               if c.line < fn.line}
+            a = toks.index(first)
+            b = toks.index(last, a)
+            start = starts[first.line - 1] + first.col - 1
+            end = starts[last.line - 1] + last.col - 1 + len(last.text)
+            sub = tokenize(text, start, end)
+            assert sub[:-1] == toks[a:b + 1]
+            assert sub[-1].kind == "eof"
+            reparsed = Parser(sub)
+            reparsed.class_names = set(classes)
+            again = reparsed.parse_top_level_decl()
+            assert reparsed.cur.kind == "eof"
+            assert unparse(again) == unparse(fn)
