@@ -11,6 +11,8 @@ splice rule does not cover must take the full parse — visible in the
 function and is None after a full parse.
 """
 
+import random
+
 import pytest
 
 from repro.compiler.optimizer import fold_constants
@@ -215,6 +217,8 @@ FULL_PARSE_EDITS = {
     "outside-definitions": ("\nint main()", "\n int main()"),
     "second-definition": ("return f1(10) + g; }",
                           "return f1(10) + g; } int h() { return 1; }"),
+    "split-definition": ("s += f0(n);",
+                         "s += f0(n); return s; } int h(int n) { int s = 0;"),
     "two-functions": ("s += i;", "s += i + 1;", "s += f0(n);",
                       "s += f0(n + 1);"),
 }
@@ -348,3 +352,42 @@ def test_symbolic_params_survive_the_splice(tmp_path):
     cold = Pipeline(watch.analyzer.config).run(edited, filename="t.c")
     assert strip_timings(result) == strip_timings(cold)
     assert "N" in result.parameters("fill")
+
+
+#: Fragments that open or close literals, comments, blocks and functions.
+EDIT_FRAGMENTS = ('"', "'", "\\", "/", "*", "#", ".", "0x", "e", "+", "-",
+                  " ", "\t", "{", "}", ";", "(", ")", ",", "//", "/*", "*/",
+                  "int x = 1;", "return 0;", "} int q() {")
+
+
+def _outcome(run):
+    try:
+        return "ok", strip_timings(run())
+    except Exception as exc:    # the error is part of the outcome
+        return "error", type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("name", ["dgemm", "stream", "minife", "listings"])
+def test_random_same_line_count_edits_match_a_cold_run(name, tmp_path):
+    """Byte splices anywhere in the file, spliced or not, give what a cold
+    run gives: the same result or the same error."""
+    base = open(source_path(name), encoding="utf-8").read()
+    watch = Watch(tmp_path, filename=f"{name}.c")
+    watch.analyze(base)
+    cold_pipeline = Pipeline(AnalysisConfig(use_cache=False))
+    rng = random.Random(name)
+    spliced = 0
+    for _ in range(25):
+        at = rng.randrange(len(base))
+        cut = rng.randrange(4)
+        if "\n" in base[at:at + cut]:
+            cut = 0
+        edited = base[:at] + rng.choice(EDIT_FRAGMENTS) + base[at + cut:]
+        count = len(watch.reparsed)
+        warm = _outcome(lambda: watch.analyze(edited))
+        spliced += len(watch.reparsed) > count and watch.last is not None
+        assert warm == _outcome(
+            lambda: cold_pipeline.run(edited, filename=f"{name}.c")), \
+            (at, edited[at - 20:at + 20])
+        watch.analyze(base)
+    assert spliced
