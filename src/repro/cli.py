@@ -81,7 +81,7 @@ from .binary import disassemble, format_listing
 from .compiler.arch import default_arch, load_arch
 from .core import (AnalysisConfig, Pipeline, loop_coverage,
                    loop_coverage_source)
-from .core.pipeline import STAGES
+from .core.pipeline import STAGES, function_names
 from .core.result import RESULT_SCHEMA_VERSION
 from .dynamic import TauProfiler
 from .errors import MiraError, error_payload
@@ -164,20 +164,26 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    result = Pipeline(_config_from_args(args)).run_file(args.file)
+def _parse_bindings(items: list[str], prog: str) -> dict:
+    """``param=value`` arguments as a dict of integer bindings."""
     env = {}
-    for b in args.bindings:
+    for b in items:
         k, sep, v = b.partition("=")
         if not sep or not k:
             raise SystemExit(
-                f"mira eval: bad binding {b!r} (expected param=value)")
+                f"{prog}: bad binding {b!r} (expected param=value)")
         try:
             env[k] = int(v)
         except ValueError:
             raise SystemExit(
-                f"mira eval: bad binding {b!r} "
+                f"{prog}: bad binding {b!r} "
                 f"(value must be an integer, got {v!r})") from None
+    return env
+
+
+def cmd_eval(args) -> int:
+    result = Pipeline(_config_from_args(args)).run_file(args.file)
+    env = _parse_bindings(args.bindings, "mira eval")
     metrics = result.evaluate(args.function, env)
     fp = metrics.fp_instructions(result.arch.fp_arith_categories)
     if args.json:
@@ -249,14 +255,16 @@ def _parse_sweep_spec(spec: str, points: int) -> tuple[str, list[int]]:
     return name, [as_int(values)]
 
 
+def _sweep_grid(args) -> dict:
+    """The grid of the ``-p`` axes, in the order given."""
+    return dict(_parse_sweep_spec(spec, args.points) for spec in args.param)
+
+
 def cmd_sweep(args) -> int:
     from .core.sweep import sweep_source
 
-    grid = {}
-    for spec in args.param:
-        name, values = _parse_sweep_spec(spec, args.points)
-        grid[name] = values
-    result = sweep_source(_read(args.file), grid, function=args.function,
+    result = sweep_source(_read(args.file), _sweep_grid(args),
+                          function=args.function,
                           config=_config_from_args(args),
                           filename=args.file, engine=args.engine)
     doc = result.to_dict()
@@ -283,10 +291,9 @@ def _inspect_artifacts(state) -> dict:
     """Stage-specific summary of what a partial pipeline run produced."""
     out: dict = {}
     if state.tu is not None:
-        fns = [f.qualified_name for f in state.tu.all_functions()
-               if not f.info.get("prototype_only")]
         cov = loop_coverage(state.tu)
-        out["parse"] = {"functions": fns, "loops": cov.loops,
+        out["parse"] = {"functions": function_names(state.tu),
+                        "loops": cov.loops,
                         "statements": cov.statements}
     if state.obj is not None:
         out["compile"] = {"text_bytes": len(state.obj.text),
@@ -628,24 +635,11 @@ def cmd_client(args) -> int:
     elif action == "delete":
         doc = client.delete(args.id)
     elif action == "evaluate":
-        env = {}
-        for b in args.bindings:
-            k, sep, v = b.partition("=")
-            try:
-                env[k] = int(v)
-            except ValueError:
-                sep = ""
-            if not sep or not k:
-                raise SystemExit(f"mira client evaluate: bad binding {b!r} "
-                                 f"(expected param=integer)")
+        env = _parse_bindings(args.bindings, "mira client evaluate")
         doc = client.evaluate(args.id, args.function, env,
                               engine=args.engine)
     elif action == "sweep":
-        grid = {}
-        for spec in args.param:
-            name, values = _parse_sweep_spec(spec, args.points)
-            grid[name] = values
-        doc = client.sweep(args.id, args.function, grid,
+        doc = client.sweep(args.id, args.function, _sweep_grid(args),
                            engine=args.engine)
         del doc["points"]       # print the columnar document only
     elif action == "diff":

@@ -38,7 +38,6 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from ..compiler.arch import ArchDescription
 from ..errors import BatchError, MiraError
 from .config import AnalysisConfig
 from .pipeline import Pipeline
@@ -326,9 +325,7 @@ class BatchAnalyzer:
     """Corpus-scale front end over the :class:`Pipeline`.
 
     All analysis knobs live in one :class:`AnalysisConfig` — including the
-    cache policy (``cache_dir``/``use_cache``).  The legacy keyword surface
-    (``arch``/``opt_level``/``default_branch_ratio``/``cache_dir``/
-    ``use_cache``) is still accepted and folded into the config.
+    cache policy (``cache_dir``/``use_cache``).
 
     :param config: the analysis configuration (default:
         ``AnalysisConfig()``).
@@ -338,50 +335,16 @@ class BatchAnalyzer:
     """
 
     def __init__(self, config: AnalysisConfig | None = None, *,
-                 jobs: int | None = None,
-                 arch: ArchDescription | None = None,
-                 opt_level: int | None = None,
-                 default_branch_ratio: float | None = None,
-                 cache_dir: str | None = None,
-                 use_cache: bool | None = None) -> None:
-        if isinstance(config, ArchDescription):
-            # Legacy positional call: BatchAnalyzer(arch) predates the
-            # config-first signature.
-            config, arch = None, (arch or config)
-        elif config is not None and not isinstance(config, AnalysisConfig):
-            raise MiraError(
-                f"BatchAnalyzer expects an AnalysisConfig (or a legacy "
-                f"ArchDescription), got {type(config).__name__}")
+                 jobs: int | None = None) -> None:
         if config is None:
             config = AnalysisConfig()
-        overrides = {k: v for k, v in (
-            ("arch", arch), ("opt_level", opt_level),
-            ("default_branch_ratio", default_branch_ratio),
-            ("cache_dir", cache_dir), ("use_cache", use_cache),
-        ) if v is not None}
-        if overrides:
-            config = config.with_changes(**overrides)
+        elif not isinstance(config, AnalysisConfig):
+            raise MiraError(f"BatchAnalyzer expects an AnalysisConfig, "
+                            f"got {type(config).__name__}")
         self.config = config
         self.jobs = jobs if jobs is not None else (os.cpu_count() or 1)
         self.cache = ModelCache(config.cache_dir) if config.use_cache else None
         self.store = ModelStore(self.cache)
-
-    # -- back-compat attribute surface -------------------------------------------
-    @property
-    def arch(self) -> ArchDescription:
-        return self.config.arch
-
-    @property
-    def opt_level(self) -> int:
-        return self.config.opt_level
-
-    @property
-    def default_branch_ratio(self) -> float:
-        return self.config.default_branch_ratio
-
-    @property
-    def use_cache(self) -> bool:
-        return self.config.use_cache
 
     # -- entry points ------------------------------------------------------------
     def analyze_paths(self, paths, predefined: dict | None = None) -> BatchReport:

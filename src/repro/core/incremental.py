@@ -9,8 +9,8 @@ functions:
    into function units (:func:`repro.core.units.build_units`) — each
    unit's fingerprint folds in its source slice, the TU context, its
    callees' fingerprints, and the config identity,
-2. look every unit up in the store's function tier (memory, then the
-   disk cache's per-function entries); hits restore
+2. look every unit up in the store's function tier (memory, then, with
+   ``use_cache``, the disk cache's per-function entries); hits restore
    :class:`~repro.core.metric_generator.FunctionModel` payloads without
    touching the compiler,
 3. run the remaining stages (compile → disassemble → bridge → model) on
@@ -198,23 +198,22 @@ class _SplicingPipeline(Pipeline):
 class IncrementalAnalyzer:
     """Function-granular analyzer over one :class:`AnalysisConfig`.
 
-    With ``config.use_cache`` (the default) results are shared through the
-    same on-disk :class:`ModelCache` directory the batch engine uses;
-    ``use_cache=False`` degrades to a cold subset-of-everything run per
-    call.  Observers receive the same :class:`StageEvent` stream as the
-    Pipeline, plus synthetic ``cache-hit`` events for restored functions.
+    Unchanged functions' (immutable) models are kept in memory, since a
+    watch loop re-analyzes on every save.  ``config.use_cache`` (the
+    default) decides only the disk tier: with it, results are also shared
+    through the same on-disk :class:`ModelCache` directory the batch
+    engine uses.  Observers receive the same :class:`StageEvent` stream as
+    the Pipeline, plus synthetic ``cache-hit`` events for restored
+    functions.
     """
 
     def __init__(self, config: AnalysisConfig | None = None,
-                 observers=(), cache: ModelCache | None = None) -> None:
+                 observers=()) -> None:
         self.config = config or AnalysisConfig()
         self.pipeline = _SplicingPipeline(self.config, observers)
-        if cache is None and self.config.use_cache:
-            cache = ModelCache(self.config.cache_dir)
-        self.cache = cache
-        # A watch loop re-analyzes on every save; the function tier keeps
-        # unchanged functions' (immutable) models in memory.
-        self.store = ModelStore(cache)
+        self.cache = (ModelCache(self.config.cache_dir)
+                      if self.config.use_cache else None)
+        self.store = ModelStore(self.cache)
         self._model_memo = self.store.function_models
 
     def add_observer(self, observer) -> "IncrementalAnalyzer":
@@ -250,18 +249,17 @@ class IncrementalAnalyzer:
         # -- per-function store lookups ------------------------------------------
         hits: dict = {}
         restored_elapsed = 0.0
-        if self.cache is not None:
-            for qname, unit in units.items():
-                t0 = time.perf_counter()
-                model = self.store.lookup_function(unit.fingerprint, qname)
-                dt = time.perf_counter() - t0
-                if model is None:
-                    continue
-                hits[qname] = model
-                restored_elapsed += dt
-                pipeline.notify(StageEvent("model", "cache-hit",
-                                           STAGES.index("model"), elapsed=dt,
-                                           function=qname))
+        for qname, unit in units.items():
+            t0 = time.perf_counter()
+            model = self.store.lookup_function(unit.fingerprint, qname)
+            dt = time.perf_counter() - t0
+            if model is None:
+                continue
+            hits[qname] = model
+            restored_elapsed += dt
+            pipeline.notify(StageEvent("model", "cache-hit",
+                                       STAGES.index("model"), elapsed=dt,
+                                       function=qname))
         if hits:
             state.timings["cache-hit"] = restored_elapsed
 
@@ -277,10 +275,9 @@ class IncrementalAnalyzer:
             # (A TU without functions restores nothing and runs every
             # stage, like a cold Pipeline.)
             pipeline.run_stages(state, STAGES[1:])
-            if self.cache is not None:
-                for qname in stale:
-                    self.store.put_function(units[qname].fingerprint,
-                                            state.models[qname])
+            for qname in stale:
+                self.store.put_function(units[qname].fingerprint,
+                                        state.models[qname])
         if self.cache is not None:
             self.cache.persist_stats()
         return state.result

@@ -72,6 +72,3 @@ class ProcessedInput:
     bridges: dict            # qualified name -> FunctionBridge
     arch: ArchDescription
     opt_level: int
-
-    def function_names(self) -> list[str]:
-        return [f.name for f in self.program.functions]

@@ -47,7 +47,7 @@ from ..symbolic import Expr, Int, Sym, as_expr
 
 __all__ = ["MetricTerm", "CallTerm", "FunctionModel", "MetricGenerator",
            "GeneratorOptions", "resolve_callee", "direct_callees",
-           "topo_order"]
+           "call_graph", "topo_order"]
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +147,15 @@ class CallTerm:
     count: Expr
     line: int
     arg_exprs: dict = field(default_factory=dict)  # callee param -> Expr|None
+
+    def binding(self, p: str) -> Expr:
+        """The caller-side expression this call binds to callee parameter
+        ``p``: the argument expression, else the call-site parameter
+        ``<p>_<line>`` (the paper's ``y_16``).  The one call-binding rule:
+        the closure pass, the evaluators and ``mira diff`` all bind
+        through it."""
+        bound = self.arg_exprs.get(p)
+        return bound if bound is not None else Sym(f"{p}_{self.line}")
 
     def free_params(self) -> frozenset:
         out = set(self.count.free_symbols())
@@ -309,9 +318,7 @@ class MetricGenerator:
                 continue
             models[qname] = self.generate_function(fn)
             fresh.add(qname)
-        fresh_only = fresh if only is not None else None
-        self._resolve_parameters(models, fresh_only)
-        self._close_assumptions(models, fresh_only)
+        self._close(models, fresh if only is not None else None)
         return models
 
     def generate_function(self, fn: A.FunctionDef) -> FunctionModel:
@@ -640,70 +647,41 @@ class MetricGenerator:
                 out[p.name] = None
         return out
 
-    # ------------------------------------------------------- parameter closure
-    def _resolve_parameters(self, models: dict[str, FunctionModel],
-                            fresh: set | None = None) -> None:
-        """Compute each model's parameter list, including parameters that
-        bubble up from callees through unresolved call-site bindings.
+    # ------------------------------------------------------------- closure
+    def _close(self, models: dict[str, FunctionModel],
+               fresh: set | None = None) -> None:
+        """The closure pass, callees first: each model's final parameter
+        list and inherited assumptions, both bound through
+        :meth:`CallTerm.binding`.
+
+        A model's parameters are its own free parameters plus the free
+        symbols of its calls' bindings of every callee parameter, so an
+        unbound callee parameter ``p`` bubbles up as ``p_<line>``.  A
+        callee's assumptions are rewritten through the same bindings: one
+        that folds to a negative constant is a *statically detected*
+        violation (the call passes a binding outside the polynomial's
+        validity domain) and becomes a warning; a non-negative constant is
+        discharged; anything still symbolic is inherited.
 
         ``fresh`` (incremental runs) names the models generated this run;
-        restored models already carry their final parameter lists, which
-        are read as-is so bubbling through them stays exact."""
-        order = topo_order(models)
-        needed: dict[str, list[str]] = {}
-        for qname in order:
+        restored models are already closed and are read as-is, so a mixed
+        run is exact."""
+        for qname in topo_order(call_graph(models)):
             m = models[qname]
             if fresh is not None and qname not in fresh:
-                needed[qname] = m.params
                 continue
             params = set(m.own_free_params())
             for c in m.calls:
-                callee_params = needed.get(c.callee, [])
-                for p in callee_params:
-                    bound = c.arg_exprs.get(p)
-                    if bound is None and p in c.arg_exprs:
-                        params.add(f"{p}_{c.line}")
-                    elif bound is not None:
-                        params |= bound.free_symbols()
-                    else:
-                        # parameter of callee not tied to a source arg
-                        # (annotation variable): bubble up with line suffix
-                        params.add(f"{p}_{c.line}")
-            src_params = [p.name for p in m.fn.params if p.name in params]
-            extra = sorted(params - set(src_params))
-            m.params = src_params + extra
-            needed[qname] = m.params
-
-    def _close_assumptions(self, models: dict[str, FunctionModel],
-                           fresh: set | None = None) -> None:
-        """Propagate validity-domain assumptions through the call graph.
-
-        A callee's assumptions are rewritten with the caller's argument
-        bindings (unresolved parameters get the same call-site line suffix
-        as in :meth:`_resolve_parameters`, so they name the caller's bubbled
-        parameters).  A rewritten assumption that folds to a negative
-        constant is a *statically detected* violation — the call passes a
-        binding outside the polynomial's validity domain — and becomes a
-        warning; a non-negative constant is discharged; anything still
-        symbolic is inherited.
-        """
-        for qname in topo_order(models):
-            m = models[qname]
-            if fresh is not None and qname not in fresh:
-                continue  # restored model: assumptions already closed
-            for c in m.calls:
                 callee = models.get(c.callee)
-                if callee is None or not callee.assumptions:
+                if callee is None:
                     continue
+                for p in callee.params:
+                    params |= c.binding(p).free_symbols()
                 if c.count == Int(0):
                     continue  # call never executes; nothing to inherit
                 for a in callee.assumptions:
-                    sub: dict[str, Expr] = {}
-                    for name in a.free_symbols():
-                        bound = c.arg_exprs.get(name)
-                        sub[name] = bound if bound is not None \
-                            else Sym(f"{name}_{c.line}")
-                    rewritten = a.subs(sub)
+                    rewritten = a.subs(
+                        {n: c.binding(n) for n in a.free_symbols()})
                     if not rewritten.free_symbols():
                         if rewritten.evaluate({}) < 0:
                             m.warnings.append(
@@ -713,13 +691,22 @@ class MetricGenerator:
                                 f"approximate")
                     elif rewritten not in m.assumptions:
                         m.assumptions.append(rewritten)
+            src_params = [p.name for p in m.fn.params if p.name in params]
+            m.params = src_params + sorted(params - set(src_params))
 
 
-def topo_order(models: dict[str, FunctionModel]) -> list[str]:
-    """Callees before callers; raises on recursion.
+def call_graph(models: dict[str, FunctionModel]) -> dict[str, list]:
+    """qname -> callee qnames in call-site order, for :func:`topo_order`."""
+    return {q: [c.callee for c in m.calls] for q, m in models.items()}
 
-    The one call-graph order: the metric generator, the Fig. 5 emitter
-    and ``AnalysisResult.from_dict`` all use it."""
+
+def topo_order(graph: dict) -> list[str]:
+    """Callees before callers in a name -> callee-names map (names missing
+    from the map are skipped); raises on recursion.
+
+    The one call-graph order: the metric generator, the Fig. 5 emitter,
+    ``AnalysisResult.from_dict`` and the incremental engine's function
+    units all use it."""
     out: list[str] = []
     state: dict[str, int] = {}
 
@@ -731,12 +718,12 @@ def topo_order(models: dict[str, FunctionModel]) -> list[str]:
         if st == 2:
             return
         state[q] = 1
-        for c in models[q].calls:
-            if c.callee in models:
-                visit(c.callee)
+        for c in graph[q]:
+            if c in graph:
+                visit(c)
         state[q] = 2
         out.append(q)
 
-    for q in models:
+    for q in graph:
         visit(q)
     return out

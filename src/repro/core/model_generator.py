@@ -36,9 +36,9 @@ import re
 
 from ..compiler.arch import ArchDescription
 from ..errors import ModelError, SymbolicError
-from ..symbolic import Expr, Sym, expr_to_python
+from ..symbolic import Expr, expr_to_python
 from ..symbolic.compile import CODEGEN_COUNTS
-from .metric_generator import CallTerm, FunctionModel, topo_order
+from .metric_generator import CallTerm, FunctionModel, call_graph, topo_order
 from .model_runtime import Metrics, _mira_exact, handle_function_call
 
 __all__ = ["CompiledResult", "bound_model", "call_args", "compile_model",
@@ -68,7 +68,8 @@ def evaluate_model(models: dict[str, FunctionModel], qname: str,
                    env: dict | None = None) -> Metrics:
     """Evaluate a function model with parameter bindings ``env``.
 
-    Call-site parameters (``y_16``) are looked up in the same ``env``.
+    Each callee is evaluated at its :func:`call_args`, which read
+    call-site parameters (``y_16``) from the same ``env``.
     """
     env = dict(env or {})
     m = bound_model(models, qname, env)
@@ -76,65 +77,39 @@ def evaluate_model(models: dict[str, FunctionModel], qname: str,
     for t in m.terms:
         out.add(t.vector.as_dict(), _mira_exact(t.count.evaluate(env)))
     for c in m.calls:
-        sub_env = _callee_env(models, c, env)
+        args = call_args(models, m, c)
+        sub_env = {p: a.evaluate(env)
+                   for p, a in zip(models[c.callee].params, args)}
         callee_metrics = evaluate_model(models, c.callee, sub_env)
         handle_function_call(out, callee_metrics,
                              _mira_exact(c.count.evaluate(env)))
     return out
 
 
-def _callee_env(models: dict[str, FunctionModel], c: CallTerm,
-                env: dict) -> dict:
-    callee = models.get(c.callee)
-    if callee is None:
-        raise ModelError(f"call to unmodeled function {c.callee!r}")
-    sub: dict = {}
-    for p in callee.params:
-        bound = c.arg_exprs.get(p)
-        if bound is not None:
-            sub[p] = bound.evaluate(env)
-        else:
-            key = f"{p}_{c.line}"
-            if key in env:
-                sub[p] = env[key]
-            elif p in env:
-                sub[p] = env[p]
-            else:
-                raise ModelError(
-                    f"call at line {c.line}: no binding for callee "
-                    f"parameter {p!r} (expected env key {key!r})")
-    return sub
-
-
 def call_args(models: dict[str, FunctionModel], caller: FunctionModel,
               c: CallTerm) -> list[Expr]:
-    """The call-binding rule of the emitted module (both evaluators).
+    """The caller-side expressions call ``c`` binds to its callee's
+    parameters, in the callee's ``params`` order (:meth:`CallTerm.binding`).
 
-    One expression over ``caller``'s parameters per callee parameter, in
-    the callee's ``params`` order: the bound argument expression, else the
-    caller's call-site parameter ``<p>_<line>``, else a caller parameter
-    named ``<p>`` (the order :func:`evaluate_model` looks them up in).
-    Raises the :class:`ModelError` that :func:`evaluate_model` raises at
-    this call; the emitter turns it into code that raises it when the
-    call is evaluated.  The vector engine's int64 precheck binds callee
-    parameters by the same rule.
+    Raises :class:`ModelError` when a binding names a symbol that is not
+    a ``caller`` parameter (only a hand-edited document gets here: the
+    closure pass makes every binding's symbols caller parameters).  All
+    three evaluators raise it at this call: the tree walk directly, the
+    emitter as code that raises when the call is evaluated, and the
+    vector engine's int64 precheck skips the call for that reason.
     """
     callee = models.get(c.callee)
     if callee is None:
         raise ModelError(f"call to unmodeled function {c.callee!r}")
+    have = set(caller.params)
     args = []
     for p in callee.params:
-        bound = c.arg_exprs.get(p)
-        if bound is None:
-            key = f"{p}_{c.line}"
-            if key in caller.params:
-                bound = Sym(key)
-            elif p in caller.params:
-                bound = Sym(p)
-            else:
-                raise ModelError(
-                    f"call at line {c.line}: no binding for callee "
-                    f"parameter {p!r} (expected env key {key!r})")
+        bound = c.binding(p)
+        missing = bound.free_symbols() - have
+        if missing:
+            raise ModelError(
+                f"call at line {c.line}: no binding for callee "
+                f"parameter {p!r} (expected env key {min(missing)!r})")
         args.append(bound)
     return args
 
@@ -210,7 +185,7 @@ def generate_model_source(models: dict[str, FunctionModel],
 
     ``uses``, when a set, collects what the model functions need beyond
     plain arithmetic (see :func:`~repro.symbolic.expr_to_python`)."""
-    order = topo_order(models)
+    order = topo_order(call_graph(models))
     fn_names = _function_names(models, order)
     py = _param_namer(set(fn_names.values()))
     vectors: dict = {}                   # vector items -> constant name

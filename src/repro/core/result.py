@@ -29,7 +29,8 @@ from ..errors import ModelError, SchemaError, SymbolicError, VectorizeError
 from ..bridge.metrics import CategoryVector
 from ..symbolic import expr_from_json, expr_to_json
 from .input_processor import ProcessedInput
-from .metric_generator import CallTerm, FunctionModel, MetricTerm, topo_order
+from .metric_generator import (CallTerm, FunctionModel, MetricTerm,
+                               call_graph, topo_order)
 from .model_generator import (CompiledResult, compile_model, evaluate_model,
                               generate_model_source)
 from .model_runtime import Metrics
@@ -322,7 +323,7 @@ class AnalysisResult:
                 f"malformed AnalysisResult functions payload: {exc}") \
                 from None
         try:
-            topo_order(models)
+            topo_order(call_graph(models))
         except ModelError as exc:
             raise SchemaError(
                 f"malformed AnalysisResult call graph: {exc}") from None

@@ -19,9 +19,10 @@ Filenames are deliberately **not** folded in: the same function text in
 ``A.c`` and ``B.c`` shares cache entries, which is what makes
 ``mira diff A.c B.c`` warm-start its second analysis from the first.
 
-Units are returned callees-first, so a topological walk over them can fold
-callee fingerprints bottom-up.  Recursive call graphs raise
-:class:`~repro.errors.ModelError` — the model stage cannot handle them
+Units are returned callees-first, in the call-graph order the model stage
+uses (:func:`~repro.core.metric_generator.topo_order`), so callee
+fingerprints fold bottom-up.  A recursive call graph raises that order's
+:class:`~repro.errors.ModelError` — the model stage cannot handle it
 either, and the incremental analyzer falls back to the cold pipeline for
 the identical error surface.
 
@@ -40,12 +41,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from ..errors import ModelError
 from ..frontend import ast_nodes as A
 from ..frontend.slicing import (function_slice, slice_fingerprint,
                                 tu_context_slice)
 from .config import AnalysisConfig
-from .metric_generator import direct_callees
+from .metric_generator import direct_callees, topo_order
 
 __all__ = ["FunctionUnit", "build_units"]
 
@@ -91,27 +91,8 @@ def build_units(tu: A.TranslationUnit, config: AnalysisConfig,
             slices[q] = slice_fingerprint(function_slice(f))
             callees[q] = tuple(c for c in direct_callees(tu, f) if c in fns)
 
-    order: list[str] = []
-    state: dict[str, int] = {}
-
-    def visit(q: str) -> None:
-        st = state.get(q, 0)
-        if st == 1:
-            raise ModelError(f"recursive call cycle involving {q!r} "
-                             "(not supported by static modeling)")
-        if st == 2:
-            return
-        state[q] = 1
-        for c in callees[q]:
-            visit(c)
-        state[q] = 2
-        order.append(q)
-
-    for q in fns:
-        visit(q)
-
     units: dict[str, FunctionUnit] = {}
-    for q in order:
+    for q in topo_order(callees):
         material = "\n".join([
             "mira-function-unit",
             config_id,

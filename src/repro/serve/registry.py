@@ -57,13 +57,11 @@ class ModelRegistry:
     """
 
     def __init__(self, config: AnalysisConfig | None = None, *,
-                 capacity: int = DEFAULT_CAPACITY,
-                 cache: ModelCache | None = None) -> None:
+                 capacity: int = DEFAULT_CAPACITY) -> None:
         self.config = config or AnalysisConfig()
-        if cache is None and self.config.use_cache:
-            cache = ModelCache(self.config.cache_dir)
-        self.cache = cache
-        self.store = ModelStore(cache, capacity=capacity,
+        self.cache = (ModelCache(self.config.cache_dir)
+                      if self.config.use_cache else None)
+        self.store = ModelStore(self.cache, capacity=capacity,
                                 entry_type=RegistryEntry)
 
     @property

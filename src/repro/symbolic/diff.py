@@ -4,9 +4,9 @@
 question "did this commit change the performance model?" symbolically:
 each function's per-category instruction count is folded into one
 inclusive :class:`~repro.symbolic.expr.Expr` (own terms plus callee
-contributions, substituted through call-site argument bindings exactly
-like the assumption-closure pass), and before/after expressions are
-classified through the polynomial layer:
+contributions, substituted through each call's ``binding``: the same
+``y_16`` rule the parameter and assumption closures use), and
+before/after expressions are classified through the polynomial layer:
 
 * equal canonical expressions → no delta,
 * polynomial-equal after normalization → reported but flagged cosmetic,
@@ -43,7 +43,7 @@ import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .expr import ZERO, Add, Expr, Int, Sym
+from .expr import ZERO, Add, Expr, Int
 from .poly import Polynomial, expr_to_poly
 
 __all__ = ["CategoryDelta", "FunctionDelta", "ResultDiff",
@@ -68,11 +68,7 @@ _CONTRIBUTIONS_MAX = 1 << 12
 
 def _contribution(call, e: Expr) -> Expr:
     """One call site's contribution of one callee category expression."""
-    sub = {}
-    for name in e.free_symbols():
-        bound = call.arg_exprs.get(name)
-        sub[name] = bound if bound is not None \
-            else Sym(f"{name}_{call.line}")
+    sub = {name: call.binding(name) for name in e.free_symbols()}
     key = (e, call.count, frozenset(sub.items()))
     out = _CONTRIBUTIONS.get(key)
     if out is None:

@@ -420,8 +420,8 @@ class TestCorpusRoundTrip:
 
 class TestBatchServesSerializedResults:
     def test_warm_hits_skip_compiler(self, tmp_path, monkeypatch):
-        cache_dir = str(tmp_path / "mc")
-        cold = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_corpus()
+        config = AnalysisConfig(cache_dir=str(tmp_path / "mc"))
+        cold = BatchAnalyzer(config, jobs=1).analyze_corpus()
         assert not cold.failed()
 
         import repro.core.pipeline as pipeline_mod
@@ -431,7 +431,7 @@ class TestBatchServesSerializedResults:
 
         monkeypatch.setattr(pipeline_mod, "compile_tu", boom)
         monkeypatch.setattr(pipeline_mod, "parse_source", boom)
-        warm = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_corpus()
+        warm = BatchAnalyzer(config, jobs=1).analyze_corpus()
         assert warm.cache_hits() == 15
         for c, w in zip(cold, warm):
             assert w.analysis is not None
@@ -441,24 +441,23 @@ class TestBatchServesSerializedResults:
         cfg = AnalysisConfig(opt_level=0,
                              cache_dir=str(tmp_path / "mc"))
         ba = BatchAnalyzer(cfg, jobs=1)
-        assert ba.opt_level == 0
+        assert ba.config.opt_level == 0
         report = ba.analyze_sources({"k": SCALE_SRC})
         assert report["k"].ok
         assert report["k"].cache_key == cfg.fingerprint(SCALE_SRC,
                                                         filename="k")
 
-    def test_legacy_positional_arch_still_accepted(self, tmp_path):
+    def test_non_config_first_argument_rejected(self):
         from repro.compiler.arch import default_arch
-        ba = BatchAnalyzer(default_arch("frankenstein"), jobs=1,
-                           cache_dir=str(tmp_path / "mc"))
-        assert ba.arch.name == "frankenstein-nehalem"
-        with pytest.raises(MiraError):
-            BatchAnalyzer("not-a-config")
+        for bad in ("not-a-config", default_arch("frankenstein")):
+            with pytest.raises(MiraError):
+                BatchAnalyzer(bad)
 
     def test_corrupt_cached_result_is_a_miss(self, tmp_path):
         import os
         cache_dir = str(tmp_path / "mc")
-        ba = BatchAnalyzer(jobs=1, cache_dir=cache_dir)
+        config = AnalysisConfig(cache_dir=cache_dir)
+        ba = BatchAnalyzer(config, jobs=1)
         rep = ba.analyze_sources({"k": SCALE_SRC})
         key = rep["k"].cache_key
         path = os.path.join(cache_dir, key[:2], f"{key}.json")
@@ -466,7 +465,7 @@ class TestBatchServesSerializedResults:
         payload["result"]["schema_version"] = RESULT_SCHEMA_VERSION + 1
         with open(path, "w") as fh:
             json.dump(payload, fh)
-        rerun = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_sources(
+        rerun = BatchAnalyzer(config, jobs=1).analyze_sources(
             {"k": SCALE_SRC})
         assert rerun.cache_hits() == 0 and rerun["k"].ok
 

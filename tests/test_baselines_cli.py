@@ -178,6 +178,14 @@ class TestCLI:
             cli_main(["eval", source_path("dgemm"), "dgemm_kernel",
                       "=4", "-D", "DGEMM_N=8"])
 
+    def test_client_evaluate_binding_messages_match_eval(self):
+        # The client connects lazily, so a bad binding exits before any
+        # request is made.
+        with pytest.raises(SystemExit, match="expected param=value"):
+            cli_main(["client", "evaluate", "some-id", "f", "n16"])
+        with pytest.raises(SystemExit, match="must be an integer"):
+            cli_main(["client", "evaluate", "some-id", "f", "n=lots"])
+
     def test_opt_flag(self, capsys):
         rc = cli_main(["disasm", source_path("dgemm"), "--opt", "0",
                        "-D", "DGEMM_N=4"])

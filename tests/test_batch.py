@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.cli import main as cli_main
-from repro.core import Pipeline
+from repro.core import AnalysisConfig, Pipeline
 from repro.core.batch import BatchAnalyzer, BatchItem, ModelCache
 from repro.errors import BatchError
 from repro.workloads import available, source_path
@@ -23,9 +23,17 @@ int main() { f(a, 8); return 0; }
 BAD_SRC = "int main( {"
 
 
+NO_CACHE = AnalysisConfig(use_cache=False)
+
+
 @pytest.fixture
 def cache_dir(tmp_path):
     return str(tmp_path / "model-cache")
+
+
+@pytest.fixture
+def config(cache_dir):
+    return AnalysisConfig(cache_dir=cache_dir)
 
 
 def corpus_paths():
@@ -33,8 +41,8 @@ def corpus_paths():
 
 
 class TestCorpusBatch:
-    def test_all_fifteen_analyzed(self, cache_dir):
-        report = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_corpus()
+    def test_all_fifteen_analyzed(self, config):
+        report = BatchAnalyzer(config, jobs=1).analyze_corpus()
         assert len(report.results) == 15
         assert not report.failed()
         assert [r.name for r in report] == available()
@@ -42,13 +50,13 @@ class TestCorpusBatch:
 
     def test_parallel_run_restores_environment(self):
         before = os.environ.get("PYTHONPATH")
-        BatchAnalyzer(jobs=2, use_cache=False).analyze_sources(
+        BatchAnalyzer(NO_CACHE, jobs=2).analyze_sources(
             {"k": GOOD_SRC})
         assert os.environ.get("PYTHONPATH") == before
 
     def test_parallel_matches_serial(self):
-        serial = BatchAnalyzer(jobs=1, use_cache=False).analyze_corpus()
-        parallel = BatchAnalyzer(jobs=4, use_cache=False).analyze_corpus()
+        serial = BatchAnalyzer(NO_CACHE, jobs=1).analyze_corpus()
+        parallel = BatchAnalyzer(NO_CACHE, jobs=4).analyze_corpus()
         assert [r.name for r in serial] == [r.name for r in parallel]
         for s, p in zip(serial, parallel):
             assert s.ok and p.ok
@@ -58,13 +66,13 @@ class TestCorpusBatch:
                    {q: f.params for q, f in p.functions.items()}
 
     def test_matches_per_file_mira_analyze(self):
-        report = BatchAnalyzer(jobs=2, use_cache=False).analyze_corpus()
+        report = BatchAnalyzer(NO_CACHE, jobs=2).analyze_corpus()
         for name in ("dgemm", "stream", "fig5"):
             model = Pipeline().run_file(source_path(name))
             assert report[name].model_source == model.python_source()
 
     def test_aggregate_counts(self):
-        report = BatchAnalyzer(jobs=1, use_cache=False).analyze_corpus()
+        report = BatchAnalyzer(NO_CACHE, jobs=1).analyze_corpus()
         agg = report.aggregate()
         assert agg["files"] == agg["succeeded"] == 15
         assert agg["failed"] == 0
@@ -73,18 +81,18 @@ class TestCorpusBatch:
 
 
 class TestModelCache:
-    def test_second_run_hits_for_all(self, cache_dir):
-        cold = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_corpus()
+    def test_second_run_hits_for_all(self, config):
+        cold = BatchAnalyzer(config, jobs=1).analyze_corpus()
         assert cold.cache_hits() == 0
-        warm = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_corpus()
+        warm = BatchAnalyzer(config, jobs=1).analyze_corpus()
         assert warm.cache_hits() == 15
         for c, w in zip(cold, warm):
             assert c.model_source == w.model_source
             assert c.functions.keys() == w.functions.keys()
             assert w.from_cache
 
-    def test_cache_layout_is_sharded_json(self, cache_dir):
-        report = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_sources(
+    def test_cache_layout_is_sharded_json(self, cache_dir, config):
+        report = BatchAnalyzer(config, jobs=1).analyze_sources(
             {"good": GOOD_SRC})
         key = report["good"].cache_key
         path = os.path.join(cache_dir, key[:2], f"{key}.json")
@@ -92,79 +100,78 @@ class TestModelCache:
         payload = json.load(open(path))
         assert payload["ok"] and "model_source" not in payload
 
-    def test_source_change_invalidates(self, cache_dir):
-        ba = BatchAnalyzer(jobs=1, cache_dir=cache_dir)
+    def test_source_change_invalidates(self, config):
+        ba = BatchAnalyzer(config, jobs=1)
         ba.analyze_sources({"k": GOOD_SRC})
         changed = GOOD_SRC.replace("* 2.0", "* 3.0")
-        rerun = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_sources(
+        rerun = BatchAnalyzer(config, jobs=1).analyze_sources(
             {"k": changed})
         assert rerun.cache_hits() == 0
 
-    def test_arch_change_invalidates(self, cache_dir):
+    def test_arch_change_invalidates(self, config):
         from repro.compiler.arch import default_arch
 
-        BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_sources(
+        BatchAnalyzer(config, jobs=1).analyze_sources(
             {"k": GOOD_SRC})
-        other = BatchAnalyzer(arch=default_arch("frankenstein"), jobs=1,
-                              cache_dir=cache_dir).analyze_sources(
-            {"k": GOOD_SRC})
+        other = BatchAnalyzer(
+            config.with_changes(arch=default_arch("frankenstein")),
+            jobs=1).analyze_sources({"k": GOOD_SRC})
         assert other.cache_hits() == 0
 
-    def test_branch_ratio_invalidates(self, cache_dir):
-        BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_sources(
+    def test_branch_ratio_invalidates(self, config):
+        BatchAnalyzer(config, jobs=1).analyze_sources(
             {"k": GOOD_SRC})
-        other = BatchAnalyzer(default_branch_ratio=0.9, jobs=1,
-                              cache_dir=cache_dir).analyze_sources(
-            {"k": GOOD_SRC})
+        other = BatchAnalyzer(
+            config.with_changes(default_branch_ratio=0.9),
+            jobs=1).analyze_sources({"k": GOOD_SRC})
         assert other.cache_hits() == 0
 
-    def test_cache_hit_reports_near_zero_elapsed(self, cache_dir):
-        BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_sources(
+    def test_cache_hit_reports_near_zero_elapsed(self, config):
+        BatchAnalyzer(config, jobs=1).analyze_sources(
             {"k": GOOD_SRC})
-        warm = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_sources(
+        warm = BatchAnalyzer(config, jobs=1).analyze_sources(
             {"k": GOOD_SRC})
         assert warm["k"].from_cache and warm["k"].elapsed == 0.0
 
-    def test_opt_level_and_predefines_invalidate(self, cache_dir):
-        BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_sources(
+    def test_opt_level_and_predefines_invalidate(self, config):
+        BatchAnalyzer(config, jobs=1).analyze_sources(
             {"k": GOOD_SRC})
-        o0 = BatchAnalyzer(jobs=1, opt_level=0,
-                           cache_dir=cache_dir).analyze_sources({"k": GOOD_SRC})
+        o0 = BatchAnalyzer(config.with_changes(opt_level=0),
+                           jobs=1).analyze_sources({"k": GOOD_SRC})
         assert o0.cache_hits() == 0
-        defined = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_sources(
+        defined = BatchAnalyzer(config, jobs=1).analyze_sources(
             {"k": GOOD_SRC}, predefined={"N": "9"})
         assert defined.cache_hits() == 0
 
-    def test_no_cache_mode(self, cache_dir):
-        ba = BatchAnalyzer(jobs=1, cache_dir=cache_dir, use_cache=False)
+    def test_no_cache_mode(self, cache_dir, config):
+        ba = BatchAnalyzer(config.with_changes(use_cache=False), jobs=1)
         ba.analyze_sources({"k": GOOD_SRC})
-        again = BatchAnalyzer(jobs=1, cache_dir=cache_dir,
-                              use_cache=False).analyze_sources({"k": GOOD_SRC})
+        again = BatchAnalyzer(config.with_changes(use_cache=False),
+                              jobs=1).analyze_sources({"k": GOOD_SRC})
         assert again.cache_hits() == 0
         assert not os.path.exists(cache_dir)
 
-    def test_corrupt_entry_is_a_miss(self, cache_dir):
-        ba = BatchAnalyzer(jobs=1, cache_dir=cache_dir)
+    def test_corrupt_entry_is_a_miss(self, cache_dir, config):
+        ba = BatchAnalyzer(config, jobs=1)
         rep = ba.analyze_sources({"k": GOOD_SRC})
         key = rep["k"].cache_key
         path = os.path.join(cache_dir, key[:2], f"{key}.json")
         with open(path, "w") as fh:
             fh.write("{not json")
-        rerun = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_sources(
+        rerun = BatchAnalyzer(config, jobs=1).analyze_sources(
             {"k": GOOD_SRC})
         assert rerun.cache_hits() == 0 and not rerun.failed()
 
-    def test_clear(self, cache_dir):
-        BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_corpus()
+    def test_clear(self, cache_dir, config):
+        BatchAnalyzer(config, jobs=1).analyze_corpus()
         cache = ModelCache(cache_dir)
         assert cache.clear() == 15
-        assert BatchAnalyzer(
-            jobs=1, cache_dir=cache_dir).analyze_corpus().cache_hits() == 0
+        assert BatchAnalyzer(config, jobs=1).analyze_corpus().cache_hits() == 0
 
 
 class TestErrorIsolation:
     def test_one_bad_file_does_not_abort(self):
-        report = BatchAnalyzer(jobs=1, use_cache=False).analyze_sources(
+        report = BatchAnalyzer(NO_CACHE, jobs=1).analyze_sources(
             {"good": GOOD_SRC, "bad": BAD_SRC, "good2": GOOD_SRC + "\n"})
         assert len(report.results) == 3
         assert report["good"].ok and report["good2"].ok
@@ -174,14 +181,14 @@ class TestErrorIsolation:
         assert bad.error.error_type == "ParseError"
 
     def test_bad_file_isolated_in_parallel(self):
-        report = BatchAnalyzer(jobs=3, use_cache=False).analyze_sources(
+        report = BatchAnalyzer(NO_CACHE, jobs=3).analyze_sources(
             {"good": GOOD_SRC, "bad": BAD_SRC})
         assert report["good"].ok and not report["bad"].ok
 
-    def test_missing_path_is_isolated(self, tmp_path, cache_dir):
+    def test_missing_path_is_isolated(self, tmp_path, config):
         good = tmp_path / "good.c"
         good.write_text(GOOD_SRC)
-        report = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_paths(
+        report = BatchAnalyzer(config, jobs=1).analyze_paths(
             [str(tmp_path / "nope.c"), str(good)])
         assert report["good"].ok
         assert not report["nope"].ok
@@ -189,28 +196,28 @@ class TestErrorIsolation:
         # results stay at their input positions
         assert [r.name for r in report] == ["nope", "good"]
 
-    def test_non_utf8_file_is_isolated(self, tmp_path, cache_dir):
+    def test_non_utf8_file_is_isolated(self, tmp_path, config):
         good = tmp_path / "good.c"
         good.write_text(GOOD_SRC)
         binary = tmp_path / "binary.c"
         binary.write_bytes(b"int main() { return 0; } \xe9\xff")
-        report = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_paths(
+        report = BatchAnalyzer(config, jobs=1).analyze_paths(
             [str(binary), str(good)])
         assert report["good"].ok
         assert not report["binary"].ok
         assert report["binary"].error.error_type == "UnicodeDecodeError"
 
-    def test_failures_are_not_cached(self, cache_dir):
-        BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_sources(
+    def test_failures_are_not_cached(self, config):
+        BatchAnalyzer(config, jobs=1).analyze_sources(
             {"bad": BAD_SRC})
-        rerun = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_sources(
+        rerun = BatchAnalyzer(config, jobs=1).analyze_sources(
             {"bad": BAD_SRC})
         assert rerun.cache_hits() == 0 and not rerun["bad"].ok
 
 
 class TestReport:
     def test_function_summaries(self):
-        report = BatchAnalyzer(jobs=1, use_cache=False).analyze_sources(
+        report = BatchAnalyzer(NO_CACHE, jobs=1).analyze_sources(
             {"k": GOOD_SRC})
         fns = report["k"].functions
         assert fns["f"].params == ["n"]
@@ -220,7 +227,7 @@ class TestReport:
         assert fns["main"].fp_ins == 8          # one mulsd per element
 
     def test_json_round_trip(self):
-        report = BatchAnalyzer(jobs=1, use_cache=False).analyze_sources(
+        report = BatchAnalyzer(NO_CACHE, jobs=1).analyze_sources(
             {"good": GOOD_SRC, "bad": BAD_SRC})
         doc = json.loads(report.to_json())
         assert doc["aggregate"]["files"] == 2
@@ -231,21 +238,21 @@ class TestReport:
         assert bad["error"]["type"] == "ParseError"
 
     def test_format_table(self):
-        report = BatchAnalyzer(jobs=1, use_cache=False).analyze_sources(
+        report = BatchAnalyzer(NO_CACHE, jobs=1).analyze_sources(
             {"good": GOOD_SRC})
         text = report.format_table()
         assert "good" in text and "1/1 analyzed" in text
 
     def test_unknown_name_raises(self):
-        report = BatchAnalyzer(jobs=1, use_cache=False).analyze_sources(
+        report = BatchAnalyzer(NO_CACHE, jobs=1).analyze_sources(
             {"good": GOOD_SRC})
         with pytest.raises(BatchError):
             report["nope"]
 
-    def test_duplicate_items_analyzed_once(self, tmp_path, cache_dir):
+    def test_duplicate_items_analyzed_once(self, tmp_path, config):
         p = tmp_path / "dup.c"
         p.write_text(GOOD_SRC)
-        report = BatchAnalyzer(jobs=1, cache_dir=cache_dir).analyze_paths(
+        report = BatchAnalyzer(config, jobs=1).analyze_paths(
             [str(p), str(p)])
         assert len(report.results) == 2
         assert all(r.ok for r in report)
@@ -253,8 +260,8 @@ class TestReport:
         # one pipeline run, one store — the second slot reuses the payload
         assert report.cache_stats["stores"] == 1
 
-    def test_cache_stats_are_per_run(self, cache_dir):
-        ba = BatchAnalyzer(jobs=1, cache_dir=cache_dir)
+    def test_cache_stats_are_per_run(self, config):
+        ba = BatchAnalyzer(config, jobs=1)
         cold = ba.analyze_sources({"k": GOOD_SRC})
         assert cold.cache_stats["hits"] == 0 and cold.cache_stats["stores"] == 1
         warm = ba.analyze_sources({"k": GOOD_SRC})

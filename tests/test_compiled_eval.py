@@ -402,6 +402,51 @@ double f(double *x, int n) { return g(x, n); }
         assert str(exc.value) == "call to unmodeled function 'g'", name
 
 
+#: ``k``'s loop bound is bound by no argument, so ``main`` carries the
+#: call-site parameter ``n_3`` (the paper's ``y_16``).
+CALL_SITE_SRC = """\
+int k(int n) { int s = 0; for (int i = 0; i < n; i++) s = s + i; return s; }
+int a[10];
+int main() { return k(a[3]); }
+"""
+
+
+def test_unbound_call_site_parameter_raises_in_every_evaluator():
+    # A hand-edited document that names main's call-site parameter like
+    # the callee's own: no evaluator may bind k's ``n`` from it.
+    doc = Pipeline().run(CALL_SITE_SRC).to_dict()
+    assert doc["functions"]["main"]["params"] == ["n_3"]
+    doc["functions"]["main"]["params"] = ["n"]
+    result = AnalysisResult.from_dict(doc)
+    evaluators = {
+        "tree-walk": lambda: result.evaluate("main", {"n": 10}),
+        "scalar": lambda: result.evaluate_compiled("main", {"n": 10}),
+        "vector": lambda: result.sweep("main", {"n": [10]},
+                                       engine="vector"),
+    }
+    for name, run in evaluators.items():
+        with pytest.raises(ModelError) as exc:
+            run()
+        assert str(exc.value) == (
+            "call at line 3: no binding for callee parameter 'n' "
+            "(expected env key 'n_3')"), name
+
+
+@pytest.mark.parametrize("name", available())
+def test_call_bindings_name_only_caller_parameters(name):
+    # What keeps generated models from needing any binding fallback:
+    # every callee parameter's binding is over the caller's parameters.
+    models = Pipeline().run_file(source_path(name)).models
+    for q, m in models.items():
+        for c in m.calls:
+            for p in models[c.callee].params:
+                assert c.binding(p).free_symbols() <= set(m.params), \
+                    (q, c.line, p)
+    if name == "minife":
+        # bound through two call sites: main -> cg_solve -> operator()
+        assert "nrows_110_131" in models["main"].params
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------

@@ -265,6 +265,29 @@ class TestFallbackAndEvents:
         fps = {q: u.fingerprint for q, u in units.items()}
         assert len(set(fps.values())) == len(fps)
 
+    def test_units_of_recursive_tu_raise_the_call_graph_error(self):
+        from repro.errors import ModelError
+
+        rec = "int f(int n) { if (n <= 1) return 1; return n * f(n - 1); }\n"
+        with pytest.raises(ModelError,
+                           match=r"^recursive call cycle involving 'f' "
+                                 r"\(not supported by static modeling\)$"):
+            build_units(parse_source(rec, filename="r.c"), AnalysisConfig(),
+                        {})
+
+    def test_no_cache_keeps_the_memory_tier(self):
+        # use_cache=False turns off the disk tier only: a watch loop still
+        # re-analyzes just the edited function and its callers.
+        analyzer = IncrementalAnalyzer(AnalysisConfig(use_cache=False))
+        analyzer.analyze(SRC, filename="t.c")
+        edited = SRC.replace("s += i;", "s += 3 * i;")
+        res = analyzer.analyze(edited, filename="t.c")
+        assert set(res.fresh_functions()) == {"f0", "f1", "main"}
+        assert set(res.restored_functions) == {"f2", "f3"}
+        assert analyzer.cache is None
+        cold = Pipeline(analyzer.config).run(edited, filename="t.c")
+        assert strip_timings(res) == strip_timings(cold)
+
 
 class TestBatchCacheHitTimings:
     def test_warm_batch_stamps_cache_hit_timing(self, tmp_path):
