@@ -18,6 +18,7 @@ machine descriptions mirroring the paper's evaluation hosts:
 from __future__ import annotations
 
 import json
+from copy import copy
 from dataclasses import dataclass, field
 
 from ..errors import MiraError
@@ -219,25 +220,31 @@ class ArchDescription:
         return cached
 
     # -- serialization -----------------------------------------------------------
+    def to_dict(self) -> dict:
+        """The JSON-able document; its containers are copies."""
+        return {
+            "name": self.name,
+            "cores": self.cores,
+            "cache_line_bytes": self.cache_line_bytes,
+            "vector_bits": self.vector_bits,
+            "frequency_ghz": self.frequency_ghz,
+            "has_fp_counters": self.has_fp_counters,
+            "categories": dict(self.categories),
+            "fp_arith_categories": list(self.fp_arith_categories),
+            "fp_data_categories": list(self.fp_data_categories),
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "name": self.name,
-                "cores": self.cores,
-                "cache_line_bytes": self.cache_line_bytes,
-                "vector_bits": self.vector_bits,
-                "frequency_ghz": self.frequency_ghz,
-                "has_fp_counters": self.has_fp_counters,
-                "categories": self.categories,
-                "fp_arith_categories": self.fp_arith_categories,
-                "fp_data_categories": self.fp_data_categories,
-            },
-            indent=2,
-        )
+        return json.dumps(self.to_dict(), indent=2)
 
     @staticmethod
     def from_json(text: str) -> "ArchDescription":
-        d = json.loads(text)
+        return ArchDescription.from_dict(json.loads(text))
+
+    @staticmethod
+    def from_dict(d: dict) -> "ArchDescription":
+        """The description of a :meth:`to_dict` document; missing fields
+        take their defaults, and containers are copied, not shared."""
         return ArchDescription(
             name=d.get("name", "custom"),
             cores=d.get("cores", 1),
@@ -245,11 +252,11 @@ class ArchDescription:
             vector_bits=d.get("vector_bits", 128),
             frequency_ghz=d.get("frequency_ghz", 2.0),
             has_fp_counters=d.get("has_fp_counters", True),
-            categories=d.get("categories", {}),
-            fp_arith_categories=d.get("fp_arith_categories",
-                                      list(_FP_ARITH_CATEGORIES)),
-            fp_data_categories=d.get("fp_data_categories",
-                                     list(_FP_DATA_CATEGORIES)),
+            categories=copy(d.get("categories", {})),
+            fp_arith_categories=copy(d.get("fp_arith_categories",
+                                           _FP_ARITH_CATEGORIES)),
+            fp_data_categories=copy(d.get("fp_data_categories",
+                                          _FP_DATA_CATEGORIES)),
         )
 
 

@@ -156,7 +156,7 @@ class AnalysisConfig:
         return {
             "schema_version": CONFIG_SCHEMA_VERSION,
             "kind": "AnalysisConfig",
-            "arch": json.loads(self.arch.to_json()),
+            "arch": self.arch.to_dict(),
             "opt_level": self.opt_level,
             "default_branch_ratio": self.default_branch_ratio,
             "predefined": {k: v for k, v in self.predefined},
@@ -183,7 +183,7 @@ class AnalysisConfig:
                 f"(this build reads version {CONFIG_SCHEMA_VERSION})")
         arch = d.get("arch")
         return AnalysisConfig(
-            arch=(ArchDescription.from_json(json.dumps(arch))
+            arch=(ArchDescription.from_dict(arch)
                   if arch is not None else default_arch()),
             opt_level=d.get("opt_level", 2),
             default_branch_ratio=d.get("default_branch_ratio", 0.5),

@@ -21,6 +21,12 @@ functions:
    restored models as-is.  The Pipeline builds the one
    :class:`~repro.core.result.AnalysisResult` from the mix.
 
+Steps 2 and 3, with the unit split, are :func:`analyze_functions`.
+:meth:`ModelStore.get_or_analyze <repro.core.store.ModelStore.get_or_analyze>`
+runs it after a plain parse on every whole-file miss, so ``mira serve``,
+``sweep_source`` and ``mira diff --watch`` share one set of per-function
+entries and each warms the others.
+
 **The front end splices.**  The analyzer keeps each file's previous front
 end: its preprocessed text, its TU, and for each top-level function
 definition its character span in that text and the class names in scope at
@@ -63,13 +69,13 @@ from ..frontend.lexer import tokenize
 from ..frontend.parser import Parser
 from ..frontend.preprocessor import preprocess
 from .config import AnalysisConfig
-from .pipeline import (STAGES, Pipeline, StageEvent, function_names,
-                       inject_symbolic_params, too_deep)
+from .pipeline import (STAGES, Pipeline, PipelineState, StageEvent,
+                       function_names, inject_symbolic_params, too_deep)
 from .result import AnalysisResult
 from .store import ModelCache, ModelStore
 from .units import build_units
 
-__all__ = ["IncrementalAnalyzer"]
+__all__ = ["IncrementalAnalyzer", "analyze_functions"]
 
 
 @dataclass
@@ -167,6 +173,64 @@ def _splice(prev: _Front, text: str) -> _Front | None:
                   reparsed=fn.qualified_name, reuse=prev.units)
 
 
+def analyze_functions(pipeline: Pipeline, state: PipelineState, store,
+                      reuse: dict | None = None) -> dict | None:
+    """Run compile → model on a parsed ``state`` through ``store``'s
+    function tier; ``state.result`` is the :class:`AnalysisResult`.
+
+    Every function unit is looked up with ``store.lookup_function``; the
+    remaining stages run with ``only`` set to the misses and ``presolved``
+    to the hits, and the fresh models are stored with
+    ``store.put_function``.  Each hit is reported as a ``cache-hit`` event
+    and their restore time as ``stage_timings["cache-hit"]``.  ``reuse`` is
+    passed to :func:`build_units`.  Returns the units, or None for a
+    recursive call graph, whose stages run cold so that the caller sees the
+    Pipeline's error.
+    """
+    try:
+        units = build_units(state.tu, pipeline.config, state.predefined,
+                            reuse=reuse)
+    except RecursionError:
+        raise too_deep("units") from None
+    except ModelError:
+        # Fingerprints of a call cycle are not well-founded, and neither is
+        # its model: the cold stages raise the Pipeline's error.
+        pipeline.run_stages(state, STAGES[1:])
+        return None
+
+    hits: dict = {}
+    restored_elapsed = 0.0
+    for qname, unit in units.items():
+        t0 = time.perf_counter()
+        model = store.lookup_function(unit.fingerprint, qname)
+        dt = time.perf_counter() - t0
+        if model is None:
+            continue
+        hits[qname] = model
+        restored_elapsed += dt
+        pipeline.notify(StageEvent("model", "cache-hit",
+                                   STAGES.index("model"), elapsed=dt,
+                                   function=qname))
+    if hits:
+        state.timings["cache-hit"] = restored_elapsed
+
+    stale = [q for q in units if q not in hits]
+    state.only, state.presolved = frozenset(stale), hits
+    if hits and not stale:
+        # Everything was restored, so no stage runs.  Cold model order is
+        # TU declaration order; match it so the result serializes
+        # byte-identically to a cold one.
+        state.models = {q: hits[q] for q in function_names(state.tu)}
+        pipeline.run_stages(state, ())
+    else:
+        # (A TU without functions restores nothing and runs every stage,
+        # like a cold Pipeline.)
+        pipeline.run_stages(state, STAGES[1:])
+        for qname in stale:
+            store.put_function(units[qname].fingerprint, state.models[qname])
+    return units
+
+
 class _SplicingPipeline(Pipeline):
     """The Pipeline whose parse stage splices one re-parsed definition
     into the file's previous TU when the edit allows it."""
@@ -234,50 +298,10 @@ class IncrementalAnalyzer:
             pipeline.new_state(source, filename=filename,
                                predefined=predefined), ("parse",))
         front = pipeline.fronts[filename]
-        try:
-            units = build_units(state.tu, self.config, state.predefined,
-                                reuse=front.reuse)
-        except RecursionError:
-            raise too_deep("units") from None
-        except ModelError:
-            # Recursive call graph: fingerprints are not well-founded, and
-            # neither is the model.  Run the remaining stages cold on the
-            # same state so the caller sees the Pipeline's error surface.
-            return pipeline.run_stages(state, STAGES[1:]).result
-        front.units, front.reuse = units, None
-
-        # -- per-function store lookups ------------------------------------------
-        hits: dict = {}
-        restored_elapsed = 0.0
-        for qname, unit in units.items():
-            t0 = time.perf_counter()
-            model = self.store.lookup_function(unit.fingerprint, qname)
-            dt = time.perf_counter() - t0
-            if model is None:
-                continue
-            hits[qname] = model
-            restored_elapsed += dt
-            pipeline.notify(StageEvent("model", "cache-hit",
-                                       STAGES.index("model"), elapsed=dt,
-                                       function=qname))
-        if hits:
-            state.timings["cache-hit"] = restored_elapsed
-
-        stale = [q for q in units if q not in hits]
-        state.only, state.presolved = frozenset(stale), hits
-        if hits and not stale:
-            # Everything was restored, so no stage runs.  Cold model order
-            # is TU declaration order; match it so the result serializes
-            # byte-identically to a cold one.
-            state.models = {q: hits[q] for q in function_names(state.tu)}
-            pipeline.run_stages(state, ())
-        else:
-            # (A TU without functions restores nothing and runs every
-            # stage, like a cold Pipeline.)
-            pipeline.run_stages(state, STAGES[1:])
-            for qname in stale:
-                self.store.put_function(units[qname].fingerprint,
-                                        state.models[qname])
+        units = analyze_functions(pipeline, state, self.store,
+                                  reuse=front.reuse)
+        if units is not None:
+            front.units, front.reuse = units, None
         if self.cache is not None:
             self.cache.persist_stats()
         return state.result

@@ -39,8 +39,9 @@ def source_fingerprint(source: str, arch: ArchDescription, opt_level: int,
     Two analyses share a fingerprint iff they are guaranteed to produce the
     same model: same source bytes, same architecture description, same
     optimization level, same predefines, same default branch ratio (it
-    scales non-analyzable branch terms), and the same filename (which the
-    generated model module embeds in its header).
+    scales non-analyzable branch terms), and the same filename, because
+    the stored result and the served handle record it as their ``source``
+    (entries carry no generated code).
     """
     material = json.dumps(
         {

@@ -286,7 +286,7 @@ class AnalysisResult:
                        if self.processed is not None else self.source_name),
             "opt_level": self.opt_level,
             "fingerprint": self.fingerprint,
-            "arch": json.loads(self.arch.to_json()),
+            "arch": self.arch.to_dict(),
             "stage_timings": {k: round(v, 6)
                               for k, v in self.stage_timings.items()},
             "functions": {q: _model_to_dict(m)
@@ -311,8 +311,7 @@ class AnalysisResult:
                 f"(this build reads version {RESULT_SCHEMA_VERSION})")
         arch_doc = d.get("arch")
         arch = (default_arch() if arch_doc is None else
-                ArchDescription.from_json(json.dumps(_object("arch",
-                                                             arch_doc))))
+                ArchDescription.from_dict(_object("arch", arch_doc)))
         functions = _object("functions", d.get("functions", {}))
         timings = _object("stage_timings", d.get("stage_timings", {}))
         try:

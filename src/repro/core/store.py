@@ -6,8 +6,9 @@ serve`` registry, ``mira sweep``, the incremental analyzer and the bench
 helpers all reuse models through a :class:`ModelStore`.  Its tiers,
 cheapest first: **memory** (a dict lookup), **disk** (a
 :class:`ModelCache` payload, deserialized without the compiler and
-promoted into memory), **cold** (a :class:`~repro.core.pipeline.Pipeline`
-run whose :func:`payload_from_result` is stored).  :func:`restore` is the
+promoted into memory), **cold** (a parse, then compile → model through the
+per-function tier, so only functions the store has not seen are analyzed;
+its :func:`payload_from_result` is stored).  :func:`restore` is the
 one decoder of payloads: a malformed one is a miss, never an error.
 A payload stores the model and building one emits no code: a cold or
 restored result emits its scalar or vector evaluator on first use.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from ..errors import MiraError, SchemaError
 from .config import AnalysisConfig
 from .coverage import loop_coverage
-from .pipeline import Pipeline
+from .pipeline import Pipeline, PipelineState
 from .result import AnalysisResult, function_payload, restore_function_model
 
 __all__ = [
@@ -220,10 +221,11 @@ class ModelCache:
 # ---------------------------------------------------------------------------
 
 def payload_from_result(config: AnalysisConfig, result: AnalysisResult,
-                        name: str, elapsed: float) -> dict:
+                        name: str, elapsed: float, tu=None) -> dict:
     """The JSON-able success payload the :class:`ModelCache` stores: the
     versioned :class:`AnalysisResult` wire format, per-function summaries
-    and loop coverage.
+    and loop coverage of ``tu``, the parsed translation unit (by default
+    the result's own, which a result with restored functions lacks).
 
     Concrete summaries are evaluated by the tree walk
     (:meth:`AnalysisResult.evaluate`), so building a payload emits no
@@ -251,7 +253,7 @@ def payload_from_result(config: AnalysisConfig, result: AnalysisResult,
             "total": total,
             "fp_ins": fp,
         }
-    cov = loop_coverage(result.processed.tu, name)
+    cov = loop_coverage(tu if tu is not None else result.processed.tu, name)
     return {
         "ok": True,
         "functions": functions,
@@ -320,7 +322,8 @@ class ModelStore:
     :data:`FUNCTION_CAPACITY`) over the disk tier's per-function entries.
 
     :param cache: the disk tier; without one (the sweep engine's store),
-        each :meth:`get_or_analyze` call takes its config's.
+        each :meth:`get_or_analyze` call takes its config's for whole-file
+        entries, and the function tier stays in memory.
     :param capacity: memory-tier bound (least recently used entries beyond
         it are evicted; the disk tier still holds them).
     :param entry_type: the :class:`ModelEntry` subclass to restore as.
@@ -353,10 +356,12 @@ class ModelStore:
     def get_or_analyze(self, source: str, config: AnalysisConfig,
                        filename: str = "<input>") -> tuple[ModelEntry, str]:
         """``(entry, origin)`` for ``source`` under ``config``, origin
-        ``"memory"``, ``"disk"`` or ``"cold"``.  Identical concurrent calls
-        share one pipeline run (per-key locks; the store lock is never held
-        across an analysis); pipeline errors propagate.  Disk traffic is
-        persisted to ``stats.json``."""
+        ``"memory"``, ``"disk"`` or ``"cold"``.  A cold analysis restores
+        every function the function tier holds (see
+        :func:`~repro.core.incremental.analyze_functions`).  Identical
+        concurrent calls share one analysis (per-key locks; the store lock
+        is never held across an analysis); pipeline errors propagate.  Disk
+        traffic is persisted to ``stats.json``."""
         key = config.fingerprint(source, filename=filename)
         cache = self._disk(config)
         found = self._lookup(key, cache)
@@ -370,11 +375,10 @@ class ModelStore:
                     found = self._lookup(key, None)
                     if found is None:
                         t0 = time.perf_counter()
-                        result = Pipeline(config).run(source,
-                                                      filename=filename)
+                        state = self._analyze(source, config, filename)
                         payload = payload_from_result(
-                            config, result, filename,
-                            time.perf_counter() - t0)
+                            config, state.result, filename,
+                            time.perf_counter() - t0, tu=state.tu)
                         found = self._put(key, payload, cache), "cold"
                         with self._lock:
                             self.analyses += 1
@@ -414,7 +418,8 @@ class ModelStore:
     def lookup_function(self, fingerprint: str, qname: str):
         """The ``FunctionModel`` of one function unit from memory, else
         restored from the disk tier and promoted; None on a miss."""
-        model = self.function_models.get(fingerprint)
+        with self._lock:
+            model = self.function_models.get(fingerprint)
         if model is None and self.cache is not None:
             model = self.cache.get_function(
                 fingerprint, lambda p: restore_function_model(qname, p))
@@ -430,6 +435,18 @@ class ModelStore:
         self._insert_function(fingerprint, model)
 
     # -- internals ---------------------------------------------------------------
+    def _analyze(self, source: str, config: AnalysisConfig,
+                 filename: str) -> PipelineState:
+        """A plain parse, then compile → model through the function tier:
+        only the functions this store has not seen are re-analyzed."""
+        from .incremental import analyze_functions   # imports this module
+
+        pipeline = Pipeline(config)
+        state = pipeline.run_stages(
+            pipeline.new_state(source, filename=filename), ("parse",))
+        analyze_functions(pipeline, state, self)
+        return state
+
     def _disk(self, config: AnalysisConfig) -> ModelCache | None:
         if self.cache is not None or not config.use_cache:
             return self.cache

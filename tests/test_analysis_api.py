@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
+from repro.compiler.arch import ArchDescription, default_arch
 from repro.core import (
     CONFIG_SCHEMA_VERSION, RESULT_SCHEMA_VERSION, AnalysisConfig,
     AnalysisResult, BatchAnalyzer, IncrementalAnalyzer, Pipeline,
@@ -412,6 +413,59 @@ class TestCorpusRoundTrip:
             result = pipeline.run_file(source_path(name))
             back = AnalysisResult.from_json(result.to_json())
             _assert_equivalent(result, back, binding=5)
+
+
+class TestArchDocument:
+    """The arch document is built as a dict, and is the same document the
+    JSON text gave: fingerprints, documents and cache keys are unchanged."""
+
+    #: sha256 of each bundled description's ``to_json`` text.
+    FINGERPRINTS = {
+        "generic":
+            "83b909fc6b4772317cbd256fefb85a8d9700e3324c83367b0c22f0da2c9a5952",
+        "arya":
+            "0daef6797c271da8218297dfe5ddf4afd2705c49b29691f6ec1b1daba9a94a44",
+        "frankenstein":
+            "811a77a33f8d0bd3af2defe16081318f3183b13fda032158c0930503e22c10d5",
+    }
+
+    @pytest.mark.parametrize("name", sorted(FINGERPRINTS))
+    def test_dict_is_the_json_document(self, name):
+        arch = default_arch(name)
+        assert arch.fingerprint() == self.FINGERPRINTS[name]
+        assert arch.to_dict() == json.loads(arch.to_json())
+        back = ArchDescription.from_dict(arch.to_dict())
+        assert back.to_json() == arch.to_json()
+        config = AnalysisConfig(arch=arch)
+        assert config.to_dict()["arch"] == json.loads(arch.to_json())
+        again = AnalysisConfig.from_dict(json.loads(config.to_json()))
+        assert again.to_json() == config.to_json()
+        assert again.identity_fingerprint() == config.identity_fingerprint()
+
+    def test_documents_share_no_containers(self):
+        doc = default_arch().to_dict()
+        arch = ArchDescription.from_dict(doc)
+        doc["categories"].clear()
+        doc["fp_arith_categories"].append("Imaginary instruction")
+        assert arch.to_json() == default_arch().to_json()
+        out = arch.to_dict()
+        out["fp_data_categories"].clear()
+        assert arch.fp_data_categories == default_arch().fp_data_categories
+
+    def test_corpus_documents_and_keys(self):
+        pipeline = Pipeline()
+        for name in available():
+            source = get_source(name)
+            result = pipeline.run(source, filename=f"{name}.c")
+            doc = result.to_dict()
+            assert json.dumps(doc["arch"]) == \
+                json.dumps(json.loads(result.arch.to_json()))
+            back = AnalysisResult.from_dict(json.loads(json.dumps(doc)))
+            assert back.arch.to_json() == result.arch.to_json()
+            assert json.dumps(back.to_dict()) == json.dumps(doc)
+            config = AnalysisConfig.from_json(pipeline.config.to_json())
+            assert config.fingerprint(source, filename=f"{name}.c") \
+                == result.fingerprint
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ of writers racing on the same content-addressed key — serving threads in
 one process, batch workers across processes — leave readers observing
 only *complete* payloads (one writer's document in full, never a torn
 interleaving), and failed stores never leave temp-file garbage behind.
+Submissions that share functions race through one registry's function
+tier: each source is analyzed once, and every result equals a cold run.
 """
 
 import json
@@ -13,7 +15,9 @@ import subprocess
 import sys
 import threading
 
+from repro.core import AnalysisConfig, Pipeline
 from repro.core.batch import ModelCache
+from repro.serve import ModelRegistry
 
 KEY = "ab" + "cd" * 19                     # a plausible 40-hex fingerprint
 
@@ -75,7 +79,9 @@ def test_process_writers_race_to_a_complete_payload(tmp_path):
     # complete document and no temp files remain.
     script = """
 import sys
+from repro.core import AnalysisConfig, Pipeline
 from repro.core.batch import ModelCache
+from repro.serve import ModelRegistry
 cache_dir, writer = sys.argv[1], int(sys.argv[2])
 payload = {"ok": True, "writer": writer, "stamp": f"writer-{writer}",
            "blob": f"writer-{writer} " * 2000, "check": f"writer-{writer}"}
@@ -110,3 +116,55 @@ def test_failed_store_keeps_the_previous_entry(tmp_path):
     cache.put(KEY, good)
     cache.put(KEY, {"bad": object()})
     assert cache.get(KEY) == good           # the old entry survives intact
+
+
+# main → f1 → f0 and main → f3 → f2; the second variant edits f2's body, so
+# the two share the function entries of f0 and f1.
+CHAIN = """\
+int f0(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }
+int f1(int n) { int s = 0; for (int i = 0; i < n; i++) s += f0(n); return s; }
+int f2(int n) { int s = 1; for (int i = 0; i < n; i++) s += 2 * i; return s; }
+int f3(int n) { int s = 0; for (int i = 0; i < n; i++) s += f2(i); return s; }
+int main() { return f1(10) + f3(20); }
+"""
+VARIANTS = (CHAIN, CHAIN.replace("s += 2 * i;", "s += 3 * i;"))
+
+
+def _without_timings(result) -> dict:
+    doc = result.to_dict()
+    doc.pop("stage_timings")
+    return doc
+
+
+def test_racing_variants_share_the_function_tier(tmp_path):
+    """Threads racing two variants of one program through one registry
+    read and write the shared functions' entries concurrently; each
+    variant is analyzed once and both equal a cold run."""
+    cold = [_without_timings(Pipeline(AnalysisConfig(use_cache=False))
+                             .run(v, filename="t.c")) for v in VARIANTS]
+    for attempt in range(3):
+        registry = ModelRegistry(
+            AnalysisConfig(cache_dir=str(tmp_path / f"cache{attempt}")))
+        barrier = threading.Barrier(8)
+        results, errors = [], []
+
+        def submit(i: int) -> None:
+            try:
+                barrier.wait()
+                entry, _ = registry.submit(VARIANTS[i % 2], filename="t.c")
+                results.append((i % 2, _without_timings(entry.result)))
+            except Exception as exc:        # reported below, not lost
+                errors.append(exc)
+
+        threads = [threading.Thread(target=submit, args=(i,))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+
+        assert errors == []
+        assert len(results) == 8
+        for variant, doc in results:
+            assert doc == cold[variant]
+        assert registry.store.analyses == 2

@@ -15,14 +15,19 @@ import pytest
 import repro
 from repro._version import __version__
 from repro.cli import main as cli_main
-from repro.core import AnalysisConfig, Pipeline
+from repro.core import AnalysisConfig, IncrementalAnalyzer, Pipeline
 from repro.core.batch import ModelCache
-from repro.core.pipeline import STAGE_RUN_COUNTS, reset_stage_counters
+from repro.core.pipeline import (FUNC_STAGE_RUN_COUNTS, STAGE_RUN_COUNTS,
+                                 reset_stage_counters)
+from repro.core.store import payload_from_result
+from repro.core.units import build_units
+from repro.frontend import parse_source
 from repro.errors import MiraError, ParseError, ServeError, error_payload
 from repro.serve import ModelRegistry
 from repro.serve.app import (HTTPError, Request, ServerContext, match_route,
                              route_table)
 from repro.serve.routes.analyses import request_config
+from repro.workloads import available, get_source
 
 SRC = """\
 double kernel(int n) {
@@ -156,6 +161,101 @@ def test_concurrent_identical_submits_run_one_analysis(tmp_path):
     assert origins.count("cold") == 1
     keys = {e.key for e, _ in results}
     assert len(keys) == 1
+
+
+# -- the function tier ------------------------------------------------------------
+
+# Five functions, two call chains: main → f1 → f0 and main → f3 → f2.
+CHAIN = """\
+int f0(int n) { int s = 0; for (int i = 0; i < n; i++) s += i; return s; }
+int f1(int n) { int s = 0; for (int i = 0; i < n; i++) s += f0(n); return s; }
+int f2(int n) { int s = 1; for (int i = 0; i < n; i++) s += 2 * i; return s; }
+int f3(int n) { int s = 0; for (int i = 0; i < n; i++) s += f2(i); return s; }
+int main() { return f1(10) + f3(20); }
+"""
+
+
+def strip_timings(result) -> dict:
+    doc = result.to_dict()
+    doc.pop("stage_timings")
+    return doc
+
+
+def compiled_functions() -> set:
+    """Functions the compile stage ran for since the last counter reset."""
+    return {k.split(":", 1)[1] for k, n in FUNC_STAGE_RUN_COUNTS.items()
+            if k.startswith("compile:") and n}
+
+
+def test_cold_submit_warms_the_watch_loop(tmp_path):
+    config = AnalysisConfig(cache_dir=str(tmp_path / "cache"))
+    ModelRegistry(config).submit(CHAIN, filename="t.c")
+    reset_stage_counters()
+    result = IncrementalAnalyzer(config).analyze(CHAIN, filename="t.c")
+    assert compiles() == 0
+    assert set(result.restored_functions) == set(result.models) \
+        == {"f0", "f1", "f2", "f3", "main"}
+    cold = Pipeline(config).run(CHAIN, filename="t.c")
+    assert strip_timings(result) == strip_timings(cold)
+
+
+def test_watch_session_warms_served_submits(tmp_path):
+    config = AnalysisConfig(cache_dir=str(tmp_path / "cache"))
+    IncrementalAnalyzer(config).analyze(CHAIN, filename="t.c")
+    edited = CHAIN.replace("s += 2 * i;", "s += 3 * i;")      # f2's body
+    reset_stage_counters()
+    entry, origin = ModelRegistry(config).submit(edited, filename="t.c")
+    assert origin == "cold"
+    # f0 and f1 are unchanged and restored; f2 and its callers are not.
+    assert compiled_functions() == {"f2", "f3", "main"}
+    assert "cache-hit" in entry.result.stage_timings
+    cold = Pipeline(config).run(edited, filename="t.c")
+    assert strip_timings(entry.result) == strip_timings(cold)
+
+
+def _body_edit(source: str):
+    """``source`` with a declaration added at the start of the first free
+    function's body (main only when it is the only one), and the names of
+    that function and its transitive callers."""
+    tu = parse_source(source)
+    free = [f for f in tu.functions
+            if not f.info.get("prototype_only") and f.class_name is None]
+    fn = next((f for f in free if f.name != "main"), free[0])
+    lines = source.split("\n")
+    line, col = fn.body.line, fn.body.col
+    lines[line - 1] = lines[line - 1][:col] + " int served_edit = 1;" \
+        + lines[line - 1][col:]
+    units = build_units(tu, AnalysisConfig())
+    stale = {fn.qualified_name}
+    for q, unit in units.items():          # callees come first
+        if stale & set(unit.callees):
+            stale.add(q)
+    return "\n".join(lines), stale
+
+
+@pytest.mark.parametrize("name", available())
+def test_resubmits_restore_unchanged_functions(name, tmp_path):
+    """A resubmission with a trailing comment restores every function and
+    one with a body edit compiles only that function and its callers; both
+    store what a cold ``Pipeline.run`` gives."""
+    source, filename = get_source(name), f"{name}.c"
+    config = AnalysisConfig(cache_dir=str(tmp_path / "cache"))
+    registry = ModelRegistry(config)
+    registry.submit(source, filename=filename)
+    edited, stale = _body_edit(source)
+    for variant, want in ((source + "\n/* resubmitted */\n", set()),
+                          (edited, stale)):
+        reset_stage_counters()
+        entry, origin = registry.submit(variant, filename=filename)
+        assert origin == "cold"
+        assert compiled_functions() == want
+        restored = set(entry.result.models) - want
+        assert ("cache-hit" in entry.result.stage_timings) == bool(restored)
+        cold = Pipeline(config).run(variant, filename=filename)
+        assert strip_timings(entry.result) == strip_timings(cold)
+        payload = payload_from_result(config, cold, filename, 0.0)
+        assert entry.functions == payload["functions"]
+        assert entry.coverage == payload["coverage"]
 
 
 # -- routing ----------------------------------------------------------------------

@@ -103,6 +103,12 @@ PATHS = {"batch": _via_batch, "registry": _via_registry, "sweep": _via_sweep}
 #: Shapes that are not malformed but an older layout: still a hit.
 COMPATIBLE = {"compiled-string"}
 
+#: Function entries a re-analysis restores from the first run's: the
+#: registry analyzes through its store's disk function tier, and SRC has
+#: one function.  Batch does not use that tier, and the sweep store keeps
+#: it in memory only (emptied by ``SWEEP_STORE.clear()``).
+RESTORED = {"batch": 0, "registry": 1, "sweep": 0}
+
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("path", sorted(PATHS))
@@ -122,7 +128,7 @@ def test_malformed_payload_is_a_miss(tmp_path, path, shape):
     assert run(config) is not hit                  # re-analyzed cold, or not
 
     after = ModelCache(cache_dir).persisted_stats()
-    assert after["hits"] - before["hits"] == hit
+    assert after["hits"] - before["hits"] == (1 if hit else RESTORED[path])
     assert after["misses"] - before["misses"] == (not hit)
     assert after["stores"] - before["stores"] == (not hit)
     with open(entry_path) as fh:          # rewritten, or a compatible hit
