@@ -622,38 +622,38 @@ def cmd_serve(args) -> int:
 def cmd_client(args) -> int:
     from .serve.client import MiraClient
 
-    client = MiraClient(args.url)
-    action = args.action
-    if action == "health":
-        doc = client.health()
-    elif action == "submit":
-        doc = client.submit(_read(args.file), filename=args.file)
-    elif action == "list":
-        doc = client.analyses()
-    elif action == "get":
-        doc = client.analysis(args.id)
-    elif action == "delete":
-        doc = client.delete(args.id)
-    elif action == "evaluate":
-        env = _parse_bindings(args.bindings, "mira client evaluate")
-        doc = client.evaluate(args.id, args.function, env,
-                              engine=args.engine)
-    elif action == "sweep":
-        doc = client.sweep(args.id, args.function, _sweep_grid(args),
-                           engine=args.engine)
-        del doc["points"]       # print the columnar document only
-    elif action == "diff":
-        doc = client.diff(args.id, args.other)
-    elif action == "corpus":
-        if args.files:
-            sources = {os.path.basename(p).rsplit(".", 1)[0]: _read(p)
-                       for p in args.files}
-            doc = client.submit_corpus(sources, jobs=args.jobs)
-        else:
-            names = args.workloads or True
-            doc = client.submit_corpus(corpus=names, jobs=args.jobs)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise SystemExit(f"mira client: unknown action {action!r}")
+    with MiraClient(args.url) as client:
+        action = args.action
+        if action == "health":
+            doc = client.health()
+        elif action == "submit":
+            doc = client.submit(_read(args.file), filename=args.file)
+        elif action == "list":
+            doc = client.analyses()
+        elif action == "get":
+            doc = client.analysis(args.id)
+        elif action == "delete":
+            doc = client.delete(args.id)
+        elif action == "evaluate":
+            env = _parse_bindings(args.bindings, "mira client evaluate")
+            doc = client.evaluate(args.id, args.function, env,
+                                  engine=args.engine)
+        elif action == "sweep":
+            doc = client.sweep(args.id, args.function, _sweep_grid(args),
+                               engine=args.engine)
+            del doc["points"]       # print the columnar document only
+        elif action == "diff":
+            doc = client.diff(args.id, args.other)
+        elif action == "corpus":
+            if args.files:
+                sources = {os.path.basename(p).rsplit(".", 1)[0]: _read(p)
+                           for p in args.files}
+                doc = client.submit_corpus(sources, jobs=args.jobs)
+            else:
+                names = args.workloads or True
+                doc = client.submit_corpus(corpus=names, jobs=args.jobs)
+        else:  # pragma: no cover - argparse enforces the choices
+            raise SystemExit(f"mira client: unknown action {action!r}")
     print(json.dumps(doc, indent=2))
     return 0
 

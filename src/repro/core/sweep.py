@@ -298,6 +298,14 @@ def _sum_columns(cols: list, n: int) -> list[int]:
     return [sum(t) for t in zip(*lists)]
 
 
+def _column_rows(columns: dict, n: int) -> list[dict]:
+    """One ``{name: value}`` dict per point from ``{name: column}``."""
+    if not columns:
+        return [{} for _ in range(n)]
+    return list(map(dict, map(zip, repeat(list(columns)),
+                              zip(*columns.values()))))
+
+
 def sweep_rows(doc: dict) -> list[dict]:
     """Expand a columnar ``SweepResult`` document into per-point rows.
 
@@ -310,23 +318,18 @@ def sweep_rows(doc: dict) -> list[dict]:
     """
     cols = doc["columns"]
     n = len(cols["total"])
-    names, cats = list(cols["params"]), list(cols["counts"])
-    param_rows = zip(*cols["params"].values()) if names else repeat((), n)
-    count_rows = zip(*cols["counts"].values()) if cats else repeat((), n)
-    rows = []
-    for pv, cv, total, fp_ins in zip(param_rows, count_rows, cols["total"],
-                                     cols["fp_ins"]):
-        # Filtering only the rows that need it keeps the common case (no
-        # zero count, every name bound) at one C-level dict(zip(...)).
-        params = dict(zip(names, pv))
-        if None in pv:
-            params = {k: v for k, v in params.items() if v is not None}
-        counts = dict(zip(cats, cv))
-        if 0 in cv:
-            counts = {c: v for c, v in counts.items() if v}
-        rows.append({"params": params, "counts": counts, "total": total,
-                     "fp_ins": fp_ins})
-    return rows
+    # Rows are built with C-level dict(zip(...)); the filters run only
+    # when some column holds a value to drop.
+    params = _column_rows(cols["params"], n)
+    if any(None in c for c in cols["params"].values()):
+        params = [{k: v for k, v in row.items() if v is not None}
+                  for row in params]
+    counts = _column_rows(cols["counts"], n)
+    if any(0 in c for c in cols["counts"].values()):
+        counts = [{k: v for k, v in row.items() if v} for row in counts]
+    return [{"params": p, "counts": c, "total": total, "fp_ins": fp_ins}
+            for p, c, total, fp_ins in zip(params, counts, cols["total"],
+                                           cols["fp_ins"])]
 
 
 @dataclass

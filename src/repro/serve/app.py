@@ -14,8 +14,23 @@ failure output):
   source, config, bindings — was the problem; ``error.type`` carries the
   concrete class name),
 * unknown resources/routes → **404**, wrong method → **405**, oversized
-  bodies → **413**, malformed JSON bodies → **400**,
+  bodies and sweep grids over ``MAX_SWEEP_POINTS`` points → **413**
+  (``PayloadTooLarge``, ``GridTooLarge``), malformed JSON bodies → **400**,
 * anything else → **500** (``error.type: "InternalError"``).
+
+Requests whose framing is broken never reach a route.  The handler reads
+the request head itself (:meth:`parse_request`, through
+:func:`~repro.serve.framing.read_headers`) and answers with the stdlib's
+error page and ``Connection: close``:
+
+* a malformed request line, a header line without a colon or with
+  whitespace before it, a folded header line, and a bad or conflicting
+  ``Content-Length`` → **400**,
+* more than 100 header fields, or a header line over 65536 bytes →
+  **431**,
+* a request with ``Transfer-Encoding`` (chunked bodies are not read) →
+  **501**, like an unknown method,
+* HTTP/2 or later → **505**.
 
 Typical embedding (tests, benchmarks)::
 
@@ -41,6 +56,7 @@ from .._version import __version__
 from ..core.config import AnalysisConfig
 from ..core.result import RESULT_SCHEMA_VERSION
 from ..errors import MiraError, ServeError, error_payload
+from .framing import FramingError, read_headers
 from .registry import DEFAULT_CAPACITY, ModelRegistry
 
 __all__ = ["HTTPError", "MiraServer", "Request", "Response",
@@ -111,12 +127,17 @@ class ServerContext:
         self.quiet = quiet
         self.started_at = time.time()
         self.requests = 0
+        self.connections = 0
         self._lock = threading.Lock()
 
     def count_request(self) -> int:
         with self._lock:
             self.requests += 1
             return self.requests
+
+    def count_connection(self) -> None:
+        with self._lock:
+            self.connections += 1
 
     def uptime(self) -> float:
         return time.time() - self.started_at
@@ -159,6 +180,17 @@ def match_route(table, method: str, path: str):
 MAX_BODY_BYTES = 8 << 20
 
 
+def _version_number(version: str) -> tuple[int, int] | None:
+    """``(major, minor)`` of an ``HTTP/x.y`` token, or None if malformed."""
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[5:].split(".")
+    if len(parts) != 2 or not all(p.isascii() and p.isdigit()
+                                  and len(p) <= 10 for p in parts):
+        return None
+    return int(parts[0]), int(parts[1])
+
+
 def _make_handler(ctx: ServerContext):
     table = route_table()
 
@@ -177,10 +209,83 @@ def _make_handler(ctx: ServerContext):
             if not ctx.quiet:
                 BaseHTTPRequestHandler.log_message(self, fmt, *args)
 
+        def setup(self):
+            BaseHTTPRequestHandler.setup(self)
+            ctx.count_connection()
+
+        def parse_request(self):
+            """The stdlib's request-line rules, then the head through
+            :func:`read_headers` into ``self.headers`` (a dict with
+            lower-cased names).  ``http.client.parse_headers`` builds an
+            ``email`` message instead, the largest cost of a warm request.
+            """
+            self.command = None
+            self.request_version = self.default_request_version
+            self.close_connection = True
+            line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+            self.requestline = line
+            words = line.split()
+            if not words:
+                return False
+            if len(words) >= 3:
+                version = words[-1]
+                number = _version_number(version)
+                if number is None:
+                    self.send_error(400, f"Bad request version ({version!r})")
+                    return False
+                if number >= (2, 0):
+                    self.send_error(505, f"Invalid HTTP version "
+                                         f"({version[5:]})")
+                    return False
+                self.close_connection = number < (1, 1)
+                self.request_version = version
+            if not 2 <= len(words) <= 3:
+                self.send_error(400, f"Bad request syntax ({line!r})")
+                return False
+            self.command, self.path = words[:2]
+            if len(words) == 2:
+                self.close_connection = True
+                if self.command != "GET":
+                    self.send_error(400, f"Bad HTTP/0.9 request type "
+                                         f"({self.command!r})")
+                    return False
+            if self.path.startswith("//"):   # urlsplit reads //x as a host
+                self.path = "/" + self.path.lstrip("/")
+            try:
+                self.headers = headers = read_headers(self.rfile)
+            except FramingError as exc:
+                self.send_error(exc.status, str(exc))
+                return False
+            except ConnectionError:        # the peer left mid-head
+                return False
+            if "transfer-encoding" in headers:
+                self.send_error(501, "Transfer-Encoding is not supported; "
+                                     "send Content-Length")
+                return False
+            conntype = headers.get("connection", "").lower()
+            if conntype == "close":
+                self.close_connection = True
+            elif conntype == "keep-alive":
+                self.close_connection = False
+            if (headers.get("expect", "").lower() == "100-continue"
+                    and self.request_version >= "HTTP/1.1"):
+                return self.handle_expect_100()
+            return True
+
+        def handle_expect_100(self):
+            # wfile is buffered (wbufsize): the interim reply must go out
+            # now, or a client waiting for it before sending its body
+            # stalls until its own timeout.
+            BaseHTTPRequestHandler.handle_expect_100(self)
+            self.wfile.flush()
+            return True
+
         def _send(self, response: Response) -> None:
             self.send_response(response.status)
             for k, v in response.headers.items():
                 self.send_header(k, v)
+            if self.close_connection:
+                self.send_header("Connection", "close")
             if response.doc is None:
                 # Bodyless statuses (304): headers only; http.client peers
                 # know these carry no entity.
@@ -202,10 +307,11 @@ def _make_handler(ctx: ServerContext):
             self._send(Response(status, doc))
 
         def _read_body(self) -> dict | None:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(self.headers.get("content-length") or 0)
             if length == 0:
                 return None
             if length > MAX_BODY_BYTES:
+                self.close_connection = True     # the body is never read
                 raise HTTPError(413, f"request body of {length} bytes "
                                      f"exceeds the {MAX_BODY_BYTES}-byte "
                                      f"limit", "PayloadTooLarge")
@@ -226,7 +332,7 @@ def _make_handler(ctx: ServerContext):
                 request = Request(
                     method=method, path=path, params=params,
                     query=dict(parse_qsl(split.query)),
-                    headers={k.lower(): v for k, v in self.headers.items()},
+                    headers=self.headers,
                     body=self._read_body())
                 self._send(handler(ctx, request))
             except HTTPError as exc:

@@ -9,13 +9,15 @@ fingerprint doubles as a strong ETag for ``If-None-Match`` revalidation.
 
 from __future__ import annotations
 
+from math import prod
+
 from ...compiler.arch import default_arch
 from ...core.config import AnalysisConfig
 from ...core.sweep import sweep_rows
 from ..app import HTTPError, Request, Response, ServerContext
 from ..registry import RegistryEntry
 
-__all__ = ["ROUTES", "request_config"]
+__all__ = ["MAX_SWEEP_POINTS", "ROUTES", "request_config"]
 
 _ID = r"(?P<id>[0-9a-f]{8,64})"
 
@@ -28,6 +30,10 @@ _CONFIG_FIELDS = ("arch", "opt_level", "default_branch_ratio", "predefined",
 _ENGINES = ("auto", "vector", "scalar")
 
 _LAYOUTS = ("rows", "columns")
+
+#: The most points a served object grid may expand to.  Checked on the
+#: axis lengths before any axis is converted or any column allocated.
+MAX_SWEEP_POINTS = 1 << 22
 
 
 def request_config(ctx: ServerContext, doc) -> AnalysisConfig:
@@ -208,7 +214,9 @@ def sweep_analysis(ctx: ServerContext, req: Request) -> Response:
     ``layout=columns`` replies with the columnar ``SweepResult`` document
     itself.  The default, ``rows``, is the v1 document whose ``points``
     list carries one row per grid point, for consumers that read
-    ``points[i]`` straight from the body.
+    ``points[i]`` straight from the body.  An object grid whose axis
+    lengths multiply past :data:`MAX_SWEEP_POINTS` is a 413
+    ``GridTooLarge`` before any axis is converted.
     """
     entry = _entry(ctx, req)
     layout = _layout(req)
@@ -217,6 +225,11 @@ def sweep_analysis(ctx: ServerContext, req: Request) -> Response:
     if isinstance(grid, dict):
         grid = {str(k): (v if isinstance(v, list) else [v])
                 for k, v in grid.items()}
+        points = prod(map(len, grid.values()))
+        if points > MAX_SWEEP_POINTS:
+            raise HTTPError(413, f"grid of {points} points exceeds the "
+                                 f"{MAX_SWEEP_POINTS}-point limit",
+                            "GridTooLarge")
         grid = {k: _int_axis(k, v) for k, v in grid.items()}
     elif isinstance(grid, list):
         grid = [_int_params(p, f"grid[{i}]") for i, p in enumerate(grid)]

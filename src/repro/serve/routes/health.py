@@ -16,6 +16,7 @@ def get_health(ctx: ServerContext, req: Request) -> Response:
         "version": __version__,
         "uptime_seconds": round(ctx.uptime(), 3),
         "requests": ctx.requests,
+        "connections": ctx.connections,
         "registry": ctx.registry.stats(),
         "cache": (cache.stats() if cache is not None else None),
     })

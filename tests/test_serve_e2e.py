@@ -19,6 +19,9 @@ exercises the warm registry's statefulness across requests:
 - [x] an unknown sweep layout is 400 with error.type UnsupportedLayout
 - [x] a non-integer grid value is 400 BadRequest naming its axis and
       index (it used to name a ``params['v']`` the request never had)
+- [x] an object grid over ``MAX_SWEEP_POINTS`` points is 413 GridTooLarge
+      in under 10 ms (nothing is expanded), and a 2048-point grid is still
+      served
 - [x] ``client.sweep(...)["points"]`` == the rows reply
 - [x] ``mira client sweep`` prints the columnar document only, no
       ``points`` rows
@@ -39,10 +42,12 @@ exercises the warm registry's statefulness across requests:
 - [x] `mira serve` + `mira client` drive the same API from the shell
 """
 
+import http.client
 import json
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -270,6 +275,24 @@ def test_bad_grid_value_is_400_naming_the_axis(client, handle):
     assert doc["columns"]["params"]["n"] == [1, 4]
 
 
+def test_oversized_grid_is_refused_before_expansion(client, handle):
+    axis = list(range(2000))            # 2000**3 = 8e9 points
+    grid = {"n": axis, "a": axis, "b": axis}
+    path = f"/v1/analyses/{handle['id']}/sweep"
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        resp = client.request("POST", path,
+                              {"function": "kernel", "grid": grid})
+        elapsed.append(time.perf_counter() - start)
+        assert resp.status == 413
+        assert resp.json()["error"]["type"] == "GridTooLarge"
+    assert min(elapsed) < 0.010
+    assert client.health()["status"] == "ok"
+    doc = client.sweep(handle["id"], "kernel", {"n": list(range(1, 2049))})
+    assert len(doc["columns"]["total"]) == len(doc["points"]) == 2048
+
+
 def test_client_sweep_points_equal_the_rows_reply(client, handle):
     rows = _sweep_post(client, handle).json()["points"]
     doc = client.sweep(handle["id"], "kernel", SWEEP_GRID)
@@ -390,13 +413,16 @@ def test_wrong_method_is_405(client):
     assert resp.json()["error"]["type"] == "MethodNotAllowed"
 
 
-def test_malformed_json_is_400(client):
-    conn = client._connection()
-    conn.request("POST", "/v1/analyses", body=b"{not json",
-                 headers={"Content-Type": "application/json",
-                          "Content-Length": "9"})
-    resp = conn.getresponse()
-    body = json.loads(resp.read())
+def test_malformed_json_is_400(server):
+    conn = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        conn.request("POST", "/v1/analyses", body=b"{not json",
+                     headers={"Content-Type": "application/json",
+                              "Content-Length": "9"})
+        resp = conn.getresponse()
+        body = json.loads(resp.read())
+    finally:
+        conn.close()
     assert resp.status == 400
     assert "not valid JSON" in body["error"]["message"]
 

@@ -226,3 +226,33 @@ def test_two_dimensional_axis_is_a_model_error(engine):
                        match="sweep axis 'n' is not one-dimensional"):
         result.sweep("g", {"n": np.array([[1, 2], [3, 4]])}, base={"m": 2},
                      engine=engine)
+
+
+def naive_rows(doc) -> list[dict]:
+    """Per-row expansion, one point at a time."""
+    cols = doc["columns"]
+    rows = []
+    for i in range(len(cols["total"])):
+        rows.append({
+            "params": {k: c[i] for k, c in cols["params"].items()
+                       if c[i] is not None},
+            "counts": {k: c[i] for k, c in cols["counts"].items() if c[i]},
+            "total": cols["total"][i],
+            "fp_ins": cols["fp_ins"][i]})
+    return rows
+
+
+@pytest.mark.parametrize("params,counts", [
+    ({"n": [1, 2, 3], "m": [4, None, 6]}, {"a": [1, 0, 2], "b": [0, 0, 5]}),
+    ({"n": [1, 2, 3]}, {"a": [1, 2, 3], "b": [4, 5, 6]}),
+    ({"n": [None, None, 7]}, {"a": [0, 0, 0]}),
+    ({}, {"a": [1, 0, 2]}),
+    ({"n": [1, 2, 3]}, {}),
+    ({}, {}),
+])
+def test_sweep_rows_equal_a_per_row_expansion(params, counts):
+    total = [sum(c[i] for c in counts.values()) for i in range(3)]
+    doc = {"columns": {"params": params, "counts": counts, "total": total,
+                       "fp_ins": [t // 2 for t in total]}}
+    assert sweep_rows(doc) == naive_rows(doc)
+    assert len(sweep_rows(doc)) == 3
