@@ -76,6 +76,10 @@ def compile_tu(tu: A.TranslationUnit, opt_level: int = 2,
     compile — the incremental engine's subset-compile entry point.  Calls
     into non-lowered functions stay symbolic references, exactly like
     calls into prototype-only functions in a full compile.
+
+    Constants are folded in place, each definition once: a fresh TU is
+    folded in full, and a TU that keeps definitions an earlier compile
+    folded (the incremental front end's splice) folds only the rest.
     """
     if not 0 <= opt_level <= 3:
         raise CompileError(f"bad optimization level {opt_level}")

@@ -61,7 +61,8 @@ _FLOAT_FOLD = {
 
 def fold_constants(node: A.Node) -> A.Node:
     """Recursively fold constant subexpressions in place; returns the
-    (possibly replaced) node.  Containers have children rewritten."""
+    (possibly replaced) node.  Containers have children rewritten; a
+    function definition already folded is skipped (``info["folded"]``)."""
     # Rewrite expression children by attribute since AST nodes are typed.
     if isinstance(node, A.BinOp):
         node.lhs = fold_constants(node.lhs)
@@ -174,7 +175,12 @@ def fold_constants(node: A.Node) -> A.Node:
             node.expr = fold_constants(node.expr)
         return node
     if isinstance(node, A.FunctionDef):
-        node.body = fold_constants(node.body)
+        # A definition is folded once: the mark lets a TU that keeps the
+        # definitions of an earlier, compiled one (the incremental front
+        # end's splice) refold only the re-parsed definition.
+        if not node.info.get("folded"):
+            node.body = fold_constants(node.body)
+            node.info["folded"] = True
         return node
     if isinstance(node, A.ClassDef):
         node.methods = [fold_constants(m) for m in node.methods]

@@ -47,6 +47,8 @@ of ``ParseError``.  The ``parse`` stage's end event names the re-parsed
 function.  Compiling folds constants in the kept TU in place, so a spliced
 TU equals a full parse *after* ``fold_constants``; the reused units were
 sliced before any folding, so every fingerprint equals a full parse's.
+Each definition is folded once, so a splice's compile folds only the
+re-parsed definition.
 Class member functions are not spliced (an edit inside a class takes the
 full parse).
 

@@ -27,6 +27,16 @@ loop increment       |loop domain|
 body statement       |its enclosing domain| (× branch ratios)
 branch condition     |enclosing domain|
 ==================  ===========================================
+
+Every statement, call site and loop head of one loop body shares its
+domain, so each :meth:`MetricGenerator.generate` call counts each distinct
+domain once: a memo keyed on the context's structure (nest levels, branch
+constraints, pending negation, ratio multiplier, collapsed outer count)
+holds the count and the unproven extents the count appended to the
+function's assumptions, which a repeat replays in order.  The memo belongs
+to the one ``generate`` call, not to the generator or the process: ``mira
+serve`` analyzes in concurrent threads, and every new analysis counts
+every domain again.  A count that raises is not stored.
 """
 
 from __future__ import annotations
@@ -231,10 +241,12 @@ class _Ctx:
     ``extra`` is a symbolic multiplier produced when an outer region was
     *collapsed* to a count (e.g. a loop nested inside a complement-counted
     else-branch): the inner domain restarts fresh and the outer count
-    multiplies it.
+    multiplies it.  ``counts`` is the memo of the ``generate`` call the
+    context belongs to; every context of that call shares it.
     """
 
     nest: LoopNest
+    counts: dict
     multiplier: Fraction = Fraction(1)
     pending_neg: tuple = ()   # constraints of a convex condition to negate
     extra: Expr = Int(1)
@@ -242,23 +254,40 @@ class _Ctx:
     def child(self, **kw) -> "_Ctx":
         return _Ctx(
             nest=kw.get("nest", self.nest),
+            counts=self.counts,
             multiplier=kw.get("multiplier", self.multiplier),
             pending_neg=kw.get("pending_neg", self.pending_neg),
             extra=kw.get("extra", self.extra),
         )
 
     def count(self, assumptions: list | None = None) -> Expr:
-        """Execution count of this context (times any body here runs)."""
-        base = count_nest(self.nest, Int(1), assumptions)
-        if self.pending_neg:
-            narrowed = self.nest
-            for c in self.pending_neg:
-                narrowed = narrowed.with_constraint(c)
-            base = base - count_nest(narrowed, Int(1), assumptions)
-        if self.multiplier != 1:
-            base = Int(self.multiplier) * base
-        if self.extra != Int(1):
-            base = self.extra * base
+        """Execution count of this context (times any body here runs).
+
+        Each domain is counted once per memo: a repeat returns the stored
+        count and replays the extents the first count appended, with the
+        same append-if-absent rule, so ``assumptions`` comes out as if it
+        had been counted again.  Errors are not stored."""
+        key = (tuple(self.nest.levels), tuple(self.nest.constraints),
+               self.pending_neg, self.multiplier, self.extra)
+        hit = self.counts.get(key)
+        if hit is None:
+            extents: list = []
+            base = count_nest(self.nest, Int(1), extents)
+            if self.pending_neg:
+                narrowed = self.nest
+                for c in self.pending_neg:
+                    narrowed = narrowed.with_constraint(c)
+                base = base - count_nest(narrowed, Int(1), extents)
+            if self.multiplier != 1:
+                base = Int(self.multiplier) * base
+            if self.extra != Int(1):
+                base = self.extra * base
+            hit = self.counts[key] = (base, extents)
+        base, extents = hit
+        if assumptions is not None:
+            for e in extents:
+                if e not in assumptions:
+                    assumptions.append(e)
         return base
 
 
@@ -305,6 +334,7 @@ class MetricGenerator:
         to a full cold run."""
         models: dict[str, FunctionModel] = {}
         fresh: set = set()
+        counts: dict = {}     # this call's domain-count memo (see _Ctx.count)
         for fn in self.tu.all_functions():
             if fn.info.get("prototype_only"):
                 continue
@@ -316,12 +346,15 @@ class MetricGenerator:
                         f"{qname!r} and it is not in the fresh set")
                 models[qname] = presolved[qname]
                 continue
-            models[qname] = self.generate_function(fn)
+            models[qname] = self.generate_function(fn, counts)
             fresh.add(qname)
         self._close(models, fresh if only is not None else None)
         return models
 
-    def generate_function(self, fn: A.FunctionDef) -> FunctionModel:
+    def generate_function(self, fn: A.FunctionDef,
+                          counts: dict) -> FunctionModel:
+        """One function's model; ``counts`` is the domain-count memo of
+        the :meth:`generate` call (shared by every function it models)."""
         bridge = self.bridges.get(fn.qualified_name)
         if bridge is None:
             raise ModelError(f"no binary information for {fn.qualified_name} "
@@ -330,7 +363,7 @@ class MetricGenerator:
         self._bottom_up(fn.body)
         # frame term: prologue/epilogue at the function's own coordinate
         self._emit_term(model, bridge, fn.line, fn.col, Int(1), "frame")
-        ctx = _Ctx(nest=LoopNest())
+        ctx = _Ctx(nest=LoopNest(), counts=counts)
         self._walk(fn.body, ctx, model, bridge)
         return model
 
@@ -496,7 +529,8 @@ class MetricGenerator:
                     f"line {s.line}: loop inside a negated branch depends on "
                     f"outer indices {sorted(deps)}; annotate the branch")
             collapsed = ctx.count(model.assumptions)
-            return _Ctx(nest=LoopNest().add_level(level), extra=collapsed)
+            return _Ctx(nest=LoopNest().add_level(level), counts=ctx.counts,
+                        extra=collapsed)
         return ctx.child(nest=ctx.nest.nested(level))
 
     def _walk_while(self, s: A.WhileStmt, ctx: _Ctx, model: FunctionModel,

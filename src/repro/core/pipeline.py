@@ -136,6 +136,7 @@ class PipelineState:
     timings: dict = field(default_factory=dict)   # stage -> seconds
     only: frozenset | None = None  # functions to build; None means all
     presolved: dict | None = None  # qname -> restored FunctionModel
+    fingerprint: str | None = None  # the result's; computed when None
 
     @property
     def stage(self) -> str | None:
@@ -234,15 +235,17 @@ class Pipeline:
             self.notify(StageEvent(name, "end", i, elapsed=dt,
                                    function=function))
         if state.models is not None:
+            if state.fingerprint is None:
+                state.fingerprint = self.config.fingerprint(
+                    state.source, filename=state.filename,
+                    predefined=state.predefined)
             state.result = AnalysisResult(
                 models=state.models,
                 arch=self.config.arch,
                 processed=None if state.presolved else state.processed(),
                 source_name=state.filename,
                 opt_level=self.config.opt_level,
-                fingerprint=self.config.fingerprint(
-                    state.source, filename=state.filename,
-                    predefined=state.predefined),
+                fingerprint=state.fingerprint,
                 stage_timings=dict(state.timings),
                 restored_functions=tuple(state.presolved or ()))
         return state

@@ -354,15 +354,19 @@ class ModelStore:
         return self._put(key, payload, self.cache)
 
     def get_or_analyze(self, source: str, config: AnalysisConfig,
-                       filename: str = "<input>") -> tuple[ModelEntry, str]:
+                       filename: str = "<input>",
+                       key: str | None = None) -> tuple[ModelEntry, str]:
         """``(entry, origin)`` for ``source`` under ``config``, origin
         ``"memory"``, ``"disk"`` or ``"cold"``.  A cold analysis restores
         every function the function tier holds (see
         :func:`~repro.core.incremental.analyze_functions`).  Identical
         concurrent calls share one analysis (per-key locks; the store lock
         is never held across an analysis); pipeline errors propagate.  Disk
-        traffic is persisted to ``stats.json``."""
-        key = config.fingerprint(source, filename=filename)
+        traffic is persisted to ``stats.json``.  ``key`` is the caller's
+        ``config.fingerprint(source, filename=filename)``, when it has
+        already computed it; the source is then not hashed again."""
+        if key is None:
+            key = config.fingerprint(source, filename=filename)
         cache = self._disk(config)
         found = self._lookup(key, cache)
         if found is None:
@@ -375,7 +379,8 @@ class ModelStore:
                     found = self._lookup(key, None)
                     if found is None:
                         t0 = time.perf_counter()
-                        state = self._analyze(source, config, filename)
+                        state = self._analyze(source, config, filename,
+                                              key)
                         payload = payload_from_result(
                             config, state.result, filename,
                             time.perf_counter() - t0, tu=state.tu)
@@ -435,15 +440,16 @@ class ModelStore:
         self._insert_function(fingerprint, model)
 
     # -- internals ---------------------------------------------------------------
-    def _analyze(self, source: str, config: AnalysisConfig,
-                 filename: str) -> PipelineState:
+    def _analyze(self, source: str, config: AnalysisConfig, filename: str,
+                 key: str) -> PipelineState:
         """A plain parse, then compile → model through the function tier:
         only the functions this store has not seen are re-analyzed."""
         from .incremental import analyze_functions   # imports this module
 
         pipeline = Pipeline(config)
-        state = pipeline.run_stages(
-            pipeline.new_state(source, filename=filename), ("parse",))
+        state = pipeline.new_state(source, filename=filename)
+        state.fingerprint = key
+        pipeline.run_stages(state, ("parse",))
         analyze_functions(pipeline, state, self)
         return state
 

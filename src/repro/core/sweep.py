@@ -61,12 +61,18 @@ from .result import RESULT_SCHEMA_VERSION, AnalysisResult
 from .store import ModelStore
 
 __all__ = ["SweepPoint", "SweepResult", "run_model_sweep", "sweep_rows",
-           "sweep_source", "DEFAULT_SWEEP_CHUNK", "SWEEP_STORE"]
+           "sweep_source", "DEFAULT_SWEEP_CHUNK", "MAX_SWEEP_POINTS",
+           "SWEEP_STORE"]
 
 #: Vector-engine chunk size (points per evaluation batch).  Chunking keeps
 #: peak memory bounded and lets the int64-vs-object decision adapt to each
 #: chunk's actual value ranges.
 DEFAULT_SWEEP_CHUNK = 1 << 18
+
+#: The most points a mapping grid may expand to.  :func:`_grid_columns`
+#: checks the product of the axis lengths before any column is expanded;
+#: ``mira serve`` checks it on a request's grid before any axis is read.
+MAX_SWEEP_POINTS = 1 << 22
 
 
 def _pyint(x):
@@ -123,6 +129,8 @@ def _grid_columns(grid) -> tuple[tuple, dict, int]:
     arrays) or an explicit sequence of point dicts, whose names are taken
     in order of first appearance; a point that leaves a name unbound holds
     ``None`` in that name's column.  No Python dict is built per point.
+    A mapping whose axis lengths multiply past :data:`MAX_SWEEP_POINTS` is
+    a :class:`ModelError` before any column is expanded.
     """
     if isinstance(grid, (list, tuple)):
         if not grid:
@@ -140,6 +148,9 @@ def _grid_columns(grid) -> tuple[tuple, dict, int]:
     npoints = 1
     for a in arrays:
         npoints *= len(a)
+    if npoints > MAX_SWEEP_POINTS:
+        raise ModelError(f"sweep grid of {npoints} points exceeds the "
+                         f"{MAX_SWEEP_POINTS}-point limit")
     cols = {}
     inner = npoints
     outer = 1

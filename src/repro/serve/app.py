@@ -32,6 +32,9 @@ error page and ``Connection: close``:
   **501**, like an unknown method,
 * HTTP/2 or later → **505**.
 
+Each of these replies starts with an ``HTTP/1.1`` status line, also when
+the request line's own version could not be read.
+
 Typical embedding (tests, benchmarks)::
 
     from repro.serve import MiraServer, MiraClient
@@ -231,17 +234,15 @@ def _make_handler(ctx: ServerContext):
                 version = words[-1]
                 number = _version_number(version)
                 if number is None:
-                    self.send_error(400, f"Bad request version ({version!r})")
-                    return False
+                    return self._refuse(400, f"Bad request version "
+                                             f"({version!r})")
                 if number >= (2, 0):
-                    self.send_error(505, f"Invalid HTTP version "
-                                         f"({version[5:]})")
-                    return False
+                    return self._refuse(505, f"Invalid HTTP version "
+                                             f"({version[5:]})")
                 self.close_connection = number < (1, 1)
                 self.request_version = version
             if not 2 <= len(words) <= 3:
-                self.send_error(400, f"Bad request syntax ({line!r})")
-                return False
+                return self._refuse(400, f"Bad request syntax ({line!r})")
             self.command, self.path = words[:2]
             if len(words) == 2:
                 self.close_connection = True
@@ -271,6 +272,16 @@ def _make_handler(ctx: ServerContext):
                     and self.request_version >= "HTTP/1.1"):
                 return self.handle_expect_100()
             return True
+
+        def _refuse(self, status: int, message: str) -> bool:
+            """Refuse a request line whose version could not be read.  The
+            stdlib would answer in HTTP/0.9, a bare error page without a
+            status line; this reply has one, in the server's version, and
+            says ``Connection: close`` (``close_connection`` is already
+            set)."""
+            self.request_version = self.protocol_version
+            self.send_error(status, message)
+            return False
 
         def handle_expect_100(self):
             # wfile is buffered (wbufsize): the interim reply must go out

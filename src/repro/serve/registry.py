@@ -81,15 +81,17 @@ class ModelRegistry:
         return (config or self.config).fingerprint(source, filename=filename)
 
     def submit(self, source: str, config: AnalysisConfig | None = None,
-               filename: str = "<input>") -> tuple[RegistryEntry, str]:
+               filename: str = "<input>",
+               key: str | None = None) -> tuple[RegistryEntry, str]:
         """Analyze-or-serve one source; returns ``(entry, origin)``.
 
         ``origin`` is ``"registry"`` (warm hit), ``"cache"`` (disk hit,
         promoted) or ``"cold"`` (pipeline ran, at most once per
-        fingerprint however many identical submissions race).
+        fingerprint however many identical submissions race).  ``key`` is
+        this submission's :meth:`fingerprint`, when the caller has it.
         """
         entry, origin = self.store.get_or_analyze(
-            source, config or self.config, filename)
+            source, config or self.config, filename, key)
         return entry, _ORIGINS[origin]
 
     def adopt(self, key: str, result: AnalysisResult, *,

@@ -13,11 +13,11 @@ from math import prod
 
 from ...compiler.arch import default_arch
 from ...core.config import AnalysisConfig
-from ...core.sweep import sweep_rows
+from ...core.sweep import MAX_SWEEP_POINTS, sweep_rows
 from ..app import HTTPError, Request, Response, ServerContext
 from ..registry import RegistryEntry
 
-__all__ = ["MAX_SWEEP_POINTS", "ROUTES", "request_config"]
+__all__ = ["ROUTES", "request_config"]
 
 _ID = r"(?P<id>[0-9a-f]{8,64})"
 
@@ -30,11 +30,6 @@ _CONFIG_FIELDS = ("arch", "opt_level", "default_branch_ratio", "predefined",
 _ENGINES = ("auto", "vector", "scalar")
 
 _LAYOUTS = ("rows", "columns")
-
-#: The most points a served object grid may expand to.  Checked on the
-#: axis lengths before any axis is converted or any column allocated.
-MAX_SWEEP_POINTS = 1 << 22
-
 
 def request_config(ctx: ServerContext, doc) -> AnalysisConfig:
     """The request's effective config: server defaults + body overrides."""
@@ -136,7 +131,7 @@ def create_analysis(ctx: ServerContext, req: Request) -> Response:
     if _etag_matches(req.if_none_match(), etag) \
             and ctx.registry.get(key) is not None:
         return Response.not_modified(etag)
-    entry, origin = ctx.registry.submit(source, config, filename)
+    entry, origin = ctx.registry.submit(source, config, filename, key)
     doc = {"kind": "AnalysisHandle", "created": origin == "cold",
            "origin": origin, **entry.describe()}
     return Response(201 if origin == "cold" else 200, doc,
@@ -215,8 +210,8 @@ def sweep_analysis(ctx: ServerContext, req: Request) -> Response:
     itself.  The default, ``rows``, is the v1 document whose ``points``
     list carries one row per grid point, for consumers that read
     ``points[i]`` straight from the body.  An object grid whose axis
-    lengths multiply past :data:`MAX_SWEEP_POINTS` is a 413
-    ``GridTooLarge`` before any axis is converted.
+    lengths multiply past :data:`~repro.core.sweep.MAX_SWEEP_POINTS` is a
+    413 ``GridTooLarge`` before any axis is converted.
     """
     entry = _entry(ctx, req)
     layout = _layout(req)

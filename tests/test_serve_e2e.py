@@ -9,6 +9,8 @@ exercises the warm registry's statefulness across requests:
 - [x] repeat submission is 200 + origin "registry" with ZERO compiler
       invocations (counter-asserted: the server shares this process)
 - [x] If-None-Match revalidation answers 304 with no body, no analysis
+- [x] a cold, a warm and an If-None-Match submission each hash the
+      source once (``source_fingerprint`` counted)
 - [x] GET /v1/analyses/{id} is the schema-versioned AnalysisResult wire
       format; restoring it client-side evaluates bit-identically
 - [x] GET with the current ETag is 304
@@ -151,6 +153,31 @@ def test_conditional_submission_is_304(client, handle):
     # The typed client folds this to None: "your handle is current".
     assert client.submit(SRC_A, filename="kernel.c",
                          etag=handle["etag"]) is None
+
+
+def test_one_fingerprint_per_submission(client, monkeypatch):
+    import repro.core.config as config_module
+
+    real, calls = config_module.source_fingerprint, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(config_module, "source_fingerprint", counting)
+    body = {"source": SRC_A.replace("2.0", "5.0"), "filename": "fp.c"}
+    etag = None
+    for status, conditional in ((201, False), (200, False), (304, True)):
+        calls.clear()
+        resp = client.request(
+            "POST", "/v1/analyses", body,
+            headers={"If-None-Match": etag} if conditional else None)
+        assert resp.status == status
+        assert len(calls) == 1, status
+        etag = resp.etag
+    # the cold analysis's result carries the submission's key
+    key = etag.strip('"')
+    assert client.analysis(key)["fingerprint"] == key
 
 
 # -- the stored model -------------------------------------------------------------

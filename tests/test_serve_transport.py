@@ -15,7 +15,8 @@ framing contract from the outside:
       ServeError, never a raw exception
 - [x] raw requests to MiraServer: over-limit heads are 431, malformed
       header lines and Content-Length values 400, Transfer-Encoding 501,
-      HTTP/2 505, each followed by EOF; HTTP/1.0 and ``Connection: close``
+      HTTP/2 505 (with a status line, also for an unreadable version),
+      each followed by EOF; HTTP/1.0 and ``Connection: close``
       end the connection after the reply; pipelined requests are answered
       in order; ``Expect: 100-continue`` is answered before the body is
       sent; after every one of
@@ -364,12 +365,15 @@ def test_request_head_limits(server, name):
     (b"GET /" + b"a" * 70000 + b" HTTP/1.1", 414),
 ])
 def test_bad_request_lines_keep_the_stdlib_status(server, line, want):
-    # As in the stdlib, a request line whose version cannot be read gets
-    # the error page without a status line, then EOF.
+    # The stdlib's status, with a status line in the server's version even
+    # when the request's version cannot be read, then EOF.
     with raw(server) as (sock, rfile):
         sock.sendall(line + b"\r\nHost: x\r\n\r\n")
         reply = rfile.read()
     assert b"Error code: %d" % want in reply
+    assert reply.startswith(b"HTTP/1.1 %d " % want), reply[:80]
+    head = reply.partition(b"\r\n\r\n")[0].lower()
+    assert b"\r\nconnection: close\r\n" in head + b"\r\n"
     assert_healthy(server)
 
 

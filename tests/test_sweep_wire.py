@@ -10,13 +10,16 @@ columns.
 """
 
 import json
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.core import AnalysisConfig, Pipeline, sweep_source
-from repro.core.sweep import _ColumnarPoints, run_model_sweep, sweep_rows
+from repro.core.sweep import (MAX_SWEEP_POINTS, _ColumnarPoints,
+                              run_model_sweep, sweep_rows)
 from repro.errors import ModelError, VectorizeError
 from repro.workloads import available, get_source, source_path
 
@@ -256,3 +259,53 @@ def test_sweep_rows_equal_a_per_row_expansion(params, counts):
                        "fp_ins": [t // 2 for t in total]}}
     assert sweep_rows(doc) == naive_rows(doc)
     assert len(sweep_rows(doc)) == 3
+
+
+# A 3-axis grid of 2000 values per axis: 8e9 points, far past the cap.
+HUGE_AXIS = list(range(1, 2001))
+HUGE_POINTS = "sweep grid of 8000000000 points exceeds the " \
+    f"{MAX_SWEEP_POINTS}-point limit"
+
+
+def fastest_of_3(call) -> float:
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        call()
+        elapsed.append(time.perf_counter() - start)
+    return min(elapsed)
+
+
+def test_oversized_grid_is_refused_by_the_library_call(monkeypatch):
+    result = Pipeline(AnalysisConfig(use_cache=False)).run(MULTI_SRC)
+
+    def refuse():
+        with pytest.raises(ModelError, match=HUGE_POINTS):
+            result.sweep("g", {"n": HUGE_AXIS, "m": HUGE_AXIS,
+                               "k": HUGE_AXIS})
+
+    assert fastest_of_3(refuse) < 0.010
+    # the limit itself is a grid the engines evaluate (a small limit, so
+    # that the test allocates little)
+    monkeypatch.setattr("repro.core.sweep.MAX_SWEEP_POINTS", 6)
+    assert len(result.sweep("g", {"n": [1, 2, 3], "m": [1, 2]}).totals()) \
+        == 6
+    with pytest.raises(ModelError, match="7 points exceeds the 6-point"):
+        result.sweep("g", {"n": list(range(7)), "m": [1]})
+
+
+def test_oversized_grid_is_refused_by_mira_sweep(capsys):
+    axis = ",".join(map(str, HUGE_AXIS))
+    args = ["sweep", source_path("dgemm"), "--function", "dgemm_kernel",
+            "--json", "-p", f"n={axis}", "-p", f"a={axis}",
+            "-p", f"b={axis}"]
+    docs = []
+
+    def refuse():
+        assert cli_main(args) == 1
+        docs.append(json.loads(capsys.readouterr().out))
+
+    assert fastest_of_3(refuse) < 0.010
+    for doc in docs:
+        assert doc["error"]["type"] == "ModelError"
+        assert doc["error"]["message"] == HUGE_POINTS
