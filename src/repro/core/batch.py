@@ -14,7 +14,8 @@ first-class:
 * lookups and stores go through the analyzer's own
   :class:`~repro.core.store.ModelStore`, so repeat analyses are served
   from memory or the content-addressed disk cache **without invoking the
-  compiler**; only the misses reach the workers,
+  compiler**; only the misses reach the workers, and an in-process miss
+  is stored as the live result it built,
 * one bad file never aborts the batch: per-file failures become
   :class:`BatchResult` entries carrying a :class:`~repro.errors.BatchError`,
 * :class:`BatchReport` aggregates per-function metrics, corpus-wide loop
@@ -42,7 +43,8 @@ from ..errors import BatchError, MiraError
 from .config import AnalysisConfig
 from .pipeline import Pipeline
 from .result import RESULT_SCHEMA_VERSION, AnalysisResult
-from .store import ModelCache, ModelEntry, ModelStore, payload_from_result
+from .store import (ModelCache, ModelEntry, ModelStore, make_entry,
+                    payload_from_result)
 
 __all__ = [
     "BatchAnalyzer", "BatchItem", "BatchReport", "BatchResult",
@@ -100,8 +102,9 @@ class FunctionSummary:
 class BatchResult:
     """The outcome for one file — success or isolated failure.
 
-    ``analysis`` is the full (deserialized) :class:`AnalysisResult`: on a
-    cache hit it is reconstructed from the stored wire format, so the model
+    ``analysis`` is the full :class:`AnalysisResult`, without compiler
+    state: the live one for a miss analyzed in-process, else decoded from
+    the wire format (a cache hit, a pool worker's payload), so the model
     is evaluable without re-running the compiler.
     """
 
@@ -247,26 +250,33 @@ class BatchReport:
 # the worker (runs in child processes; must stay module-level picklable)
 # ---------------------------------------------------------------------------
 
-def _analyze_one(spec: dict) -> dict:
-    """Analyze one source; returns the JSON-able payload that is cached.
+def _analyze(spec: dict, config: AnalysisConfig | None = None) -> tuple:
+    """Analyze one source: ``(payload, result)``, the JSON-able payload
+    that is cached and the live result (None on failure).  A pool worker
+    reads ``config`` from the spec's ``config_json``.
 
     Never raises: failures are folded into the payload so one bad file
     cannot take down the pool or abort the batch.
     """
     t0 = time.perf_counter()
     try:
-        config = AnalysisConfig.from_json(spec["config_json"])
+        config = config or AnalysisConfig.from_json(spec["config_json"])
         result = Pipeline(config).run(spec["source"],
                                       filename=spec["filename"])
         return payload_from_result(config, result, spec["name"],
-                                   time.perf_counter() - t0)
+                                   time.perf_counter() - t0), result
     except MiraError as exc:
         return {"ok": False, "error_type": type(exc).__name__,
-                "error": str(exc), "elapsed": time.perf_counter() - t0}
+                "error": str(exc), "elapsed": time.perf_counter() - t0}, None
     except Exception as exc:  # a worker crash must not kill the batch
         return {"ok": False, "error_type": type(exc).__name__,
                 "error": f"unexpected: {exc}",
-                "elapsed": time.perf_counter() - t0}
+                "elapsed": time.perf_counter() - t0}, None
+
+
+def _analyze_one(spec: dict) -> dict:
+    """The pool worker: the payload alone crosses the process boundary."""
+    return _analyze(spec)[0]
 
 
 def _failure(item: BatchItem, key: str, payload: dict) -> BatchResult:
@@ -419,9 +429,15 @@ class BatchAnalyzer:
                 }
 
         jobs = max(1, min(self.jobs, len(specs) or 1))
-        payloads = dict(zip(specs, self._run(jobs, list(specs.values()))))
-        entries = {key: self.store.put(key, payload)
-                   for key, payload in payloads.items() if payload.get("ok")}
+        payloads, entries = {}, {}
+        for key, (payload, result) in zip(
+                specs, self._run(jobs, list(specs.values()), run_config)):
+            payloads[key] = payload
+            entry = make_entry(key, payload, result)
+            if entry is not None:
+                if self.cache is not None:
+                    self.cache.put(key, payload)
+                entries[key] = self.store.adopt(entry)
         for i, item, key in pending:
             entry = entries.get(key)
             results[i] = (_success(item, entry, entry.result, from_cache=False)
@@ -444,19 +460,16 @@ class BatchAnalyzer:
             jobs=jobs,
             cache_stats=cache_stats)
 
-    def _run(self, jobs: int, specs: list) -> list:
-        """Run the worker over every spec, in-process or across a pool."""
-        if not specs:
-            return []
-        if jobs <= 1:
-            return [_analyze_one(spec) for spec in specs]
-        try:
-            from concurrent.futures import ProcessPoolExecutor
+    def _run(self, jobs: int, specs: list, config: AnalysisConfig) -> list:
+        """``(payload, result)`` per spec: in-process with the live result,
+        from a pool with the payload alone (result None)."""
+        if jobs > 1:
+            try:
+                from concurrent.futures import ProcessPoolExecutor
 
-            with _child_importable(), \
-                    ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_analyze_one, specs))
-        except Exception:
-            # Pools can be unavailable (no /dev/shm, restricted sandboxes);
-            # batch semantics must survive, so degrade to serial.
-            return [_analyze_one(spec) for spec in specs]
+                with _child_importable(), \
+                        ProcessPoolExecutor(max_workers=jobs) as pool:
+                    return [(p, None) for p in pool.map(_analyze_one, specs)]
+            except Exception:
+                pass   # no pool here (no /dev/shm, a sandbox): run serially
+        return [_analyze(spec, config) for spec in specs]

@@ -8,10 +8,11 @@ cheapest first: **memory** (a dict lookup), **disk** (a
 :class:`ModelCache` payload, deserialized without the compiler and
 promoted into memory), **cold** (a parse, then compile → model through the
 per-function tier, so only functions the store has not seen are analyzed;
-its :func:`payload_from_result` is stored).  :func:`restore` is the
-one decoder of payloads: a malformed one is a miss, never an error.
-A payload stores the model and building one emits no code: a cold or
-restored result emits its scalar or vector evaluator on first use.
+its :func:`payload_from_result` is stored).  :func:`make_entry` builds
+every entry: a cold one keeps the live models it built, and only disk and
+batch worker payloads are decoded, a malformed one being a miss, never an
+error.  A payload stores the model and building one emits no code: a cold
+or restored result emits its scalar or vector evaluator on first use.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from ..errors import MiraError, SchemaError
+from ..errors import MiraError
 from .config import AnalysisConfig
 from .coverage import loop_coverage
 from .pipeline import Pipeline, PipelineState
@@ -32,7 +33,7 @@ from .result import AnalysisResult, function_payload, restore_function_model
 
 __all__ = [
     "DEFAULT_CAPACITY", "FUNCTION_CAPACITY", "ModelCache", "ModelEntry",
-    "ModelStore", "payload_from_result", "restore",
+    "ModelStore", "make_entry", "payload_from_result", "restore",
 ]
 
 #: Default memory-tier bound: plenty for a corpus, small enough that a
@@ -273,32 +274,38 @@ _SUMMARY = ("model_name", "params", "warnings", "counts", "total", "fp_ins")
 
 @dataclass
 class ModelEntry:
-    """One stored model: the restored result plus its payload summary."""
+    """One stored model: its result, live or restored, plus its payload
+    summary."""
 
     key: str                       # the analysis fingerprint
     result: AnalysisResult
     functions: dict = field(default_factory=dict)  # qname -> summary dict
     coverage: dict = field(default_factory=dict)
-    source_name: str = "<input>"
     analysis_elapsed: float = 0.0  # the original cold analysis wall time
     hits: int = 0                  # memory-tier hits
 
 
-def _restore_entry(entry_type, key: str, payload) -> ModelEntry | None:
-    """``payload`` as an ``entry_type``; None for a failure record or any
-    malformed payload (stale schema, hand-edited or foreign JSON).  Keys
-    it does not read, such as an older layout's ``compiled`` block, are
-    ignored."""
+def make_entry(key: str, payload,
+               result: AnalysisResult | None = None) -> ModelEntry | None:
+    """The one :class:`ModelEntry` constructor.  ``result`` is the live
+    analysis that built ``payload`` in this process; the entry keeps it
+    minus its compiler state (``processed``), which is what a restored
+    result holds.  Without it, ``payload`` came from outside (a disk hit,
+    a pool worker) and is decoded.  None for a failure record or any
+    malformed payload; keys it does not read (an older layout's
+    ``compiled`` block) are ignored."""
     try:
         if not payload["ok"]:
             return None
-        result = AnalysisResult.from_dict(payload["result"])
-        return entry_type(
+        if result is None:
+            result = AnalysisResult.from_dict(payload["result"])
+        else:
+            result.processed = None
+        return ModelEntry(
             key=key, result=result,
             functions={q: {k: f[k] for k in _SUMMARY}
                        for q, f in payload["functions"].items()},
             coverage=dict(payload["coverage"]),
-            source_name=result.source_name,
             analysis_elapsed=float(payload.get("elapsed", 0.0)))
     except (MiraError, KeyError, TypeError, ValueError, AttributeError):
         return None
@@ -306,7 +313,7 @@ def _restore_entry(entry_type, key: str, payload) -> ModelEntry | None:
 
 def restore(payload) -> AnalysisResult | None:
     """A payload's result; None if malformed."""
-    entry = _restore_entry(ModelEntry, "", payload)
+    entry = make_entry("", payload)
     return entry.result if entry is not None else None
 
 
@@ -326,17 +333,14 @@ class ModelStore:
         entries, and the function tier stays in memory.
     :param capacity: memory-tier bound (least recently used entries beyond
         it are evicted; the disk tier still holds them).
-    :param entry_type: the :class:`ModelEntry` subclass to restore as.
     """
 
     def __init__(self, cache: ModelCache | None = None, *,
-                 capacity: int = DEFAULT_CAPACITY,
-                 entry_type=ModelEntry) -> None:
+                 capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise MiraError(f"store capacity must be >= 1, got {capacity}")
         self.cache = cache
         self.capacity = capacity
-        self.entry_type = entry_type
         self.function_models: OrderedDict = OrderedDict()
         self._entries: OrderedDict = OrderedDict()
         self._lock = threading.RLock()
@@ -348,10 +352,6 @@ class ModelStore:
         """The entry for ``key`` from memory or disk (promoted), or None."""
         found = self._lookup(key, self.cache)
         return found[0] if found is not None else None
-
-    def put(self, key: str, payload: dict) -> ModelEntry:
-        """Store a fresh payload on disk and register its restored entry."""
-        return self._put(key, payload, self.cache)
 
     def get_or_analyze(self, source: str, config: AnalysisConfig,
                        filename: str = "<input>",
@@ -384,9 +384,12 @@ class ModelStore:
                         payload = payload_from_result(
                             config, state.result, filename,
                             time.perf_counter() - t0, tu=state.tu)
-                        found = self._put(key, payload, cache), "cold"
+                        if cache is not None:
+                            cache.put(key, payload)
+                        entry = make_entry(key, payload, state.result)
                         with self._lock:
                             self.analyses += 1
+                            found = self._insert(entry), "cold"
             finally:
                 # Keep the lock table bounded by live concurrency: a late
                 # waiter on the dropped lock re-checks memory and hits.
@@ -397,7 +400,7 @@ class ModelStore:
         return found
 
     def adopt(self, entry: ModelEntry) -> ModelEntry:
-        """Register an externally built entry (e.g. a live batch or bench
+        """Register an entry built elsewhere (a batch's, or a bench's live
         result); an existing entry for its key is kept instead."""
         with self._lock:
             return self._insert(entry)
@@ -469,23 +472,12 @@ class ModelStore:
                 return entry, "memory"
         if cache is None:
             return None
-        entry = cache.get(
-            key, lambda p: _restore_entry(self.entry_type, key, p))
+        entry = cache.get(key, lambda p: make_entry(key, p))
         if entry is None:
             return None
         with self._lock:
             self.disk_hits += 1
             return self._insert(entry), "disk"
-
-    def _put(self, key: str, payload: dict,
-             cache: ModelCache | None) -> ModelEntry:
-        entry = _restore_entry(self.entry_type, key, payload)
-        if entry is None:
-            raise SchemaError(f"analysis payload for {key} does not restore")
-        if cache is not None:
-            cache.put(key, payload)
-        with self._lock:
-            return self._insert(entry)
 
     def _insert(self, entry: ModelEntry) -> ModelEntry:
         """Register ``entry`` (or refresh the one already there) and evict

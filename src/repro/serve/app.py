@@ -247,9 +247,8 @@ def _make_handler(ctx: ServerContext):
             if len(words) == 2:
                 self.close_connection = True
                 if self.command != "GET":
-                    self.send_error(400, f"Bad HTTP/0.9 request type "
-                                         f"({self.command!r})")
-                    return False
+                    return self._refuse(400, f"Bad HTTP/0.9 request type "
+                                             f"({self.command!r})")
             if self.path.startswith("//"):   # urlsplit reads //x as a host
                 self.path = "/" + self.path.lstrip("/")
             try:
@@ -274,11 +273,11 @@ def _make_handler(ctx: ServerContext):
             return True
 
         def _refuse(self, status: int, message: str) -> bool:
-            """Refuse a request line whose version could not be read.  The
-            stdlib would answer in HTTP/0.9, a bare error page without a
-            status line; this reply has one, in the server's version, and
-            says ``Connection: close`` (``close_connection`` is already
-            set)."""
+            """Refuse a request line whose version could not be read, or a
+            two-word (HTTP/0.9) line whose method is not GET.  The stdlib
+            would answer in HTTP/0.9, a bare error page without a status
+            line; this reply has one, in the server's version, and says
+            ``Connection: close`` (``close_connection`` is already set)."""
             self.request_version = self.protocol_version
             self.send_error(status, message)
             return False

@@ -1,48 +1,47 @@
 """ModelRegistry: the serving view of a :class:`~repro.core.store.ModelStore`.
 
 An entry's fingerprint (:meth:`AnalysisConfig.fingerprint`) doubles as the
-HTTP resource id and ETag; :meth:`RegistryEntry.describe` is its handle
-document.  Tiering (memory → disk cache → pipeline) and the collapse of
-racing identical submissions are the store's; the registry adds serving
-metadata and reports the store's counters.
+HTTP resource id and, quoted, its ETag (:func:`etag`); :func:`describe` is
+its handle document.  Both read a plain :class:`ModelEntry`.  Tiering
+(memory → disk cache → pipeline) and the collapse of racing identical
+submissions are the store's: a cold submission's entry keeps the live
+models its analysis built, and only disk payloads are decoded.  The
+registry adds serving metadata and reports the store's counters.
 """
 
 from __future__ import annotations
 
 from ..core.config import AnalysisConfig
-from ..core.result import AnalysisResult
 from ..core.store import (DEFAULT_CAPACITY, ModelCache, ModelEntry,
                           ModelStore)
 
-__all__ = ["ModelRegistry", "RegistryEntry", "DEFAULT_CAPACITY"]
+__all__ = ["DEFAULT_CAPACITY", "ModelRegistry", "describe", "etag"]
 
 #: Store origin -> the ``origin`` a submission reports over HTTP.
 _ORIGINS = {"memory": "registry", "disk": "cache", "cold": "cold"}
 
 
-class RegistryEntry(ModelEntry):
-    """One warm model: the restored result plus its serving metadata."""
+def etag(entry: ModelEntry) -> str:
+    """The strong validator served with ``entry`` (quoted, per RFC)."""
+    return f'"{entry.key}"'
 
-    @property
-    def etag(self) -> str:
-        """The strong validator served with this entry (quoted, per RFC)."""
-        return f'"{self.key}"'
 
-    def describe(self) -> dict:
-        """The JSON-able handle document (everything but the full model)."""
-        return {
-            "id": self.key,
-            "etag": self.etag,
-            "source": self.source_name,
-            "functions": {
-                q: {"params": list(f.get("params", ())),
-                    "warnings": list(f.get("warnings", ()))}
-                for q, f in self.functions.items()
-            },
-            "coverage": dict(self.coverage),
-            "analysis_elapsed_seconds": round(self.analysis_elapsed, 6),
-            "hits": self.hits,
-        }
+def describe(entry: ModelEntry) -> dict:
+    """``entry``'s JSON-able handle document (everything but the full
+    model)."""
+    return {
+        "id": entry.key,
+        "etag": etag(entry),
+        "source": entry.result.source_name,
+        "functions": {
+            q: {"params": list(f.get("params", ())),
+                "warnings": list(f.get("warnings", ()))}
+            for q, f in entry.functions.items()
+        },
+        "coverage": dict(entry.coverage),
+        "analysis_elapsed_seconds": round(entry.analysis_elapsed, 6),
+        "hits": entry.hits,
+    }
 
 
 class ModelRegistry:
@@ -61,15 +60,14 @@ class ModelRegistry:
         self.config = config or AnalysisConfig()
         self.cache = (ModelCache(self.config.cache_dir)
                       if self.config.use_cache else None)
-        self.store = ModelStore(self.cache, capacity=capacity,
-                                entry_type=RegistryEntry)
+        self.store = ModelStore(self.cache, capacity=capacity)
 
     @property
     def evictions(self) -> int:
         return self.store.evictions
 
     # -- lookups -----------------------------------------------------------------
-    def get(self, key: str) -> RegistryEntry | None:
+    def get(self, key: str) -> ModelEntry | None:
         """The entry for ``key`` from the warm tier, falling back to (and
         promoting from) the disk cache; None when unknown to both."""
         return self.store.lookup(key)
@@ -82,7 +80,7 @@ class ModelRegistry:
 
     def submit(self, source: str, config: AnalysisConfig | None = None,
                filename: str = "<input>",
-               key: str | None = None) -> tuple[RegistryEntry, str]:
+               key: str | None = None) -> tuple[ModelEntry, str]:
         """Analyze-or-serve one source; returns ``(entry, origin)``.
 
         ``origin`` is ``"registry"`` (warm hit), ``"cache"`` (disk hit,
@@ -94,15 +92,6 @@ class ModelRegistry:
             source, config or self.config, filename, key)
         return entry, _ORIGINS[origin]
 
-    def adopt(self, key: str, result: AnalysisResult, *,
-              functions: dict | None = None, coverage: dict | None = None,
-              source_name: str = "<input>") -> RegistryEntry:
-        """Register an externally produced result (e.g. a batch run's) as a
-        warm entry; an existing entry for ``key`` is kept untouched."""
-        return self.store.adopt(RegistryEntry(
-            key=key, result=result, functions=dict(functions or {}),
-            coverage=dict(coverage or {}), source_name=source_name))
-
     # -- maintenance -------------------------------------------------------------
     def evict(self, key: str) -> bool:
         """Drop ``key`` from the warm tier (the disk tier is untouched:
@@ -113,7 +102,7 @@ class ModelRegistry:
         """Warm entry ids, most recently used last."""
         return [e.key for e in self.store.entries()]
 
-    def entries(self) -> list[RegistryEntry]:
+    def entries(self) -> list[ModelEntry]:
         return self.store.entries()
 
     def stats(self) -> dict:

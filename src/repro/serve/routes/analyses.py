@@ -13,9 +13,10 @@ from math import prod
 
 from ...compiler.arch import default_arch
 from ...core.config import AnalysisConfig
+from ...core.store import ModelEntry
 from ...core.sweep import MAX_SWEEP_POINTS, sweep_rows
 from ..app import HTTPError, Request, Response, ServerContext
-from ..registry import RegistryEntry
+from ..registry import describe, etag
 
 __all__ = ["ROUTES", "request_config"]
 
@@ -63,7 +64,7 @@ def _etag_matches(header: str | None, etag: str) -> bool:
         or etag.strip('"') in candidates
 
 
-def _entry(ctx: ServerContext, req: Request) -> RegistryEntry:
+def _entry(ctx: ServerContext, req: Request) -> ModelEntry:
     key = req.params["id"]
     entry = ctx.registry.get(key)
     if entry is None:
@@ -133,16 +134,15 @@ def create_analysis(ctx: ServerContext, req: Request) -> Response:
         return Response.not_modified(etag)
     entry, origin = ctx.registry.submit(source, config, filename, key)
     doc = {"kind": "AnalysisHandle", "created": origin == "cold",
-           "origin": origin, **entry.describe()}
+           "origin": origin, **describe(entry)}
     return Response(201 if origin == "cold" else 200, doc,
-                    {"ETag": entry.etag,
-                     "Location": f"/v1/analyses/{entry.key}"})
+                    {"ETag": etag, "Location": f"/v1/analyses/{key}"})
 
 
 def list_analyses(ctx: ServerContext, req: Request) -> Response:
     return Response(200, {
         "kind": "AnalysisList",
-        "analyses": [e.describe() for e in ctx.registry.entries()],
+        "analyses": [describe(e) for e in ctx.registry.entries()],
         "registry": ctx.registry.stats(),
     })
 
@@ -150,11 +150,12 @@ def list_analyses(ctx: ServerContext, req: Request) -> Response:
 def get_analysis(ctx: ServerContext, req: Request) -> Response:
     """The stored model: the versioned AnalysisResult wire format itself."""
     entry = _entry(ctx, req)
-    if _etag_matches(req.if_none_match(), entry.etag):
-        return Response.not_modified(entry.etag)
+    tag = etag(entry)
+    if _etag_matches(req.if_none_match(), tag):
+        return Response.not_modified(tag)
     doc = entry.result.to_dict()    # kind: AnalysisResult, schema-versioned
     doc["id"] = entry.key
-    return Response(200, doc, {"ETag": entry.etag})
+    return Response(200, doc, {"ETag": tag})
 
 
 def delete_analysis(ctx: ServerContext, req: Request) -> Response:

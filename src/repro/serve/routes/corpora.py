@@ -2,9 +2,9 @@
 
 One request analyzes many sources — explicit ``sources`` or (a subset of)
 the bundled workload corpus — through the same batch engine as ``mira
-batch``, sharing the server's on-disk model cache.  Every successful
-result is registered warm, so follow-up ``/v1/analyses/{id}`` calls are
-registry hits.
+batch``, sharing the server's on-disk model cache.  The registry adopts
+the entries the batch's store made, full summaries included, so
+follow-up ``/v1/analyses/{id}`` calls are registry hits.
 """
 
 from __future__ import annotations
@@ -72,20 +72,16 @@ def create_corpus(ctx: ServerContext, req: Request) -> Response:
     analyzer = BatchAnalyzer(config,
                              jobs=min(jobs, _MAX_JOBS, os.cpu_count() or 1))
     report = analyzer.analyze_sources(sources)
+    for entry in analyzer.store.entries():   # as the batch's store made them
+        ctx.registry.store.adopt(entry)
     files = []
     ids = {}
     for r in report:
         entry_doc = {"name": r.name, "status": r.status,
                      "id": r.cache_key or None}
-        if r.ok and r.analysis is not None:
+        if r.ok:
             ids[r.name] = r.cache_key
-            ctx.registry.adopt(
-                r.cache_key, r.analysis,
-                functions={q: {"params": list(f.params),
-                               "warnings": list(f.warnings)}
-                           for q, f in r.functions.items()},
-                coverage=r.coverage, source_name=r.name)
-        elif not r.ok:
+        else:
             entry_doc["error"] = {"type": r.error.error_type,
                                   "message": str(r.error)}
         files.append(entry_doc)

@@ -26,7 +26,10 @@ from repro.errors import MiraError, ParseError, ServeError, error_payload
 from repro.serve import ModelRegistry
 from repro.serve.app import (HTTPError, Request, ServerContext, match_route,
                              route_table)
-from repro.serve.routes.analyses import request_config
+from repro.serve.registry import etag
+from repro.serve.routes.analyses import (create_analysis, list_analyses,
+                                         request_config)
+from repro.serve.routes.corpora import create_corpus
 from repro.workloads import available, get_source
 
 SRC = """\
@@ -100,7 +103,7 @@ def test_fingerprint_is_the_etag_and_id(registry):
     entry, _ = registry.submit(SRC, filename="kernel.c")
     key = registry.fingerprint(SRC, registry.config, "kernel.c")
     assert entry.key == key
-    assert entry.etag == f'"{key}"'
+    assert etag(entry) == f'"{key}"'
     # The filename is part of the fingerprint: same bytes, different name,
     # different resource.
     assert registry.fingerprint(SRC, registry.config, "other.c") != key
@@ -256,6 +259,36 @@ def test_resubmits_restore_unchanged_functions(name, tmp_path):
         payload = payload_from_result(config, cold, filename, 0.0)
         assert entry.functions == payload["functions"]
         assert entry.coverage == payload["coverage"]
+
+
+@pytest.mark.parametrize("name", available())
+def test_corpus_handle_equals_the_submitted_handle(name):
+    """``/v1/corpora`` registers the entry its batch's store made: the
+    listed handle equals a ``POST /v1/analyses`` handle of the same source
+    and name, and the entry keeps the full per-function summaries."""
+    source, filename = get_source(name), f"{name}.c"
+    config = AnalysisConfig(use_cache=False)
+    batch_ctx = ServerContext(ModelRegistry(config))
+    report = create_corpus(batch_ctx, Request(
+        "POST", "/v1/corpora", body={"sources": {filename: source}})).doc
+    key = report["ids"][filename]
+    (listed,) = list_analyses(
+        batch_ctx, Request("GET", "/v1/analyses")).doc["analyses"]
+    submit_ctx = ServerContext(ModelRegistry(config))
+    submitted = create_analysis(submit_ctx, Request(
+        "POST", "/v1/analyses",
+        body={"source": source, "filename": filename})).doc
+    assert submitted["origin"] == "cold" and submitted["id"] == key
+    for field in ("id", "etag", "source", "functions", "coverage"):
+        assert listed[field] == submitted[field], field
+    adopted = batch_ctx.registry.get(key)
+    assert adopted.functions == submit_ctx.registry.get(key).functions
+    concrete = Pipeline(config).run(source, filename=filename)
+    for qname, summary in adopted.functions.items():
+        assert set(summary) >= {"counts", "total", "fp_ins"}
+        if not concrete.parameters(qname):
+            assert summary["counts"] == \
+                concrete.evaluate(qname).as_dict(), qname
 
 
 # -- routing ----------------------------------------------------------------------

@@ -361,6 +361,7 @@ def test_request_head_limits(server, name):
     (b"GET /v1/health HTTP/2.0", 505),
     (b"GET /v1/health HTTP/1.x", 400),
     (b"this is not a request line", 400),
+    (b"POST /v1/health", 400),
     (b"BREW /v1/health HTTP/1.1", 501),
     (b"GET /" + b"a" * 70000 + b" HTTP/1.1", 414),
 ])

@@ -21,6 +21,7 @@ import pytest
 from repro.core import (AnalysisConfig, BatchAnalyzer, IncrementalAnalyzer,
                         Pipeline)
 from repro.core import result as result_mod
+from repro.core.batch import BatchItem
 from repro.core import store as store_mod
 from repro.core.store import ModelCache, ModelStore, restore
 from repro.core.sweep import SWEEP_STORE, sweep_source
@@ -478,3 +479,83 @@ def test_cold_payload_sums_a_bounded_level_in_closed_form():
     summary = payload["functions"]["main"]
     assert summary["counts"] == result.compiled().evaluate("main").as_dict()
     assert summary["total"] > 10 ** 18
+
+
+# -- cold entries keep the analysis that built them --------------------------
+
+def _doc(result) -> dict:
+    doc = result.to_dict()
+    doc.pop("stage_timings")
+    return doc
+
+
+def _cold_batch(source, config, filename):
+    analyzer = BatchAnalyzer(config, jobs=1)
+    (r,) = analyzer.analyze_items([BatchItem(filename, source, filename)])
+    assert r.ok and not r.from_cache
+    (entry,) = analyzer.store.entries()
+    assert entry.result is r.analysis
+    return [(entry, config)]
+
+
+def _cold_submit(source, config, filename):
+    entry, origin = ModelRegistry(config).submit(source, filename=filename)
+    assert origin == "cold"
+    return [(entry, config)]
+
+
+def _cold_sweep(source, config, filename):
+    # No program knows this name: the late-bound analysis cannot sweep it,
+    # so the point falls back to its own analysis.  Both are cold.
+    knob = "MIRA_SWEEP_KNOB"
+    probe = Pipeline(config.with_changes(use_cache=False)).run(
+        source, filename=filename)
+    base = {p: 1 for q in probe.models for p in probe.parameters(q)}
+    SWEEP_STORE.clear()
+    swept = sweep_source(source, {knob: [1]}, config=config,
+                         filename=filename, base=base)
+    assert (swept.mode, swept.analyses) == ("per-point", 1)
+    configs = {
+        c.fingerprint(source, filename=filename): c for c in (
+            config.with_changes(predefined=((knob, knob),),
+                                symbolic_params=(knob,)),
+            config.with_changes(predefined=((knob, "1"),)))}
+    entries = SWEEP_STORE.entries()
+    assert sorted(e.key for e in entries) == sorted(configs)
+    return [(e, configs[e.key]) for e in entries]
+
+
+COLD_PATHS = {"batch": _cold_batch, "submit": _cold_submit,
+              "sweep": _cold_sweep}
+
+
+@pytest.mark.parametrize("name", available())
+def test_cold_entries_keep_live_models(tmp_path, monkeypatch, name):
+    """A cold batch miss (in-process), a cold submit and a cold sweep store
+    the analysis they ran, decoding nothing; the entry holds what a
+    restored one holds (no compiler state), its document is a cold
+    ``Pipeline.run``'s, and the disk entry restores to it in one decode."""
+    decodes = []
+    from_dict = result_mod.AnalysisResult.from_dict
+
+    def counted(doc):
+        decodes.append(doc)
+        return from_dict(doc)
+
+    monkeypatch.setattr(result_mod.AnalysisResult, "from_dict",
+                        staticmethod(counted))
+    source, filename = get_source(name), f"{name}.c"
+    for path, run in COLD_PATHS.items():
+        cache_dir = str(tmp_path / path)
+        for entry, config in run(source, AnalysisConfig(cache_dir=cache_dir),
+                                 filename):
+            assert decodes == [], path
+            assert entry.result.processed is None, path
+            cold = Pipeline(config).run(source, filename=filename)
+            assert _doc(entry.result) == _doc(cold), path
+            warm = ModelStore(ModelCache(cache_dir)).lookup(entry.key)
+            assert len(decodes) == 1, path
+            assert _doc(warm.result) == _doc(entry.result), path
+            assert (warm.functions, warm.coverage) == \
+                (entry.functions, entry.coverage), path
+            decodes.clear()
