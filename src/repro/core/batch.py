@@ -43,8 +43,7 @@ from ..errors import BatchError, MiraError
 from .config import AnalysisConfig
 from .pipeline import Pipeline
 from .result import RESULT_SCHEMA_VERSION, AnalysisResult
-from .store import (ModelCache, ModelEntry, ModelStore, make_entry,
-                    payload_from_result)
+from .store import ModelCache, ModelEntry, ModelStore, payload_from_result
 
 __all__ = [
     "BatchAnalyzer", "BatchItem", "BatchReport", "BatchResult",
@@ -250,17 +249,15 @@ class BatchReport:
 # the worker (runs in child processes; must stay module-level picklable)
 # ---------------------------------------------------------------------------
 
-def _analyze(spec: dict, config: AnalysisConfig | None = None) -> tuple:
+def _analyze(spec: dict, config: AnalysisConfig) -> tuple:
     """Analyze one source: ``(payload, result)``, the JSON-able payload
-    that is cached and the live result (None on failure).  A pool worker
-    reads ``config`` from the spec's ``config_json``.
+    that is cached and the live result (None on failure).
 
     Never raises: failures are folded into the payload so one bad file
     cannot take down the pool or abort the batch.
     """
     t0 = time.perf_counter()
     try:
-        config = config or AnalysisConfig.from_json(spec["config_json"])
         result = Pipeline(config).run(spec["source"],
                                       filename=spec["filename"])
         return payload_from_result(config, result, spec["name"],
@@ -276,7 +273,7 @@ def _analyze(spec: dict, config: AnalysisConfig | None = None) -> tuple:
 
 def _analyze_one(spec: dict) -> dict:
     """The pool worker: the payload alone crosses the process boundary."""
-    return _analyze(spec)[0]
+    return _analyze(spec, AnalysisConfig.from_json(spec["config_json"]))[0]
 
 
 def _failure(item: BatchItem, key: str, payload: dict) -> BatchResult:
@@ -433,11 +430,8 @@ class BatchAnalyzer:
         for key, (payload, result) in zip(
                 specs, self._run(jobs, list(specs.values()), run_config)):
             payloads[key] = payload
-            entry = make_entry(key, payload, result)
-            if entry is not None:
-                if self.cache is not None:
-                    self.cache.put(key, payload)
-                entries[key] = self.store.adopt(entry)
+            entries[key] = self.store._keep(key, payload, result,
+                                            self.cache)
         for i, item, key in pending:
             entry = entries.get(key)
             results[i] = (_success(item, entry, entry.result, from_cache=False)

@@ -384,12 +384,11 @@ class ModelStore:
                         payload = payload_from_result(
                             config, state.result, filename,
                             time.perf_counter() - t0, tu=state.tu)
-                        if cache is not None:
-                            cache.put(key, payload)
-                        entry = make_entry(key, payload, state.result)
+                        entry = self._keep(key, payload, state.result,
+                                           cache)
                         with self._lock:
                             self.analyses += 1
-                            found = self._insert(entry), "cold"
+                        found = entry, "cold"
             finally:
                 # Keep the lock table bounded by live concurrency: a late
                 # waiter on the dropped lock re-checks memory and hits.
@@ -478,6 +477,19 @@ class ModelStore:
         with self._lock:
             self.disk_hits += 1
             return self._insert(entry), "disk"
+
+    def _keep(self, key: str, payload: dict, result: AnalysisResult | None,
+              cache: ModelCache | None) -> ModelEntry | None:
+        """Store a fresh analysis: ``payload`` on disk (with a ``cache``)
+        and its :func:`make_entry` entry in memory.  None, and nothing
+        stored, for a failure record."""
+        entry = make_entry(key, payload, result)
+        if entry is None:
+            return None
+        if cache is not None:
+            cache.put(key, payload)
+        with self._lock:
+            return self._insert(entry)
 
     def _insert(self, entry: ModelEntry) -> ModelEntry:
         """Register ``entry`` (or refresh the one already there) and evict

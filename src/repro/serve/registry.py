@@ -2,7 +2,7 @@
 
 An entry's fingerprint (:meth:`AnalysisConfig.fingerprint`) doubles as the
 HTTP resource id and, quoted, its ETag (:func:`etag`); :func:`describe` is
-its handle document.  Both read a plain :class:`ModelEntry`.  Tiering
+the handle document of a plain :class:`ModelEntry`.  Tiering
 (memory → disk cache → pipeline) and the collapse of racing identical
 submissions are the store's: a cold submission's entry keeps the live
 models its analysis built, and only disk payloads are decoded.  The
@@ -21,9 +21,10 @@ __all__ = ["DEFAULT_CAPACITY", "ModelRegistry", "describe", "etag"]
 _ORIGINS = {"memory": "registry", "disk": "cache", "cold": "cold"}
 
 
-def etag(entry: ModelEntry) -> str:
-    """The strong validator served with ``entry`` (quoted, per RFC)."""
-    return f'"{entry.key}"'
+def etag(key: str) -> str:
+    """The strong validator served with the entry for ``key`` (quoted,
+    per RFC)."""
+    return f'"{key}"'
 
 
 def describe(entry: ModelEntry) -> dict:
@@ -31,7 +32,7 @@ def describe(entry: ModelEntry) -> dict:
     model)."""
     return {
         "id": entry.key,
-        "etag": etag(entry),
+        "etag": etag(entry.key),
         "source": entry.result.source_name,
         "functions": {
             q: {"params": list(f.get("params", ())),

@@ -56,12 +56,12 @@ def request_config(ctx: ServerContext, doc) -> AnalysisConfig:
     return ctx.config.with_changes(**changes)
 
 
-def _etag_matches(header: str | None, etag: str) -> bool:
+def _etag_matches(header: str | None, tag: str) -> bool:
     if not header:
         return False
     candidates = [t.strip() for t in header.split(",")]
-    return "*" in candidates or etag in candidates \
-        or etag.strip('"') in candidates
+    return "*" in candidates or tag in candidates \
+        or tag.strip('"') in candidates
 
 
 def _entry(ctx: ServerContext, req: Request) -> ModelEntry:
@@ -128,15 +128,15 @@ def create_analysis(ctx: ServerContext, req: Request) -> Response:
         raise HTTPError(400, "filename must be a non-empty string")
     config = request_config(ctx, req.get("config"))
     key = ctx.registry.fingerprint(source, config, filename)
-    etag = f'"{key}"'
-    if _etag_matches(req.if_none_match(), etag) \
+    tag = etag(key)
+    if _etag_matches(req.if_none_match(), tag) \
             and ctx.registry.get(key) is not None:
-        return Response.not_modified(etag)
+        return Response.not_modified(tag)
     entry, origin = ctx.registry.submit(source, config, filename, key)
     doc = {"kind": "AnalysisHandle", "created": origin == "cold",
            "origin": origin, **describe(entry)}
     return Response(201 if origin == "cold" else 200, doc,
-                    {"ETag": etag, "Location": f"/v1/analyses/{key}"})
+                    {"ETag": tag, "Location": f"/v1/analyses/{key}"})
 
 
 def list_analyses(ctx: ServerContext, req: Request) -> Response:
@@ -150,7 +150,7 @@ def list_analyses(ctx: ServerContext, req: Request) -> Response:
 def get_analysis(ctx: ServerContext, req: Request) -> Response:
     """The stored model: the versioned AnalysisResult wire format itself."""
     entry = _entry(ctx, req)
-    tag = etag(entry)
+    tag = etag(entry.key)
     if _etag_matches(req.if_none_match(), tag):
         return Response.not_modified(tag)
     doc = entry.result.to_dict()    # kind: AnalysisResult, schema-versioned

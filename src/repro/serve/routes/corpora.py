@@ -71,6 +71,8 @@ def create_corpus(ctx: ServerContext, req: Request) -> Response:
         cache_dir=ctx.config.cache_dir, use_cache=ctx.config.use_cache)
     analyzer = BatchAnalyzer(config,
                              jobs=min(jobs, _MAX_JOBS, os.cpu_count() or 1))
+    # Room for every file, so that the registry adopts each one's entry.
+    analyzer.store.capacity = max(analyzer.store.capacity, len(sources))
     report = analyzer.analyze_sources(sources)
     for entry in analyzer.store.entries():   # as the batch's store made them
         ctx.registry.store.adopt(entry)

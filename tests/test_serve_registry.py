@@ -19,7 +19,7 @@ from repro.core import AnalysisConfig, IncrementalAnalyzer, Pipeline
 from repro.core.batch import ModelCache
 from repro.core.pipeline import (FUNC_STAGE_RUN_COUNTS, STAGE_RUN_COUNTS,
                                  reset_stage_counters)
-from repro.core.store import payload_from_result
+from repro.core.store import DEFAULT_CAPACITY, payload_from_result
 from repro.core.units import build_units
 from repro.frontend import parse_source
 from repro.errors import MiraError, ParseError, ServeError, error_payload
@@ -27,8 +27,8 @@ from repro.serve import ModelRegistry
 from repro.serve.app import (HTTPError, Request, ServerContext, match_route,
                              route_table)
 from repro.serve.registry import etag
-from repro.serve.routes.analyses import (create_analysis, list_analyses,
-                                         request_config)
+from repro.serve.routes.analyses import (create_analysis, get_analysis,
+                                         list_analyses, request_config)
 from repro.serve.routes.corpora import create_corpus
 from repro.workloads import available, get_source
 
@@ -103,7 +103,7 @@ def test_fingerprint_is_the_etag_and_id(registry):
     entry, _ = registry.submit(SRC, filename="kernel.c")
     key = registry.fingerprint(SRC, registry.config, "kernel.c")
     assert entry.key == key
-    assert etag(entry) == f'"{key}"'
+    assert etag(entry.key) == f'"{key}"'
     # The filename is part of the fingerprint: same bytes, different name,
     # different resource.
     assert registry.fingerprint(SRC, registry.config, "other.c") != key
@@ -289,6 +289,23 @@ def test_corpus_handle_equals_the_submitted_handle(name):
         if not concrete.parameters(qname):
             assert summary["counts"] == \
                 concrete.evaluate(qname).as_dict(), qname
+
+
+def test_corpus_registers_every_file_beyond_the_store_default():
+    """Every id a ``/v1/corpora`` reply lists is registered, also past the
+    default store capacity and without a disk tier to fall back on."""
+    count = DEFAULT_CAPACITY + 6
+    sources = {f"k{i}.c": f"double k{i}(double x) {{ return x * {i}.0; }}\n"
+               for i in range(count)}
+    ctx = ServerContext(ModelRegistry(AnalysisConfig(use_cache=False),
+                                      capacity=count + 10))
+    ids = create_corpus(ctx, Request(
+        "POST", "/v1/corpora", body={"sources": sources})).doc["ids"]
+    assert len(ids) == count
+    for name, key in ids.items():
+        got = get_analysis(ctx, Request("GET", f"/v1/analyses/{key}",
+                                        params={"id": key}))
+        assert got.status == 200 and got.doc["id"] == key, name
 
 
 # -- routing ----------------------------------------------------------------------
