@@ -15,7 +15,7 @@ from typing import Iterator, Optional
 __all__ = ["AsmInstruction", "AsmFunction", "AsmProgram"]
 
 
-@dataclass
+@dataclass(slots=True)
 class AsmInstruction:
     """One decoded instruction (ROSE: ``SgAsmX86Instruction``)."""
 

@@ -36,15 +36,16 @@ def disassemble(obj: ObjectFile | bytes) -> AsmProgram:
             f"{covered}"
         )
 
+    text, strings, lookup = obj.text, obj.strings, table.lookup
     for sym in funcs:
         fn = AsmFunction(sym.name, sym.address, sym.size)
+        append = fn.instructions.append
         pos = sym.address
         end = sym.address + sym.size
         while pos < end:
-            ins, nxt = decode_instruction(obj.text, pos, obj.strings)
-            asm = AsmInstruction(pos, ins.mnemonic, ins.operands, nxt - pos)
-            asm.line, asm.col = table.lookup(pos)
-            fn.instructions.append(asm)
+            ins, nxt = decode_instruction(text, pos, strings)
+            append(AsmInstruction(pos, ins.mnemonic, ins.operands, nxt - pos,
+                                  *lookup(pos)))
             pos = nxt
         if pos != end:
             raise DisasmError(

@@ -62,7 +62,7 @@ def build_globals_table(tu: A.TranslationUnit,
 
 def _is_label_marker(ins: Instruction) -> bool:
     return (ins.mnemonic == "nop" and len(ins.operands) == 1
-            and isinstance(ins.operands[0], Label))
+            and type(ins.operands[0]) is Label)
 
 
 def compile_tu(tu: A.TranslationUnit, opt_level: int = 2,
@@ -108,29 +108,23 @@ def compile_tu(tu: A.TranslationUnit, opt_level: int = 2,
             rodata += struct.pack("<d", float(value))
 
     # ---- collect every symbol name used anywhere ------------------------------
-    names: dict[str, int] = {}
-
-    def intern(name: str) -> int:
-        if name not in names:
-            names[name] = len(names)
-        return names[name]
-
+    names: dict[str, int] = {}   # name -> .strtab index, first-use order
+    intern = names.setdefault
     for fn, instrs in lowered:
-        intern(fn.qualified_name)
+        intern(fn.qualified_name, len(names))
         for ins in instrs:
             for op in ins.operands:
-                if isinstance(op, Label):
-                    intern(op.name)
-                elif isinstance(op, Mem) and op.symbol:
-                    intern(op.symbol)
+                cls = type(op)
+                if cls is Label:
+                    intern(op.name, len(names))
+                elif cls is Mem and op.symbol:
+                    intern(op.symbol, len(names))
     for g in globals_table.values():
-        intern(g.symbol)
+        intern(g.symbol, len(names))
     for s in rodata_syms:
-        intern(s.name)
+        intern(s.name, len(names))
 
-    strings = [None] * len(names)
-    for name, idx in names.items():
-        strings[idx] = name
+    strings = list(names)
 
     # ---- encode .text, resolving label addresses ------------------------------
     text = bytearray()

@@ -27,7 +27,7 @@ __all__ = ["LineRow", "encode_line_program", "write_uleb", "write_sleb",
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LineRow:
     """One row of the line table: instruction address → (line, col)."""
 

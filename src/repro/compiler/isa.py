@@ -20,12 +20,18 @@ Encoding (little-endian):
 * memory: ``[0x03][base:u8][index:u8][scale:u8][disp:i32][sym:u16]``
   (0xFF = absent base/index; sym 0xFFFF = none, else .strtab index)
 * label/symbol: ``[0x04][sym:u16]``
+
+Operands and instructions are slotted classes.  Operands are values,
+immutable by convention (nothing assigns to one after construction), and
+registers are interned: each of :data:`GP_REGS` and :data:`XMM_REGS` is one
+:class:`Reg` or :class:`Xmm` object, built at import, that every instruction
+shares and the decoder looks up by id.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import CompileError, DisasmError
@@ -98,39 +104,69 @@ MNEMONICS = [
 MNEMONIC_IDS = {m: i for i, m in enumerate(MNEMONICS)}
 
 
+
+
 # --------------------------------------------------------------------------
-# Operands
+# Operands.  Values, immutable by convention: nothing assigns to an operand
+# after construction, so instructions share them freely.
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Reg:
+class _Register:
+    """A register operand: one object per name, built at import, so
+    ``Reg("rax") is Reg("rax")``.  Constructing an unknown name raises
+    :class:`CompileError`."""
+
+    __slots__ = ("name", "code", "_hash")
+    _by_name: dict = {}
+    _family = ""
+
+    def __new__(cls, name: str):
+        reg = cls._by_name.get(name)
+        if reg is None:
+            raise CompileError(f"unknown {cls._family} register {name!r}")
+        return reg
+
+    def __reduce__(self):   # copies and unpickled values are the interned one
+        return type(self), (self.name,)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(name={self.name!r})"
+
+    def __str__(self) -> str:
+        return self.name
+
+
+class Reg(_Register):
     """General-purpose register operand."""
 
-    name: str
-
-    def __post_init__(self) -> None:
-        if self.name not in _GP_IDS:
-            raise CompileError(f"unknown GP register {self.name!r}")
-
-    def __str__(self) -> str:
-        return self.name
+    __slots__ = ()
+    _family = "GP"
 
 
-@dataclass(frozen=True)
-class Xmm:
+class Xmm(_Register):
     """SSE register operand."""
 
-    name: str
-
-    def __post_init__(self) -> None:
-        if self.name not in _XMM_IDS:
-            raise CompileError(f"unknown XMM register {self.name!r}")
-
-    def __str__(self) -> str:
-        return self.name
+    __slots__ = ()
+    _family = "XMM"
 
 
-@dataclass(frozen=True)
+def _intern_registers(cls: type, kind: int, names: list[str]) -> tuple:
+    """Build ``cls``'s register objects; returns them in id order."""
+    regs = []
+    for i, name in enumerate(names):
+        reg = object.__new__(cls)
+        reg.name = name
+        reg.code = bytes((kind, i))     # the operand's encoding
+        reg._hash = hash((name,))
+        regs.append(reg)
+    cls._by_name = {reg.name: reg for reg in regs}
+    return tuple(regs)
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class Imm:
     """Immediate operand (64-bit signed)."""
 
@@ -140,7 +176,7 @@ class Imm:
         return f"${self.value}"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Mem:
     """Memory operand ``[base + index*scale + disp]`` or ``[sym + ...]``."""
 
@@ -155,7 +191,7 @@ class Mem:
             raise CompileError(f"bad base register {self.base!r}")
         if self.index is not None and self.index not in _GP_IDS:
             raise CompileError(f"bad index register {self.index!r}")
-        if self.scale not in (1, 2, 4, 8):
+        if self.scale not in _SCALES:
             raise CompileError(f"bad scale {self.scale!r}")
 
     def __str__(self) -> str:
@@ -172,7 +208,7 @@ class Mem:
         return f"[{s}]"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Label:
     """Code label / call target by symbol name."""
 
@@ -182,10 +218,10 @@ class Label:
         return self.name
 
 
-Operand = object  # union of the four classes above
+Operand = object  # union of the four operand kinds above
 
 
-@dataclass
+@dataclass(slots=True)
 class Instruction:
     """One machine instruction with its source cost-center position."""
 
@@ -211,6 +247,29 @@ class Instruction:
 
 _ABSENT = 0xFF
 _NO_SYM = 0xFFFF
+_SCALES = frozenset({1, 2, 4, 8})
+
+_HEADER = struct.Struct("<HBB")
+_IMM = struct.Struct("<Bq")
+_MEM = struct.Struct("<BBBBiH")
+_LABEL = struct.Struct("<BH")
+_IMM_VALUE = struct.Struct("<q")
+_MEM_FIELDS = struct.Struct("<BBBiH")
+_SYM_INDEX = struct.Struct("<H")
+
+# Memory base/index name -> its byte (None is absent).
+_MEM_REG_IDS = {**_GP_IDS, None: _ABSENT}
+
+# Decoding tables, indexed by a register byte.  Register operands: the
+# interned register per operand kind (0x00 GP, 0x01 XMM), None for an id
+# the ISA does not have.  Memory base/index: the register name, None when
+# absent, ``_BAD_REG`` for an id the ISA does not have.
+_BAD_REG = object()
+_REGISTERS_BY_KIND = tuple(
+    regs + (None,) * (256 - len(regs))
+    for regs in (_intern_registers(Reg, 0x00, GP_REGS),
+                 _intern_registers(Xmm, 0x01, XMM_REGS)))
+_MEM_REGS = tuple(GP_REGS) + (_BAD_REG,) * (_ABSENT - len(GP_REGS)) + (None,)
 
 
 def encode_instruction(ins: Instruction, symidx: dict[str, int]) -> bytes:
@@ -226,23 +285,20 @@ def encode_instruction(ins: Instruction, symidx: dict[str, int]) -> bytes:
 
 
 def _encode(ins: Instruction, symidx: dict[str, int]) -> bytes:
-    out = bytearray()
-    out += struct.pack("<HBB", MNEMONIC_IDS[ins.mnemonic], len(ins.operands), 0)
-    for op in ins.operands:
-        if isinstance(op, Reg):
-            out += struct.pack("<BB", 0x00, _GP_IDS[op.name])
-        elif isinstance(op, Xmm):
-            out += struct.pack("<BB", 0x01, _XMM_IDS[op.name])
-        elif isinstance(op, Imm):
-            out += struct.pack("<Bq", 0x02, op.value)
-        elif isinstance(op, Mem):
-            base = _GP_IDS[op.base] if op.base else _ABSENT
-            index = _GP_IDS[op.index] if op.index else _ABSENT
-            sym = symidx[op.symbol] if op.symbol else _NO_SYM
-            out += struct.pack("<BBBBiH", 0x03, base, index, op.scale,
-                               op.disp, sym)
-        elif isinstance(op, Label):
-            out += struct.pack("<BH", 0x04, symidx[op.name])
+    ops = ins.operands
+    out = bytearray(_HEADER.pack(MNEMONIC_IDS[ins.mnemonic], len(ops), 0))
+    for op in ops:
+        cls = type(op)
+        if cls is Reg or cls is Xmm:
+            out += op.code
+        elif cls is Mem:
+            out += _MEM.pack(0x03, _MEM_REG_IDS[op.base],
+                             _MEM_REG_IDS[op.index], op.scale, op.disp,
+                             symidx[op.symbol] if op.symbol else _NO_SYM)
+        elif cls is Imm:
+            out += _IMM.pack(0x02, op.value)
+        elif cls is Label:
+            out += _LABEL.pack(0x04, symidx[op.name])
         else:
             raise CompileError(f"cannot encode operand {op!r}")
     return bytes(out)
@@ -250,47 +306,62 @@ def _encode(ins: Instruction, symidx: dict[str, int]) -> bytes:
 
 def decode_instruction(data: bytes, offset: int,
                        symbols: list[str]) -> tuple[Instruction, int]:
-    """Decode one instruction at ``offset``; returns (instruction, next_offset)."""
+    """Decode one instruction at ``offset``; returns (instruction, next_offset).
+
+    Malformed bytes (a truncated instruction, an unknown mnemonic, operand
+    kind or register id, a bad scale, a symbol index past ``symbols``)
+    raise :class:`DisasmError` naming the offset.
+    """
     try:
-        mid, nops, _flags = struct.unpack_from("<HBB", data, offset)
-    except struct.error as e:
-        raise DisasmError(f"truncated instruction header at {offset}") from e
+        mid, nops, _flags = _HEADER.unpack_from(data, offset)
+    except struct.error:
+        raise DisasmError(f"truncated instruction header at {offset}") \
+            from None
     if mid >= len(MNEMONICS):
         raise DisasmError(f"bad mnemonic id {mid} at offset {offset}")
     pos = offset + 4
     operands: list = []
-    for _ in range(nops):
-        try:
+    try:
+        for _ in range(nops):
             kind = data[pos]
-        except IndexError as e:
-            raise DisasmError(f"truncated operand at {pos}") from e
-        if kind == 0x00:
-            operands.append(Reg(GP_REGS[data[pos + 1]]))
-            pos += 2
-        elif kind == 0x01:
-            operands.append(Xmm(XMM_REGS[data[pos + 1]]))
-            pos += 2
-        elif kind == 0x02:
-            (value,) = struct.unpack_from("<q", data, pos + 1)
-            operands.append(Imm(value))
-            pos += 9
-        elif kind == 0x03:
-            base, index, scale, disp, sym = struct.unpack_from(
-                "<BBBiH", data, pos + 1
-            )
-            operands.append(Mem(
-                GP_REGS[base] if base != _ABSENT else None,
-                GP_REGS[index] if index != _ABSENT else None,
-                scale, disp,
-                symbols[sym] if sym != _NO_SYM else None,
-            ))
-            pos += 10
-        elif kind == 0x04:
-            (sym,) = struct.unpack_from("<H", data, pos + 1)
-            operands.append(Label(symbols[sym]))
-            pos += 3
-        else:
-            raise DisasmError(f"bad operand kind {kind:#x} at offset {pos}")
-    ins = Instruction(MNEMONICS[mid], tuple(operands))
-    ins.address = offset
-    return ins, pos
+            if kind <= 0x01:
+                reg = _REGISTERS_BY_KIND[kind][data[pos + 1]]
+                if reg is None:
+                    raise DisasmError(
+                        f"bad {('GP', 'XMM')[kind]} register id "
+                        f"{data[pos + 1]} at offset {pos}")
+                operands.append(reg)
+                pos += 2
+            elif kind == 0x02:
+                (value,) = _IMM_VALUE.unpack_from(data, pos + 1)
+                operands.append(Imm(value))
+                pos += 9
+            elif kind == 0x03:
+                base, index, scale, disp, sym = _MEM_FIELDS.unpack_from(
+                    data, pos + 1)
+                base, index = _MEM_REGS[base], _MEM_REGS[index]
+                if base is _BAD_REG or index is _BAD_REG:
+                    raise DisasmError(
+                        f"bad memory register id at offset {pos}")
+                if scale not in _SCALES:
+                    raise DisasmError(f"bad scale {scale} at offset {pos}")
+                operands.append(Mem(
+                    base, index, scale, disp,
+                    None if sym == _NO_SYM else _symbol(symbols, sym, pos)))
+                pos += 10
+            elif kind == 0x04:
+                (sym,) = _SYM_INDEX.unpack_from(data, pos + 1)
+                operands.append(Label(_symbol(symbols, sym, pos)))
+                pos += 3
+            else:
+                raise DisasmError(
+                    f"bad operand kind {kind:#x} at offset {pos}")
+    except (IndexError, struct.error):
+        raise DisasmError(f"truncated operand at {pos}") from None
+    return Instruction(MNEMONICS[mid], tuple(operands), address=offset), pos
+
+
+def _symbol(symbols: list[str], index: int, pos: int) -> str:
+    if index >= len(symbols):
+        raise DisasmError(f"bad symbol index {index} at offset {pos}")
+    return symbols[index]

@@ -23,6 +23,7 @@ metric generator multiplies each group by its execution-count expression.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 from ..errors import CompileError
@@ -36,6 +37,10 @@ __all__ = ["FunctionLowering", "ClassLayouts", "lower_function", "elem_size"]
 
 INT_ARG_REGS = ["rdi", "rsi", "rdx", "rcx", "r8", "r9"]
 FP_ARG_REGS = [f"xmm{i}" for i in range(8)]
+
+# Shared value types of lowered expressions.
+_INT = Type("int")
+_DOUBLE = Type("double")
 
 
 def elem_size(ty: Type) -> int:
@@ -132,8 +137,7 @@ class FunctionLowering:
         return f".L_{base}_{tag}_{self.label_n}"
 
     def emit(self, mnemonic: str, *operands) -> Instruction:
-        ins = Instruction(mnemonic, tuple(operands),
-                          line=self.cur_line, col=self.cur_col)
+        ins = Instruction(mnemonic, operands, self.cur_line, self.cur_col)
         self.instrs.append(ins)
         return ins
 
@@ -259,69 +263,62 @@ class FunctionLowering:
 
     # ============================================================ statements
     def stmt(self, s: A.Stmt) -> None:
-        if any(a.skip for a in getattr(s, "annotations", [])):
+        anns = getattr(s, "annotations", None)
+        if anns and any(a.skip for a in anns):
             # {skip:yes}: scope excluded from the model AND from the binary
             # (mirrors removing it from analysis; keeps both sides aligned).
             return
-        if isinstance(s, A.CompoundStmt):
-            self.scopes.append({})
-            for sub in s.stmts:
-                self.stmt(sub)
-            self.scopes.pop()
-            return
-        if isinstance(s, A.NullStmt):
-            return
-        if isinstance(s, A.DeclStmt):
-            self.set_loc(s)
-            for d in s.decls:
-                dims = tuple(self._const_dim(x) for x in d.array_dims)
-                info = self.declare_local(d.name, d.type, dims)
-                if d.init is not None:
-                    self._assign_to_var(info, d.init)
-            return
-        if isinstance(s, A.ExprStmt):
-            self.set_loc(s)
-            v = self.expr(s.expr, want_value=False)
+        lower = self._STMT_LOWERERS.get(type(s))
+        if lower is None:
+            raise self.error(f"cannot lower statement {type(s).__name__}", s)
+        lower(self, s)
+
+    def _lower_compound(self, s: A.CompoundStmt) -> None:
+        self.scopes.append({})
+        for sub in s.stmts:
+            self.stmt(sub)
+        self.scopes.pop()
+
+    def _lower_null(self, s: A.NullStmt) -> None:
+        pass
+
+    def _lower_decl(self, s: A.DeclStmt) -> None:
+        self.set_loc(s)
+        for d in s.decls:
+            dims = tuple(self._const_dim(x) for x in d.array_dims)
+            info = self.declare_local(d.name, d.type, dims)
+            if d.init is not None:
+                self._assign_to_var(info, d.init)
+
+    def _lower_expr_stmt(self, s: A.ExprStmt) -> None:
+        self.set_loc(s)
+        v = self.expr(s.expr, want_value=False)
+        self.free(v)
+
+    def _lower_return(self, s: A.ReturnStmt) -> None:
+        self.set_loc(s)
+        if s.expr is not None:
+            v = self.expr(s.expr)
+            if v.is_fp:
+                if v.reg != "xmm0":
+                    self.emit("movsd", Xmm("xmm0"), Xmm(v.reg))
+            else:
+                if v.reg != "rax":
+                    self.emit("mov", Reg("rax"), Reg(v.reg))
             self.free(v)
-            return
-        if isinstance(s, A.ReturnStmt):
-            self.set_loc(s)
-            if s.expr is not None:
-                v = self.expr(s.expr)
-                if v.is_fp:
-                    if v.reg != "xmm0":
-                        self.emit("movsd", Xmm("xmm0"), Xmm(v.reg))
-                else:
-                    if v.reg != "rax":
-                        self.emit("mov", Reg("rax"), Reg(v.reg))
-                self.free(v)
-            self.emit("jmp", Label(self.ret_label))
-            return
-        if isinstance(s, A.IfStmt):
-            self._lower_if(s)
-            return
-        if isinstance(s, A.ForStmt):
-            self._lower_for(s)
-            return
-        if isinstance(s, A.WhileStmt):
-            self._lower_while(s)
-            return
-        if isinstance(s, A.DoWhileStmt):
-            self._lower_do_while(s)
-            return
-        if isinstance(s, A.BreakStmt):
-            self.set_loc(s)
-            if not self.break_stack:
-                raise self.error("break outside loop", s)
-            self.emit("jmp", Label(self.break_stack[-1]))
-            return
-        if isinstance(s, A.ContinueStmt):
-            self.set_loc(s)
-            if not self.continue_stack:
-                raise self.error("continue outside loop", s)
-            self.emit("jmp", Label(self.continue_stack[-1]))
-            return
-        raise self.error(f"cannot lower statement {type(s).__name__}", s)
+        self.emit("jmp", Label(self.ret_label))
+
+    def _lower_break(self, s: A.BreakStmt) -> None:
+        self.set_loc(s)
+        if not self.break_stack:
+            raise self.error("break outside loop", s)
+        self.emit("jmp", Label(self.break_stack[-1]))
+
+    def _lower_continue(self, s: A.ContinueStmt) -> None:
+        self.set_loc(s)
+        if not self.continue_stack:
+            raise self.error("continue outside loop", s)
+        self.emit("jmp", Label(self.continue_stack[-1]))
 
     def _const_dim(self, e: A.Expr) -> int:
         if isinstance(e, A.IntLit):
@@ -487,8 +484,8 @@ class FunctionLowering:
             lv = self.expr(cond.lhs)
             rv = self.expr(cond.rhs)
             if lv.is_fp or rv.is_fp:
-                lv = self._coerce(lv, Type("double"))
-                rv = self._coerce(rv, Type("double"))
+                lv = self._coerce(lv, _DOUBLE)
+                rv = self._coerce(rv, _DOUBLE)
                 self.emit("ucomisd", Xmm(lv.reg), Xmm(rv.reg))
                 table = self._CMP_JCC_FALSE_FP
             else:
@@ -519,52 +516,48 @@ class FunctionLowering:
     def expr(self, e: A.Expr, want_value: bool = True) -> Val | None:
         """Lower an expression; returns the register Val (or None when
         ``want_value=False`` and the expression is a pure effect)."""
-        if isinstance(e, A.IntLit):
-            r = self.ireg()
-            self.emit("mov", Reg(r), Imm(e.value))
-            return Val(r, False, Type("int"))
-        if isinstance(e, A.FloatLit):
-            return self._load_float_const(float(e.value))
-        if isinstance(e, A.CharLit):
-            r = self.ireg()
-            self.emit("mov", Reg(r), Imm(ord(e.value[0]) if e.value else 0))
-            return Val(r, False, Type("char"))
-        if isinstance(e, A.StringLit):
-            r = self.ireg()
-            sym = self._string_symbol(e.value)
-            self.emit("lea", Reg(r), Mem(symbol=sym))
-            return Val(r, False, Type("char", 1))
-        if isinstance(e, A.Ident):
-            return self._load_ident(e)
-        if isinstance(e, A.Index):
-            mem, ty = self.addr(e)
-            v = self._load_from(mem, ty)
-            self._free_mem_regs(mem)
-            return v
-        if isinstance(e, A.Member):
-            mem, ty = self.addr(e)
-            v = self._load_from(mem, ty)
-            self._free_mem_regs(mem)
-            return v
-        if isinstance(e, A.Assign):
-            return self._lower_assign(e, want_value)
-        if isinstance(e, A.UnOp):
-            return self._lower_unop(e, want_value)
-        if isinstance(e, A.BinOp):
-            return self._lower_binop(e)
-        if isinstance(e, A.Call):
-            return self._lower_call(e, want_value)
-        if isinstance(e, A.Ternary):
-            return self._lower_ternary(e)
-        if isinstance(e, A.Cast):
-            v = self.expr(e.expr)
-            return self._coerce(v, e.type)
-        if isinstance(e, A.SizeOf):
-            r = self.ireg()
-            size = elem_size(e.arg) if isinstance(e.arg, Type) else 8
-            self.emit("mov", Reg(r), Imm(size))
-            return Val(r, False, Type("long"))
-        raise self.error(f"cannot lower expression {type(e).__name__}", e)
+        lower = self._EXPR_LOWERERS.get(type(e))
+        if lower is None:
+            raise self.error(f"cannot lower expression {type(e).__name__}", e)
+        return lower(self, e, want_value)
+
+    def _lower_int(self, e: A.IntLit, want_value: bool) -> Val:
+        r = self.ireg()
+        self.emit("mov", Reg(r), Imm(e.value))
+        return Val(r, False, _INT)
+
+    def _lower_float(self, e: A.FloatLit, want_value: bool) -> Val:
+        return self._load_float_const(float(e.value))
+
+    def _lower_char(self, e: A.CharLit, want_value: bool) -> Val:
+        r = self.ireg()
+        self.emit("mov", Reg(r), Imm(ord(e.value[0]) if e.value else 0))
+        return Val(r, False, Type("char"))
+
+    def _lower_string(self, e: A.StringLit, want_value: bool) -> Val:
+        r = self.ireg()
+        sym = self._string_symbol(e.value)
+        self.emit("lea", Reg(r), Mem(symbol=sym))
+        return Val(r, False, Type("char", 1))
+
+    def _lower_ident(self, e: A.Ident, want_value: bool) -> Val:
+        return self._load_ident(e)
+
+    def _lower_load(self, e: A.Index | A.Member, want_value: bool) -> Val:
+        mem, ty = self.addr(e)
+        v = self._load_from(mem, ty)
+        self._free_mem_regs(mem)
+        return v
+
+    def _lower_cast(self, e: A.Cast, want_value: bool) -> Val:
+        v = self.expr(e.expr)
+        return self._coerce(v, e.type)
+
+    def _lower_sizeof(self, e: A.SizeOf, want_value: bool) -> Val:
+        r = self.ireg()
+        size = elem_size(e.arg) if isinstance(e.arg, Type) else 8
+        self.emit("mov", Reg(r), Imm(size))
+        return Val(r, False, Type("long"))
 
     # ------------------------------------------------------------- leaf loads
     def _load_float_const(self, value: float) -> Val:
@@ -577,10 +570,11 @@ class FunctionLowering:
             self.emit("movapd", Xmm(r), Mem(symbol=sym))
         else:
             self.emit("movsd", Xmm(r), Mem(symbol=sym))
-        return Val(r, True, Type("double"))
+        return Val(r, True, _DOUBLE)
 
     def _string_symbol(self, s: str) -> str:
-        key = float(abs(hash(s)) % (10 ** 9)) + 0.5  # pool strings by hash
+        # pool strings by a hash that is the same in every process
+        key = float(zlib.crc32(s.encode()) % (10 ** 9)) + 0.5
         sym = self.float_pool.get(key)
         if sym is None:
             sym = f".LS_{self.fn.qualified_name.replace('::', '__')}_{len(self.float_pool)}"
@@ -911,7 +905,7 @@ class FunctionLowering:
                 self.emit("xorpd", Xmm(s), Xmm(s))
                 self.emit("subsd", Xmm(s), Xmm(v.reg))
                 self.free(v)
-                return Val(s, True, Type("double"))
+                return Val(s, True, _DOUBLE)
             v = self._owned_int(v)
             self.emit("neg", Reg(v.reg))
             return v
@@ -919,7 +913,7 @@ class FunctionLowering:
             return self.expr(e.operand)
         if e.op == "!":
             v = self.expr(e.operand)
-            v = self._coerce(v, Type("int"))
+            v = self._coerce(v, _INT)
             v = self._owned_int(v)
             self.emit("test", Reg(v.reg), Reg(v.reg))
             self.emit("sete", Reg(v.reg))
@@ -968,7 +962,7 @@ class FunctionLowering:
     _CMP_SET_FP = {"<": "setb", "<=": "setb", ">": "seta", ">=": "seta",
                    "==": "sete", "!=": "setne"}
 
-    def _lower_binop(self, e: A.BinOp) -> Val:
+    def _lower_binop(self, e: A.BinOp, want_value: bool = True) -> Val:
         if e.op == ",":
             v = self.expr(e.lhs, want_value=False)
             self.free(v)
@@ -984,7 +978,7 @@ class FunctionLowering:
             self._label(false_l)
             self.emit("mov", Reg(res), Imm(0))
             self._label(end_l)
-            return Val(res, False, Type("int"))
+            return Val(res, False, _INT)
 
         # strength reduction: power-of-two integer multiply/divide
         if e.op in ("*", "/", "%") and isinstance(e.rhs, A.IntLit) \
@@ -1014,8 +1008,8 @@ class FunctionLowering:
 
     def _binop_vals(self, op: str, lv: Val, rv: Val, e: A.Expr) -> Val:
         if lv.is_fp or rv.is_fp:
-            lv = self._coerce(lv, Type("double"))
-            rv = self._coerce(rv, Type("double"))
+            lv = self._coerce(lv, _DOUBLE)
+            rv = self._coerce(rv, _DOUBLE)
             if op in self._FP_OPS:
                 # two-operand form clobbers the destination: if the left
                 # value lives in a promoted register but the op commutes,
@@ -1039,7 +1033,7 @@ class FunctionLowering:
                 self.emit("movzx", Reg(r), Reg(r))
                 self.free(lv)
                 self.free(rv)
-                return Val(r, False, Type("int"))
+                return Val(r, False, _INT)
             raise self.error(f"unsupported FP operator {op!r}", e)
         # integer domain
         if op in self._INT_OPS:
@@ -1056,7 +1050,7 @@ class FunctionLowering:
             self.emit("movzx", Reg(r), Reg(r))
             self.free(lv)
             self.free(rv)
-            return Val(r, False, Type("int"))
+            return Val(r, False, _INT)
         raise self.error(f"unsupported integer operator {op!r}", e)
 
     def _binop_inplace(self, op: str, target: Val, rhs: Val, e: A.Expr) -> None:
@@ -1107,7 +1101,7 @@ class FunctionLowering:
         res_src = "rax" if op == "/" else "rdx"
         out = None
         if res_src in ours:
-            out = Val(res_src, False, Type("int"))
+            out = Val(res_src, False, _INT)
             ours.discard(res_src)
         for r in ours:
             self.ipool.release(r)
@@ -1115,7 +1109,7 @@ class FunctionLowering:
             # result register is foreign (about to be popped): copy out first
             dst = self.ireg()
             self.emit("mov", Reg(dst), Reg(res_src))
-            out = Val(dst, False, Type("int"))
+            out = Val(dst, False, _INT)
         for r in reversed(pushed):
             self.emit("pop", Reg(r))
         return out
@@ -1237,7 +1231,7 @@ class FunctionLowering:
         return fndef.return_type
 
     # ----------------------------------------------------------------- ternary
-    def _lower_ternary(self, e: A.Ternary) -> Val:
+    def _lower_ternary(self, e: A.Ternary, want_value: bool = True) -> Val:
         else_l = self._mangle("t_else")
         end_l = self._mangle("t_end")
         # Determine result domain from the then-branch
@@ -1252,13 +1246,13 @@ class FunctionLowering:
         self.emit("jmp", Label(end_l))
         self._label(else_l)
         ev = self.expr(e.els)
-        ev = self._coerce(ev, Type("double") if is_fp else Type("int"))
+        ev = self._coerce(ev, _DOUBLE if is_fp else _INT)
         self.emit("movsd" if is_fp else "mov",
                   (Xmm if is_fp else Reg)(res),
                   (Xmm if is_fp else Reg)(ev.reg))
         self.free(ev)
         self._label(end_l)
-        return Val(res, is_fp, Type("double") if is_fp else Type("int"))
+        return Val(res, is_fp, _DOUBLE if is_fp else _INT)
 
     # ---------------------------------------------------------------- coercion
     def _coerce(self, v: Val, target: Type) -> Val:
@@ -1269,11 +1263,30 @@ class FunctionLowering:
             r = self.freg()
             self.emit("cvtsi2sd", Xmm(r), Reg(v.reg))
             self.free(v)
-            return Val(r, True, Type("double"))
+            return Val(r, True, _DOUBLE)
         r = self.ireg()
         self.emit("cvttsd2si", Reg(r), Xmm(v.reg))
         self.free(v)
-        return Val(r, False, Type("int"))
+        return Val(r, False, _INT)
+
+    # Lowering dispatches on a node's exact type.
+    _STMT_LOWERERS = {
+        A.CompoundStmt: _lower_compound, A.NullStmt: _lower_null,
+        A.DeclStmt: _lower_decl, A.ExprStmt: _lower_expr_stmt,
+        A.ReturnStmt: _lower_return, A.IfStmt: _lower_if,
+        A.ForStmt: _lower_for, A.WhileStmt: _lower_while,
+        A.DoWhileStmt: _lower_do_while, A.BreakStmt: _lower_break,
+        A.ContinueStmt: _lower_continue,
+    }
+    _EXPR_LOWERERS = {
+        A.IntLit: _lower_int, A.FloatLit: _lower_float,
+        A.CharLit: _lower_char, A.StringLit: _lower_string,
+        A.Ident: _lower_ident, A.Index: _lower_load, A.Member: _lower_load,
+        A.Assign: _lower_assign, A.UnOp: _lower_unop,
+        A.BinOp: _lower_binop, A.Call: _lower_call,
+        A.Ternary: _lower_ternary, A.Cast: _lower_cast,
+        A.SizeOf: _lower_sizeof,
+    }
 
 
 def lower_function(fn: A.FunctionDef, tu: A.TranslationUnit,

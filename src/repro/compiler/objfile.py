@@ -32,7 +32,7 @@ SYM_OBJECT = 2  # data object (global variable), size in bytes
 SYM_LABEL = 3   # local code label (jump target)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Symbol:
     name: str
     kind: int

@@ -62,157 +62,190 @@ _FLOAT_FOLD = {
 def fold_constants(node: A.Node) -> A.Node:
     """Recursively fold constant subexpressions in place; returns the
     (possibly replaced) node.  Containers have children rewritten; a
-    function definition already folded is skipped (``info["folded"]``)."""
-    # Rewrite expression children by attribute since AST nodes are typed.
-    if isinstance(node, A.BinOp):
-        node.lhs = fold_constants(node.lhs)
-        node.rhs = fold_constants(node.rhs)
-        l, r = node.lhs, node.rhs
-        if isinstance(l, A.IntLit) and isinstance(r, A.IntLit):
-            fn = _INT_FOLD.get(node.op)
-            if fn is not None:
-                v = fn(l.value, r.value)
-                if v is not None:
-                    return A.IntLit(v, node.line, node.col)
-        if isinstance(l, A.FloatLit) and isinstance(r, A.FloatLit):
-            fn = _FLOAT_FOLD.get(node.op)
-            if fn is not None:
-                v = fn(l.value, r.value)
-                if v is not None:
-                    return A.FloatLit(v, "", node.line, node.col)
-        # algebraic identities on the integer domain
-        if node.op == "+" and isinstance(r, A.IntLit) and r.value == 0:
+    function definition already folded is skipped (``info["folded"]``).
+
+    Dispatches on the node's exact type through ``_FOLDERS``; a node kind
+    without an entry (a literal, an identifier) folds to itself."""
+    fold = _FOLDERS.get(type(node))
+    return node if fold is None else fold(node)
+
+
+def _fold_binop(node: A.BinOp) -> A.Node:
+    node.lhs = l = fold_constants(node.lhs)
+    node.rhs = r = fold_constants(node.rhs)
+    op, lt, rt = node.op, type(l), type(r)
+    if lt is A.IntLit and rt is A.IntLit:
+        fn = _INT_FOLD.get(op)
+        if fn is not None:
+            v = fn(l.value, r.value)
+            if v is not None:
+                return A.IntLit(v, node.line, node.col)
+    if lt is A.FloatLit and rt is A.FloatLit:
+        fn = _FLOAT_FOLD.get(op)
+        if fn is not None:
+            v = fn(l.value, r.value)
+            if v is not None:
+                return A.FloatLit(v, "", node.line, node.col)
+    # algebraic identities on the integer domain
+    if rt is A.IntLit:
+        if (op == "+" or op == "-") and r.value == 0:
             return l
-        if node.op == "+" and isinstance(l, A.IntLit) and l.value == 0:
-            return r
-        if node.op == "-" and isinstance(r, A.IntLit) and r.value == 0:
+        if op == "*" and r.value == 1:
             return l
-        if node.op == "*" and isinstance(r, A.IntLit) and r.value == 1:
-            return l
-        if node.op == "*" and isinstance(l, A.IntLit) and l.value == 1:
-            return r
-        if node.op == "*" and isinstance(r, A.IntLit) and r.value == 0 \
-                and isinstance(l, (A.Ident, A.IntLit)):
+        if op == "*" and r.value == 0 and (lt is A.Ident or lt is A.IntLit):
             return A.IntLit(0, node.line, node.col)
-        # float identities: x*1.0, x+0.0 (safe under paper semantics)
-        if node.op == "*" and isinstance(r, A.FloatLit) and r.value == 1.0:
-            return l
-        if node.op == "+" and isinstance(r, A.FloatLit) and r.value == 0.0:
-            return l
-        return node
-    if isinstance(node, A.UnOp):
-        node.operand = fold_constants(node.operand)
-        o = node.operand
-        if node.op == "-" and isinstance(o, A.IntLit):
-            return A.IntLit(-o.value, node.line, node.col)
-        if node.op == "-" and isinstance(o, A.FloatLit):
-            return A.FloatLit(-o.value, "", node.line, node.col)
-        if node.op == "!" and isinstance(o, A.IntLit):
-            return A.IntLit(int(not o.value), node.line, node.col)
-        return node
-    if isinstance(node, A.Assign):
-        node.target = fold_constants(node.target)
-        node.value = fold_constants(node.value)
-        return node
-    if isinstance(node, A.Ternary):
-        node.cond = fold_constants(node.cond)
-        node.then = fold_constants(node.then)
-        node.els = fold_constants(node.els)
-        if isinstance(node.cond, A.IntLit):
-            return node.then if node.cond.value else node.els
-        return node
-    if isinstance(node, A.Call):
-        node.args = [fold_constants(a) for a in node.args]
-        return node
-    if isinstance(node, A.Index):
-        node.base = fold_constants(node.base)
-        node.index = fold_constants(node.index)
-        return node
-    if isinstance(node, A.Member):
-        node.obj = fold_constants(node.obj)
-        return node
-    if isinstance(node, A.Cast):
-        node.expr = fold_constants(node.expr)
-        return node
-    # statements & declarations: rewrite children in place
-    if isinstance(node, A.ExprStmt):
-        node.expr = fold_constants(node.expr)
-        return node
-    if isinstance(node, A.DeclStmt):
-        for d in node.decls:
-            if d.init is not None:
-                d.init = fold_constants(d.init)
-            d.array_dims = [fold_constants(x) for x in d.array_dims]
-        return node
-    if isinstance(node, A.CompoundStmt):
-        node.stmts = [fold_constants(s) for s in node.stmts]
-        return node
-    if isinstance(node, A.IfStmt):
-        node.cond = fold_constants(node.cond)
-        node.then = fold_constants(node.then)
-        if node.els is not None:
-            node.els = fold_constants(node.els)
-        return node
-    if isinstance(node, A.ForStmt):
-        if node.init is not None:
-            node.init = fold_constants(node.init)
-        if node.cond is not None:
-            node.cond = fold_constants(node.cond)
-        if node.incr is not None:
-            node.incr = fold_constants(node.incr)
-        node.body = fold_constants(node.body)
-        return node
-    if isinstance(node, A.WhileStmt):
-        node.cond = fold_constants(node.cond)
-        node.body = fold_constants(node.body)
-        return node
-    if isinstance(node, A.DoWhileStmt):
-        node.cond = fold_constants(node.cond)
-        node.body = fold_constants(node.body)
-        return node
-    if isinstance(node, A.ReturnStmt):
-        if node.expr is not None:
-            node.expr = fold_constants(node.expr)
-        return node
-    if isinstance(node, A.FunctionDef):
-        # A definition is folded once: the mark lets a TU that keeps the
-        # definitions of an earlier, compiled one (the incremental front
-        # end's splice) refold only the re-parsed definition.
-        if not node.info.get("folded"):
-            node.body = fold_constants(node.body)
-            node.info["folded"] = True
-        return node
-    if isinstance(node, A.ClassDef):
-        node.methods = [fold_constants(m) for m in node.methods]
-        return node
-    if isinstance(node, A.TranslationUnit):
-        node.functions = [fold_constants(f) for f in node.functions]
-        node.classes = [fold_constants(c) for c in node.classes]
-        node.globals = [fold_constants(g) for g in node.globals]
-        return node
+    if lt is A.IntLit:
+        if op == "+" and l.value == 0:
+            return r
+        if op == "*" and l.value == 1:
+            return r
+    # float identities: x*1.0, x+0.0 (safe under paper semantics)
+    if rt is A.FloatLit and (op == "*" and r.value == 1.0
+                             or op == "+" and r.value == 0.0):
+        return l
     return node
+
+
+def _fold_unop(node: A.UnOp) -> A.Node:
+    node.operand = o = fold_constants(node.operand)
+    ot = type(o)
+    if node.op == "-" and ot is A.IntLit:
+        return A.IntLit(-o.value, node.line, node.col)
+    if node.op == "-" and ot is A.FloatLit:
+        return A.FloatLit(-o.value, "", node.line, node.col)
+    if node.op == "!" and ot is A.IntLit:
+        return A.IntLit(int(not o.value), node.line, node.col)
+    return node
+
+
+def _fold_assign(node: A.Assign) -> A.Node:
+    node.target = fold_constants(node.target)
+    node.value = fold_constants(node.value)
+    return node
+
+
+def _fold_ternary(node: A.Ternary) -> A.Node:
+    node.cond = fold_constants(node.cond)
+    node.then = fold_constants(node.then)
+    node.els = fold_constants(node.els)
+    if type(node.cond) is A.IntLit:
+        return node.then if node.cond.value else node.els
+    return node
+
+
+def _fold_call(node: A.Call) -> A.Node:
+    node.args = [fold_constants(a) for a in node.args]
+    return node
+
+
+def _fold_index(node: A.Index) -> A.Node:
+    node.base = fold_constants(node.base)
+    node.index = fold_constants(node.index)
+    return node
+
+
+def _fold_member(node: A.Member) -> A.Node:
+    node.obj = fold_constants(node.obj)
+    return node
+
+
+def _fold_expr_child(node: A.Cast | A.ExprStmt) -> A.Node:
+    node.expr = fold_constants(node.expr)
+    return node
+
+
+def _fold_decl(node: A.DeclStmt) -> A.Node:
+    for d in node.decls:
+        if d.init is not None:
+            d.init = fold_constants(d.init)
+        d.array_dims = [fold_constants(x) for x in d.array_dims]
+    return node
+
+
+def _fold_compound(node: A.CompoundStmt) -> A.Node:
+    node.stmts = [fold_constants(s) for s in node.stmts]
+    return node
+
+
+def _fold_if(node: A.IfStmt) -> A.Node:
+    node.cond = fold_constants(node.cond)
+    node.then = fold_constants(node.then)
+    if node.els is not None:
+        node.els = fold_constants(node.els)
+    return node
+
+
+def _fold_for(node: A.ForStmt) -> A.Node:
+    if node.init is not None:
+        node.init = fold_constants(node.init)
+    if node.cond is not None:
+        node.cond = fold_constants(node.cond)
+    if node.incr is not None:
+        node.incr = fold_constants(node.incr)
+    node.body = fold_constants(node.body)
+    return node
+
+
+def _fold_loop(node: A.WhileStmt | A.DoWhileStmt) -> A.Node:
+    node.cond = fold_constants(node.cond)
+    node.body = fold_constants(node.body)
+    return node
+
+
+def _fold_return(node: A.ReturnStmt) -> A.Node:
+    if node.expr is not None:
+        node.expr = fold_constants(node.expr)
+    return node
+
+
+def _fold_function(node: A.FunctionDef) -> A.Node:
+    # A definition is folded once: the mark lets a TU that keeps the
+    # definitions of an earlier, compiled one (the incremental front
+    # end's splice) refold only the re-parsed definition.
+    if not node.info.get("folded"):
+        node.body = fold_constants(node.body)
+        node.info["folded"] = True
+    return node
+
+
+def _fold_class(node: A.ClassDef) -> A.Node:
+    node.methods = [fold_constants(m) for m in node.methods]
+    return node
+
+
+def _fold_unit(node: A.TranslationUnit) -> A.Node:
+    node.functions = [fold_constants(f) for f in node.functions]
+    node.classes = [fold_constants(c) for c in node.classes]
+    node.globals = [fold_constants(g) for g in node.globals]
+    return node
+
+
+_FOLDERS = {
+    A.BinOp: _fold_binop, A.UnOp: _fold_unop, A.Assign: _fold_assign,
+    A.Ternary: _fold_ternary, A.Call: _fold_call, A.Index: _fold_index,
+    A.Member: _fold_member, A.Cast: _fold_expr_child,
+    A.ExprStmt: _fold_expr_child, A.DeclStmt: _fold_decl,
+    A.CompoundStmt: _fold_compound, A.IfStmt: _fold_if,
+    A.ForStmt: _fold_for, A.WhileStmt: _fold_loop,
+    A.DoWhileStmt: _fold_loop, A.ReturnStmt: _fold_return,
+    A.FunctionDef: _fold_function, A.ClassDef: _fold_class,
+    A.TranslationUnit: _fold_unit,
+}
 
 
 # ---------------------------------------------------------------------------
 # Peephole over lowered instructions
 # ---------------------------------------------------------------------------
 
-_LOAD_MNEMONICS = {"mov", "movsd"}
-_BARRIERS = {"call", "jmp", "je", "jne", "jl", "jle", "jg", "jge",
-             "jb", "jbe", "ja", "jae", "ret", "leave"}
-
-
-def _writes_memory(ins: Instruction) -> bool:
-    if ins.mnemonic in ("mov", "movsd", "movapd", "movupd", "inc", "dec",
-                        "add", "sub") and ins.operands:
-        return isinstance(ins.operands[0], Mem)
-    return ins.mnemonic in ("push", "pop", "call")
-
-
-def _dest_reg(ins: Instruction):
-    if ins.operands and isinstance(ins.operands[0], (Reg, Xmm)):
-        return ins.operands[0]
-    return None
+_LOAD_MNEMONICS = frozenset({"mov", "movsd"})
+_BARRIERS = frozenset({"call", "jmp", "je", "jne", "jl", "jle", "jg", "jge",
+                       "jb", "jbe", "ja", "jae", "ret", "leave"})
+# Mnemonics that store to memory when their first operand is a Mem, and
+# the stack operations, which always do (``call`` is a barrier).
+_STORES_TO_MEM = frozenset({"mov", "movsd", "movapd", "movupd", "inc", "dec",
+                            "add", "sub"})
+_STACK_OPS = frozenset({"push", "pop"})
+_REGISTERS = frozenset({Reg, Xmm})
 
 
 def peephole(instrs: list[Instruction]) -> list[Instruction]:
@@ -224,35 +257,32 @@ def peephole(instrs: list[Instruction]) -> list[Instruction]:
       intervening store or register clobber is dropped.
     """
     out: list[Instruction] = []
-    # map (reg, mem) of live loads in the current straight-line run
-    live_loads: dict = {}
+    # (reg, mem) pairs of live loads in the current straight-line run
+    live_loads: set = set()
     for ins in instrs:
-        if ins.mnemonic in _BARRIERS:
+        mn, ops = ins.mnemonic, ins.operands
+        if mn in _BARRIERS:
             live_loads.clear()
             out.append(ins)
             continue
-        # self move
-        if ins.mnemonic in ("mov", "movsd") and len(ins.operands) == 2 \
-                and ins.operands[0] == ins.operands[1]:
-            continue
-        if ins.mnemonic in _LOAD_MNEMONICS and len(ins.operands) == 2 \
-                and isinstance(ins.operands[0], (Reg, Xmm)) \
-                and isinstance(ins.operands[1], Mem):
-            key = (ins.operands[0], ins.operands[1])
-            if live_loads.get(key) == "live":
-                continue  # redundant reload
-            # register now holds this memory slot; clobber old facts for reg
-            live_loads = {k: v for k, v in live_loads.items()
-                          if k[0] != ins.operands[0]}
-            live_loads[key] = "live"
-            out.append(ins)
-            continue
-        if _writes_memory(ins):
+        dst = ops[0] if ops else None
+        dst_type = type(dst)
+        if mn in _LOAD_MNEMONICS and len(ops) == 2:
+            if dst == ops[1]:
+                continue        # self move
+            if dst_type in _REGISTERS and type(ops[1]) is Mem:
+                key = (dst, ops[1])
+                if key in live_loads:
+                    continue    # redundant reload
+                # register now holds this memory slot; clobber old facts
+                live_loads = {k for k in live_loads if k[0] != dst}
+                live_loads.add(key)
+                out.append(ins)
+                continue
+        if (dst_type is Mem and mn in _STORES_TO_MEM) or mn in _STACK_OPS:
             live_loads.clear()
-        else:
-            dst = _dest_reg(ins)
-            if dst is not None:
-                live_loads = {k: v for k, v in live_loads.items() if k[0] != dst}
+        elif dst_type in _REGISTERS:
+            live_loads = {k for k in live_loads if k[0] != dst}
         out.append(ins)
     return out
 

@@ -84,6 +84,13 @@ class PromotionPlan:
         return self.int_regs.get(name) or self.fp_regs.get(name)
 
 
+# What ``_collect_scalar_uses`` does at a node, by the node's exact type.
+_USE, _DECLARE, _CALL, _UNARY, _LOOP = range(5)
+_SCAN_ACTIONS = {A.Ident: _USE, A.DeclStmt: _DECLARE, A.Call: _CALL,
+                 A.UnOp: _UNARY, A.ForStmt: _LOOP, A.WhileStmt: _LOOP,
+                 A.DoWhileStmt: _LOOP}
+
+
 def _collect_scalar_uses(fn: A.FunctionDef) -> tuple[dict, dict, bool, set]:
     """Weighted use counts of scalar locals: refs × 10^loop_depth.
 
@@ -101,26 +108,28 @@ def _collect_scalar_uses(fn: A.FunctionDef) -> tuple[dict, dict, bool, set]:
 
     def scan(node: A.Node, depth: int) -> None:
         nonlocal has_calls
-        if isinstance(node, A.DeclStmt):
+        action = _SCAN_ACTIONS.get(type(node))
+        if action == _USE:
+            kind = scalar_types.get(node.name)
+            if kind is not None:
+                uses = fp_uses if kind == "fp" else int_uses
+                uses[node.name] = uses.get(node.name, 0.0) \
+                    + 10.0 ** min(depth, 6)
+            return
+        if action == _DECLARE:
             for d in node.decls:
-                if not d.array_dims and d.type.pointer == 0 and not d.type.is_class:
+                if not d.array_dims and d.type.pointer == 0 \
+                        and not d.type.is_class:
                     scalar_types[d.name] = "fp" if d.type.is_float else "int"
-        if isinstance(node, A.Call):
+        elif action == _CALL:
             has_calls = True
-        if isinstance(node, A.UnOp) and node.op == "&" \
-                and isinstance(node.operand, A.Ident):
-            address_taken.add(node.operand.name)
-        if isinstance(node, A.Ident) and node.name in scalar_types:
-            w = 10.0 ** min(depth, 6)
-            if scalar_types[node.name] == "fp":
-                fp_uses[node.name] = fp_uses.get(node.name, 0.0) + w
-            else:
-                int_uses[node.name] = int_uses.get(node.name, 0.0) + w
-        child_depth = depth + 1 if isinstance(
-            node, (A.ForStmt, A.WhileStmt, A.DoWhileStmt)
-        ) else depth
+        elif action == _UNARY:
+            if node.op == "&" and type(node.operand) is A.Ident:
+                address_taken.add(node.operand.name)
+        elif action == _LOOP:
+            depth += 1
         for c in node.children():
-            scan(c, child_depth)
+            scan(c, depth)
 
     scan(fn.body, 0)
     return int_uses, fp_uses, has_calls, address_taken

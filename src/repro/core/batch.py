@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 from ..errors import BatchError, MiraError
 from .config import AnalysisConfig
-from .pipeline import Pipeline
+from .pipeline import STAGES, Pipeline
 from .result import RESULT_SCHEMA_VERSION, AnalysisResult
 from .store import ModelCache, ModelEntry, ModelStore, payload_from_result
 
@@ -258,8 +258,10 @@ def _analyze(spec: dict, config: AnalysisConfig) -> tuple:
     """
     t0 = time.perf_counter()
     try:
-        result = Pipeline(config).run(spec["source"],
-                                      filename=spec["filename"])
+        pipeline = Pipeline(config)
+        state = pipeline.new_state(spec["source"], filename=spec["filename"])
+        state.fingerprint = spec["key"]     # the batch's key: hashed once
+        result = pipeline.run_stages(state, STAGES).result
         return payload_from_result(config, result, spec["name"],
                                    time.perf_counter() - t0), result
     except MiraError as exc:
@@ -394,7 +396,6 @@ class BatchAnalyzer:
         # what fingerprints the work and ships to worker processes.
         run_config = self.config.with_changes(
             predefined=self.config.merged_predefines(predefined))
-        config_json = run_config.to_json(indent=None)
         items = list(items)
         results: dict[int, BatchResult] = {}
 
@@ -419,10 +420,10 @@ class BatchAnalyzer:
             pending.append((i, item, key))
             if key not in specs:
                 specs[key] = {
+                    "key": key,
                     "name": item.name,
                     "source": item.source,
                     "filename": item.filename,
-                    "config_json": config_json,
                 }
 
         jobs = max(1, min(self.jobs, len(specs) or 1))
@@ -458,12 +459,16 @@ class BatchAnalyzer:
         """``(payload, result)`` per spec: in-process with the live result,
         from a pool with the payload alone (result None)."""
         if jobs > 1:
+            config_json = config.to_json(indent=None)
             try:
                 from concurrent.futures import ProcessPoolExecutor
 
                 with _child_importable(), \
                         ProcessPoolExecutor(max_workers=jobs) as pool:
-                    return [(p, None) for p in pool.map(_analyze_one, specs)]
+                    return [(p, None) for p in pool.map(
+                        _analyze_one,
+                        [dict(spec, config_json=config_json)
+                         for spec in specs])]
             except Exception:
                 pass   # no pool here (no /dev/shm, a sandbox): run serially
         return [_analyze(spec, config) for spec in specs]

@@ -28,10 +28,18 @@ from .types import Type
 __all__ = ["Parser", "parse_source", "parse_file"]
 
 _ASSIGN_OPS = {"=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="}
-_TYPE_KEYWORDS = {
+_TYPE_KEYWORDS = frozenset({
     "void", "int", "long", "short", "char", "float", "double", "bool",
     "unsigned", "signed", "size_t",
-}
+})
+# Keywords that begin a type, its qualifiers included.
+_TYPE_START_KEYWORDS = _TYPE_KEYWORDS | {"const", "struct", "class",
+                                         "static", "inline"}
+_QUALIFIERS = frozenset({"const", "static", "inline"})
+_PREFIX_OPS = frozenset({"+", "-", "!", "~", "*", "&", "++", "--"})
+# Tokens after ``( type )`` that make it a cast.
+_CAST_OPERAND_KINDS = frozenset({"id", "int", "float", "char", "string"})
+_CAST_OPERAND_PUNCTS = _PREFIX_OPS | {"("}
 
 # Binary operator precedence (larger binds tighter).
 _BIN_PREC = {
@@ -67,6 +75,8 @@ class Parser:
     def __init__(self, tokens: list[Token], filename: str = "<input>") -> None:
         self.toks = tokens
         self.pos = 0
+        #: The current token, ``toks[pos]``.
+        self.cur: Token = tokens[0]
         self.filename = filename
         self.class_names: set[str] = set()
         #: One entry per ``tu.functions`` element: its first and last
@@ -74,10 +84,6 @@ class Parser:
         self.function_spans: list[tuple[Token, Token, frozenset]] = []
 
     # -- token helpers -----------------------------------------------------
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.pos]
-
     def peek(self, off: int = 1) -> Token:
         idx = min(self.pos + off, len(self.toks) - 1)
         return self.toks[idx]
@@ -86,6 +92,7 @@ class Parser:
         t = self.cur
         if t.kind != "eof":
             self.pos += 1
+            self.cur = self.toks[self.pos]
         return t
 
     def expect_punct(self, text: str) -> Token:
@@ -106,8 +113,8 @@ class Parser:
     # -- type parsing ---------------------------------------------------------
     def at_type_start(self) -> bool:
         t = self.cur
-        if t.is_kw(*(_TYPE_KEYWORDS | {"const", "struct", "class", "static", "inline"})):
-            return True
+        if t.kind == "kw":
+            return t.text in _TYPE_START_KEYWORDS
         return t.kind == "id" and t.text in self.class_names
 
     def parse_type(self) -> Type:
@@ -116,37 +123,34 @@ class Parser:
         name: str | None = None
         while True:
             t = self.cur
-            if t.is_kw("const", "static", "inline"):
-                const = const or t.text == "const"
-                self.advance()
-                continue
-            if t.is_kw("struct", "class"):
-                self.advance()
-                continue
-            if t.is_kw("unsigned"):
-                unsigned = True
-                self.advance()
-                if name is None:
-                    name = "int"
-                continue
-            if t.is_kw("signed"):
-                self.advance()
-                if name is None:
-                    name = "int"
-                continue
-            if t.is_kw(*_TYPE_KEYWORDS):
-                if name in (None, "int"):
-                    name = t.text
-                elif name == "long" and t.text in ("long", "int", "double"):
-                    name = "long" if t.text != "double" else "double"
-                elif name == "short" and t.text == "int":
-                    name = "short"
+            text = t.text
+            if t.kind == "kw":
+                if text in _QUALIFIERS:
+                    const = const or text == "const"
+                elif text == "struct" or text == "class":
+                    pass
+                elif text == "unsigned":
+                    unsigned = True
+                    if name is None:
+                        name = "int"
+                elif text == "signed":
+                    if name is None:
+                        name = "int"
+                elif text in _TYPE_KEYWORDS:
+                    if name in (None, "int"):
+                        name = text
+                    elif name == "long" and text in ("long", "int", "double"):
+                        name = "long" if text != "double" else "double"
+                    elif name == "short" and text == "int":
+                        name = "short"
+                    else:
+                        break
                 else:
                     break
                 self.advance()
                 continue
-            if t.kind == "id" and t.text in self.class_names and name is None:
-                name = t.text
+            if t.kind == "id" and text in self.class_names and name is None:
+                name = text
                 self.advance()
                 continue
             break
@@ -184,8 +188,8 @@ class Parser:
                 if is_annotation_pragma(tok.text):
                     pending_annotations.append(parse_annotation(tok.text, tok.line))
                 continue
-            if self.cur.is_kw("class", "struct") and self.peek().kind == "id" \
-                    and self.peek(2).is_punct("{"):
+            if self.cur.kind == "kw" and self.cur.text in ("class", "struct") \
+                    and self.peek().kind == "id" and self.peek(2).is_punct("{"):
                 tu.classes.append(self.parse_class())
                 continue
             first, classes = self.cur, frozenset(self.class_names)
@@ -210,7 +214,8 @@ class Parser:
         fields: list[A.VarDecl] = []
         methods: list[A.FunctionDef] = []
         while not self.cur.is_punct("}"):
-            if self.cur.is_kw("public", "private") and self.peek().is_punct(":"):
+            if self.cur.kind == "kw" and self.cur.text in ("public", "private") \
+                    and self.peek().is_punct(":"):
                 self.advance()
                 self.advance()
                 continue
@@ -355,39 +360,41 @@ class Parser:
 
     def parse_statement(self) -> A.Stmt:
         t = self.cur
-        if t.is_punct("{"):
-            return self.parse_compound()
-        if t.is_punct(";"):
-            self.advance()
-            return A.NullStmt(t.line, t.col)
-        if t.is_kw("if"):
-            return self.parse_if()
-        if t.is_kw("for"):
-            return self.parse_for()
-        if t.is_kw("while"):
-            return self.parse_while()
-        if t.is_kw("do"):
-            return self.parse_do_while()
-        if t.is_kw("return"):
-            self.advance()
-            expr = None
-            if not self.cur.is_punct(";"):
-                expr = self.parse_expr()
-            self.expect_punct(";")
-            return A.ReturnStmt(expr, t.line, t.col)
-        if t.is_kw("break"):
-            self.advance()
-            self.expect_punct(";")
-            return A.BreakStmt(t.line, t.col)
-        if t.is_kw("continue"):
-            self.advance()
-            self.expect_punct(";")
-            return A.ContinueStmt(t.line, t.col)
-        if self.at_type_start() and not t.is_kw("const") or (
-            t.is_kw("const") and self.peek().kind in ("kw", "id")
-        ):
-            if self.at_type_start():
-                return self.parse_decl_stmt()
+        text = t.text
+        if t.kind == "punct":
+            if text == "{":
+                return self.parse_compound()
+            if text == ";":
+                self.advance()
+                return A.NullStmt(t.line, t.col)
+        elif t.kind == "kw":
+            if text == "if":
+                return self.parse_if()
+            if text == "for":
+                return self.parse_for()
+            if text == "while":
+                return self.parse_while()
+            if text == "do":
+                return self.parse_do_while()
+            if text == "return":
+                self.advance()
+                expr = None
+                if not self.cur.is_punct(";"):
+                    expr = self.parse_expr()
+                self.expect_punct(";")
+                return A.ReturnStmt(expr, t.line, t.col)
+            if text == "break":
+                self.advance()
+                self.expect_punct(";")
+                return A.BreakStmt(t.line, t.col)
+            if text == "continue":
+                self.advance()
+                self.expect_punct(";")
+                return A.ContinueStmt(t.line, t.col)
+        # A declaration, unless a lone ``const`` starts an expression.
+        if self.at_type_start() and (
+                text != "const" or self.peek().kind in ("kw", "id")):
+            return self.parse_decl_stmt()
         expr = self.parse_expr()
         self.expect_punct(";")
         return A.ExprStmt(expr, t.line, t.col)
@@ -499,11 +506,7 @@ class Parser:
 
     def parse_unary(self) -> A.Expr:
         t = self.cur
-        if t.is_punct("+", "-", "!", "~", "*", "&"):
-            self.advance()
-            operand = self.parse_unary()
-            return A.UnOp(t.text, operand, True, t.line, t.col)
-        if t.is_punct("++", "--"):
+        if t.kind == "punct" and t.text in _PREFIX_OPS:
             self.advance()
             operand = self.parse_unary()
             return A.UnOp(t.text, operand, True, t.line, t.col)
@@ -536,18 +539,22 @@ class Parser:
             if not self.cur.is_punct(")"):
                 return False
             nxt = self.peek()
-            return nxt.kind in ("id", "int", "float", "char", "string") or \
-                nxt.is_punct("(", "-", "+", "!", "~", "*", "&", "++", "--")
+            return nxt.kind in _CAST_OPERAND_KINDS or (
+                nxt.kind == "punct" and nxt.text in _CAST_OPERAND_PUNCTS)
         except ParseError:
             return False
         finally:
             self.pos = save
+            self.cur = self.toks[save]
 
     def parse_postfix(self) -> A.Expr:
         e = self.parse_primary()
         while True:
             t = self.cur
-            if t.is_punct("("):
+            if t.kind != "punct":
+                break
+            text = t.text
+            if text == "(":
                 self.advance()
                 args: list[A.Expr] = []
                 if not self.cur.is_punct(")"):
@@ -559,22 +566,18 @@ class Parser:
                         break
                 self.expect_punct(")")
                 e = A.Call(e, args, t.line, t.col)
-            elif t.is_punct("["):
+            elif text == "[":
                 self.advance()
                 idx = self.parse_expr()
                 self.expect_punct("]")
                 e = A.Index(e, idx, t.line, t.col)
-            elif t.is_punct("."):
+            elif text == "." or text == "->":
                 self.advance()
                 name = self.expect_kind("id").text
-                e = A.Member(e, name, False, t.line, t.col)
-            elif t.is_punct("->"):
+                e = A.Member(e, name, text == "->", t.line, t.col)
+            elif text == "++" or text == "--":
                 self.advance()
-                name = self.expect_kind("id").text
-                e = A.Member(e, name, True, t.line, t.col)
-            elif t.is_punct("++", "--"):
-                self.advance()
-                e = A.UnOp(t.text, e, False, t.line, t.col)
+                e = A.UnOp(text, e, False, t.line, t.col)
             else:
                 break
         return e

@@ -1,4 +1,8 @@
-"""Token definitions for the C/C++ subset lexer."""
+"""Token definitions for the C/C++ subset lexer.
+
+A :class:`Token` is a slotted value, immutable by convention: nothing
+assigns to a token after the lexer builds it.
+"""
 
 from __future__ import annotations
 
@@ -36,7 +40,7 @@ PUNCTUATORS = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
     """A single lexical token with source position (1-based line/col)."""
 
@@ -45,11 +49,11 @@ class Token:
     line: int
     col: int
 
-    def is_punct(self, *texts: str) -> bool:
-        return self.kind == "punct" and self.text in texts
+    def is_punct(self, text: str) -> bool:
+        return self.kind == "punct" and self.text == text
 
-    def is_kw(self, *texts: str) -> bool:
-        return self.kind == "kw" and self.text in texts
+    def is_kw(self, text: str) -> bool:
+        return self.kind == "kw" and self.text == text
 
     def __repr__(self) -> str:  # compact for parser error messages
         return f"{self.kind}:{self.text!r}@{self.line}:{self.col}"

@@ -15,9 +15,10 @@ INT_TYPES = frozenset({"int", "long", "short", "char", "bool", "unsigned", "size
 FLOAT_TYPES = frozenset({"float", "double"})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Type:
-    """A (possibly pointer/reference) type."""
+    """A (possibly pointer/reference) type; a value, immutable by
+    convention."""
 
     name: str                  # 'int', 'double', 'void', class name, ...
     pointer: int = 0           # pointer depth: double** -> 2

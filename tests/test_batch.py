@@ -97,8 +97,30 @@ class TestModelCache:
         key = report["good"].cache_key
         path = os.path.join(cache_dir, key[:2], f"{key}.json")
         assert os.path.exists(path)
-        payload = json.load(open(path))
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
         assert payload["ok"] and "model_source" not in payload
+
+    def test_cold_batch_fingerprints_each_source_once(self, config,
+                                                      monkeypatch):
+        """The batch's key reaches the pipeline state, so a cold
+        in-process miss hashes its source once, not twice."""
+        import repro.core.config as config_module
+
+        calls = []
+        real = config_module.source_fingerprint
+
+        def counting(*args, **kw):
+            calls.append(args[0])
+            return real(*args, **kw)
+
+        monkeypatch.setattr(config_module, "source_fingerprint", counting)
+        report = BatchAnalyzer(config, jobs=1).analyze_paths(corpus_paths())
+        assert len(report.results) == 15 and not report.failed()
+        assert not report.cache_hits()
+        assert len(calls) == 15
+        for r in report:
+            assert r.cache_key == r.analysis.fingerprint
 
     def test_source_change_invalidates(self, config):
         ba = BatchAnalyzer(config, jobs=1)

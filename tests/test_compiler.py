@@ -2,6 +2,7 @@
 object files, DWARF line tables."""
 
 import struct
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,11 @@ from repro.compiler import (
 )
 from repro.compiler.dwarf import (LineRow, encode_line_program, read_sleb,
                                   read_uleb, write_sleb, write_uleb)
+from repro.binary import disassemble
 from repro.binary.dwarf_reader import decode_line_program
 from repro.errors import CompileError, DisasmError, MiraError
 from repro.frontend import parse_source
+from repro.workloads import source_path
 
 
 class TestISA:
@@ -88,6 +91,52 @@ class TestISA:
     def test_decode_truncated(self):
         with pytest.raises(DisasmError):
             decode_instruction(b"\x01", 0, [])
+
+    @pytest.mark.parametrize("operand,message", [
+        (bytes((0x00, 200)), "bad GP register id 200"),
+        (bytes((0x01, 99)), "bad XMM register id 99"),
+        (bytes((0x04,)) + struct.pack("<H", 7), "bad symbol index 7"),
+        (struct.pack("<BBBBiH", 0x03, 0xFF, 0xFF, 3, 0, 0xFFFF),
+         "bad scale 3"),
+        (struct.pack("<BBBBiH", 0x03, 200, 0xFF, 1, 0, 0xFFFF),
+         "bad memory register id"),
+        (struct.pack("<BBBBiH", 0x03, 0xFF, 16, 1, 0, 0xFFFF),
+         "bad memory register id"),
+        (struct.pack("<BBBBiH", 0x03, 0xFF, 0xFF, 1, 0, 9),
+         "bad symbol index 9"),
+        (bytes((0x03, 0xFF)), "truncated operand"),
+    ])
+    def test_decode_rejects_out_of_range_operands(self, operand, message):
+        # one instruction at offset 4, so its operand starts at offset 8
+        data = b"\0" * 4 + struct.pack("<HBB", 0, 1, 0) + operand
+        with pytest.raises(DisasmError, match=f"{message} at (offset )?8"):
+            decode_instruction(data, 4, ["foo"])
+
+    @pytest.mark.parametrize("name", ["fig5", "dgemm"])
+    def test_disassemble_is_total_on_corrupt_operand_bytes(self, name):
+        """Every operand byte of a compiled corpus object, set to an
+        out-of-range value, either still decodes or is a DisasmError."""
+        with open(source_path(name), encoding="utf-8") as fh:
+            obj = compile_tu(parse_source(fh.read(), f"{name}.c"))
+        operand_bytes = []
+        pos = 0
+        while pos < len(obj.text):
+            _, nxt = decode_instruction(obj.text, pos, obj.strings)
+            operand_bytes.extend(range(pos + 4, nxt))
+            pos = nxt
+        outcomes = {"decoded": 0, "rejected": 0}
+        for i in operand_bytes:
+            for value in (200, 0xFF):
+                if obj.text[i] == value:
+                    continue
+                text = obj.text[:i] + bytes((value,)) + obj.text[i + 1:]
+                try:
+                    disassemble(replace(obj, text=text).to_bytes())
+                except DisasmError:
+                    outcomes["rejected"] += 1
+                else:
+                    outcomes["decoded"] += 1
+        assert outcomes["decoded"] and outcomes["rejected"], outcomes
 
     @given(st.integers(min_value=-(2**62), max_value=2**62))
     @settings(max_examples=50, deadline=None)
